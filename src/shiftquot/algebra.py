@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .embedding import EmbeddingPair, check_standing_hypotheses
+from .embedding import EmbeddingPair
 from .graphs import Graph, IntMatrix, adjacency_matrix, paths_of_length
 
 
@@ -241,7 +241,7 @@ def ruelle_k_theory(p: EmbeddingPair) -> RuelleKTheory:
     If the standing hypotheses fail the groups are still computed from the
     same formulas but flagged as not validated.
     """
-    rep = check_standing_hypotheses(p)
+    rep = p.hypotheses
     warnings: list[str] = []
     if not rep.standing():
         for name in ("h0", "h1", "h2", "primitive"):
@@ -289,7 +289,7 @@ class HomologyRow:
 def homology_table(p: EmbeddingPair) -> tuple[HomologyRow, ...]:
     """The homology of the invertible quotient system: two nonzero rows per
     invariant (degrees 0 and 1), zero elsewhere."""
-    rep = check_standing_hypotheses(p)
+    rep = p.hypotheses
     if not rep.standing():
         raise AlgebraError("homology table requires the standing hypotheses")
     ag = adjacency_matrix(p.g)
@@ -379,7 +379,7 @@ def _pair_cells(p: EmbeddingPair, length: int) -> list[frozenset[Pair]]:
 
 def build_pair_complex(p: EmbeddingPair, word_cap: int = 10**7) -> PairComplex:
     """Construct the block-7 pair complex and verify its structure."""
-    rep = check_standing_hypotheses(p)
+    rep = p.hypotheses
     if not rep.standing():
         raise AlgebraError("pair complex requires the standing hypotheses")
     if len(p.g.edges) ** 7 > word_cap:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra, geometry, metrics, rays
-from .embedding import EmbeddingPair, check_standing_hypotheses
+from .embedding import EmbeddingPair
 from .graphs import Graph
 
 
@@ -46,9 +46,10 @@ class SeedBundle:
 
 def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
     """Parse the line-based seed format with line-numbered diagnostics."""
-    graphs: dict[str, tuple[list[str], list[tuple[str, str, str]]]] = {
-        "G": ([], []),
-        "H": ([], []),
+    # per graph: vertex ids (a dict used as an ordered set) and edges by id
+    graphs: dict[str, tuple[dict[str, None], dict[str, tuple[str, str, str]]]] = {
+        "G": ({}, {}),
+        "H": ({}, {}),
     }
     current: str | None = None
     vmap: dict[str, str] = {}
@@ -78,7 +79,7 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
             vs, _ = graphs[current]
             if tokens[1] in vs:
                 raise err(line_no, f"duplicate vertex {tokens[1]!r}")
-            vs.append(tokens[1])
+            vs[tokens[1]] = None
         elif kind == "edge":
             if current is None:
                 raise err(line_no, "edge before any 'graph' line")
@@ -86,13 +87,13 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
                 raise err(line_no, "expected 'edge <id> <src> <dst>'")
             vs, es = graphs[current]
             eid, src, dst = tokens[1:]
-            if any(e[0] == eid for e in es):
+            if eid in es:
                 raise err(line_no, f"duplicate edge {eid!r}")
             if src not in vs:
                 raise err(line_no, f"unknown vertex {src!r}")
             if dst not in vs:
                 raise err(line_no, f"unknown vertex {dst!r}")
-            es.append((eid, src, dst))
+            es[eid] = (eid, src, dst)
         elif kind == "map":
             if len(tokens) != 4:
                 raise err(line_no, "expected 'map vertex|xi0|xi1 <from> <to>'")
@@ -106,9 +107,9 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
                     raise err(line_no, f"unknown G-vertex {to!r}")
                 vmap[frm] = to
             elif what in ("xi0", "xi1"):
-                if not any(e[0] == frm for e in he):
+                if frm not in he:
                     raise err(line_no, f"unknown H-edge {frm!r}")
-                if not any(e[0] == to for e in ge):
+                if to not in ge:
                     raise err(line_no, f"unknown G-edge {to!r}")
                 (xi0 if what == "xi0" else xi1)[frm] = to
             else:
@@ -119,7 +120,7 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
         raise BundleError(f"{name}: empty bundle")
     gv, ge = graphs["G"]
     hv, he = graphs["H"]
-    return SeedBundle(name, Graph(gv, ge), Graph(hv, he), vmap, xi0, xi1)
+    return SeedBundle(name, Graph(gv, ge.values()), Graph(hv, he.values()), vmap, xi0, xi1)
 
 
 def load_bundle(path: str) -> SeedBundle:
@@ -172,7 +173,7 @@ def _fmt_interval(iv: metrics.MetricInterval) -> str:
 
 def cmd_check(args) -> int:
     bundle = load_bundle(args.bundle)
-    rep = check_standing_hypotheses(bundle.pair())
+    rep = bundle.pair().hypotheses
     for label in ("h0", "h1", "h2", "primitive"):
         res = getattr(rep, label)
         line = f"{label} = {'pass' if res.passed else 'fail'}"
@@ -230,10 +231,7 @@ def cmd_zeta(args) -> int:
 def cmd_fibers(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
-    from .embedding import quotient_graph
-
-    q = quotient_graph(p)
-    base = rays.parse_ray(q.graph, args.ray)
+    base = rays.parse_ray(p.quotient.graph, args.ray)
     print(geometry.fiber_classify(p, base).render())
     return 0
 
@@ -257,7 +255,7 @@ def cmd_synthesize(args) -> int:
     k1 = parse_group(args.k1)
     k0 = parse_group(args.k0tor)
     p = algebra.synthesize_seed(k0, k1)
-    rep = check_standing_hypotheses(p)
+    rep = p.hypotheses
     kt = algebra.ruelle_k_theory(p)
     text = bundle_text(p, name=f"synthesized K1={args.k1} K0tor={args.k0tor}")
     with open(args.output, "w", encoding="utf-8") as fh:

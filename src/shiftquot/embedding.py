@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Mapping
 
 from .graphs import Graph, is_primitive
@@ -53,12 +53,13 @@ def _check_homomorphism(
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingPair:
-    """Seed (G, H, xi0, xi1) with derived lookup tables.
+    """Seed (G, H, xi0, xi1) with derived tables, each computed once on
+    first use.
 
     The pair must be structurally valid (two injective homomorphisms);
     conditions H0/H1/H2 are *reported* by check_standing_hypotheses, not
-    enforced here.  Derived tables that require H1 (the superscript map,
-    partners) are populated only when H1 actually holds.
+    enforced here.  The tables that require H1 (the superscript map,
+    partners) are None when H1 fails.
     """
 
     g: Graph
@@ -71,62 +72,64 @@ class EmbeddingPair:
     def __post_init__(self) -> None:
         _check_homomorphism("xi0", self.h, self.g, self.xi0_vertices, self.xi0_edges)
         _check_homomorphism("xi1", self.h, self.g, self.xi1_vertices, self.xi1_edges)
-        image0 = set(self.xi0_edges.values())
-        image1 = set(self.xi1_edges.values())
-        object.__setattr__(self, "_image0", frozenset(image0))
-        object.__setattr__(self, "_image1", frozenset(image1))
-        object.__setattr__(self, "_image", frozenset(image0 | image1))
-        if image0 & image1:
-            object.__setattr__(self, "_epsilon", None)
-            object.__setattr__(self, "_partner", None)
-            object.__setattr__(self, "_h_edge", None)
-        else:
-            eps: dict[str, int] = {}
-            partner: dict[str, str] = {}
-            h_edge: dict[str, str] = {}
-            for y in self.h.edges:
-                e0, e1 = self.xi0_edges[y], self.xi1_edges[y]
-                eps[e0], eps[e1] = 0, 1
-                partner[e0], partner[e1] = e1, e0
-                h_edge[e0] = h_edge[e1] = y
-            object.__setattr__(self, "_epsilon", eps)
-            object.__setattr__(self, "_partner", partner)
-            object.__setattr__(self, "_h_edge", h_edge)
 
-    # -- membership helpers -------------------------------------------------
-
-    @property
+    @cached_property
     def xi_image(self) -> frozenset[str]:
         """The set of doubled G-edges (union of both edge images)."""
-        return self._image  # type: ignore[attr-defined]
+        return frozenset(self.xi0_edges.values()) | frozenset(self.xi1_edges.values())
+
+    @cached_property
+    def _superscript(self) -> dict[str, int] | None:
+        if set(self.xi0_edges.values()) & set(self.xi1_edges.values()):
+            return None
+        eps = dict.fromkeys(self.xi0_edges.values(), 0)
+        eps.update(dict.fromkeys(self.xi1_edges.values(), 1))
+        return eps
+
+    @cached_property
+    def _partner(self) -> dict[str, str] | None:
+        if self._superscript is None:
+            return None
+        partner: dict[str, str] = {}
+        for y in self.h.edges:
+            e0, e1 = self.xi0_edges[y], self.xi1_edges[y]
+            partner[e0], partner[e1] = e1, e0
+        return partner
+
+    # The module functions below do the work; they are looked up by name at
+    # call time, so a wrapper installed on the module sees each computation.
+
+    @cached_property
+    def hypotheses(self) -> HypothesisReport:
+        return check_standing_hypotheses(self)
+
+    @cached_property
+    def quotient(self) -> QuotientGraph:
+        return quotient_graph(self)
+
+    @cached_property
+    def completion(self) -> CompletionTables:
+        return completion_tables(self)
 
     def in_image(self, edge: str) -> bool:
-        return edge in self._image  # type: ignore[attr-defined]
+        return edge in self.xi_image
 
     def partner(self, edge: str) -> str:
         """The other copy of the same H-edge (requires H1)."""
-        if self._partner is None:  # type: ignore[attr-defined]
+        if self._partner is None:
             raise EmbeddingError("partner map undefined: H1 fails")
         try:
-            return self._partner[edge]  # type: ignore[attr-defined]
-        except KeyError:
-            raise EmbeddingError(f"edge {edge!r} is not in the embedded image") from None
-
-    def h_edge_of(self, edge: str) -> str:
-        if self._h_edge is None:  # type: ignore[attr-defined]
-            raise EmbeddingError("pullback undefined: H1 fails")
-        try:
-            return self._h_edge[edge]  # type: ignore[attr-defined]
+            return self._partner[edge]
         except KeyError:
             raise EmbeddingError(f"edge {edge!r} is not in the embedded image") from None
 
 
 def epsilon(p: EmbeddingPair, edge: str) -> int:
     """Superscript (0 or 1) of the embedding containing the given G-edge."""
-    if p._epsilon is None:  # type: ignore[attr-defined]
+    if p._superscript is None:
         raise EmbeddingError("superscript map undefined: H1 fails")
     try:
-        return p._epsilon[edge]  # type: ignore[attr-defined]
+        return p._superscript[edge]
     except KeyError:
         raise EmbeddingError(f"edge {edge!r} is not in the embedded image") from None
 
@@ -187,9 +190,8 @@ def check_standing_hypotheses(p: EmbeddingPair) -> HypothesisReport:
             break
     h2 = CheckResult(h2_bad is None, h2_bad and f"edge {h2_bad}")
 
-    prim, exponent = is_primitive(p.g)
+    prim, _ = is_primitive(p.g)
     primitive = CheckResult(prim, None if prim else "no power of the adjacency matrix is positive")
-    _ = exponent
     return HypothesisReport(h0, h1, h2, primitive, _h_has_cycle(p.h))
 
 
@@ -200,16 +202,15 @@ class QuotientGraph:
     graph: Graph
     tau: dict[str, str]  # G-edge -> quotient edge
 
-    def fiber(self, quotient_edge: str) -> tuple[str, ...]:
-        return self._fiber[quotient_edge]  # type: ignore[attr-defined]
-
-    def __post_init__(self) -> None:
+    @cached_property
+    def _fibers(self) -> dict[str, tuple[str, ...]]:
         fib: dict[str, list[str]] = {}
         for e, q in self.tau.items():
             fib.setdefault(q, []).append(e)
-        object.__setattr__(
-            self, "_fiber", {q: tuple(sorted(es)) for q, es in fib.items()}
-        )
+        return {q: tuple(sorted(es)) for q, es in fib.items()}
+
+    def fiber(self, quotient_edge: str) -> tuple[str, ...]:
+        return self._fibers[quotient_edge]
 
 
 def quotient_graph(p: EmbeddingPair) -> QuotientGraph:
@@ -218,7 +219,7 @@ def quotient_graph(p: EmbeddingPair) -> QuotientGraph:
     Quotient edge ids: merged edges are named after the H-edge, untouched
     edges after themselves, both with a prime suffix.
     """
-    rep = check_standing_hypotheses(p)
+    rep = p.hypotheses
     if not rep.h0.passed or not rep.h1.passed:
         raise EmbeddingError("quotient graph needs H0 and H1")
     tau: dict[str, str] = {}
@@ -249,18 +250,13 @@ class VertexCompletion:
 
     xi_tail: an infinite forward path inside the embedded image, as a
         (lead-in, cycle) pair of G-edges, or None when no such tail exists.
-    nonxi_path_to_tail: shortest path using only spare edges to a vertex
-        that has a xi-tail (None if the small graph has no cycle).
-    nearest_nonxi: shortest path (any edges) to a vertex with an outgoing
-        spare edge, plus that edge.
     min_forced_path: a path to a xi-tail vertex minimizing the number of
-        spare edges used; min_forced is that count.
+        spare edges used (ties go to the first such vertex in G's order);
+        min_forced is that count.
     """
 
     vertex: str
     xi_tail: tuple[tuple[str, ...], tuple[str, ...]] | None
-    nonxi_path_to_tail: tuple[str, ...] | None
-    nearest_nonxi: tuple[tuple[str, ...], str] | None
     min_forced_path: tuple[str, ...] | None
     min_forced: int | None
 
@@ -327,7 +323,6 @@ def _h_tail_witness(h: Graph) -> dict[str, tuple[tuple[str, ...], tuple[str, ...
     return result
 
 
-@lru_cache(maxsize=None)
 def completion_tables(p: EmbeddingPair) -> CompletionTables:
     """Completion data per vertex; errors on a vertex with no outgoing edge."""
     g = p.g
@@ -345,38 +340,10 @@ def completion_tables(p: EmbeddingPair) -> CompletionTables:
             tuple(p.xi0_edges[y] for y in lead),
             tuple(p.xi0_edges[y] for y in cyc),
         )
-    tail_vertices = {v for v, t in xi_tail.items() if t is not None}
-
-    def bfs_paths(start: str, allowed_nonxi_only: bool) -> dict[str, tuple[str, ...]]:
-        dist: dict[str, tuple[str, ...]] = {start: ()}
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for e in g.out_edges(u):
-                if allowed_nonxi_only and p.in_image(e):
-                    continue
-                w = g.target(e)
-                if w not in dist:
-                    dist[w] = dist[u] + (e,)
-                    q.append(w)
-        return dist
+    tail_vertices = [v for v in g.vertices if xi_tail[v] is not None]
 
     per: dict[str, VertexCompletion] = {}
     for v in g.vertices:
-        nonxi_reach = bfs_paths(v, allowed_nonxi_only=True)
-        to_tail = None
-        best = None
-        for u, path in nonxi_reach.items():
-            if u in tail_vertices and (best is None or len(path) < best):
-                best = len(path)
-                to_tail = path
-        any_reach = bfs_paths(v, allowed_nonxi_only=False)
-        nearest: tuple[tuple[str, ...], str] | None = None
-        for u, path in sorted(any_reach.items(), key=lambda kv: len(kv[1])):
-            spare = next((e for e in g.out_edges(u) if not p.in_image(e)), None)
-            if spare is not None:
-                nearest = (path, spare)
-                break
         # 0/1-weighted search: minimize spare-edge count on a path to a tail vertex
         forced: dict[str, tuple[int, tuple[str, ...]]] = {v: (0, ())}
         dq: deque[str] = deque([v])
@@ -397,5 +364,5 @@ def completion_tables(p: EmbeddingPair) -> CompletionTables:
         for u in tail_vertices:
             if u in forced and (mf is None or forced[u][0] < mf):
                 mf, mf_path = forced[u]
-        per[v] = VertexCompletion(v, xi_tail[v], to_tail, nearest, mf_path, mf)
+        per[v] = VertexCompletion(v, xi_tail[v], mf_path, mf)
     return CompletionTables(per)

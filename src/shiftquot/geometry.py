@@ -14,23 +14,34 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embedding import EmbeddingPair, EmbeddingError, completion_tables, epsilon
-from .metrics import _quotient, tau_ray
+from .embedding import EmbeddingPair, EmbeddingError, epsilon
+from .metrics import tau_ray
 from .rays import (
     Angle,
     LassoRay,
     RayError,
     canonical,
-    first_nonxi,
     kappa,
+    level,
     shift_by,
     stratum_approximant,
-    theta,
 )
 
 
 def _angle_complex(a: Angle) -> complex:
     return cmath.exp(2j * math.pi * float(a.turns))
+
+
+def _level_chain(p: EmbeddingPair, x: LassoRay) -> tuple[list[tuple[int, Angle]], Angle]:
+    """The (gap to the next spare edge, angle) of every level of a
+    finite-stratum ray, and the series angle of its all-image tail."""
+    levels: list[tuple[int, Angle]] = []
+    n, t = level(p, x)
+    while n != math.inf:
+        levels.append((int(n), Angle.of(t)))
+        x = shift_by(x, int(n))
+        n, t = level(p, x)
+    return levels, Angle.of(t)
 
 
 def zeta_exact_terms(
@@ -39,24 +50,16 @@ def zeta_exact_terms(
     """The complex coordinate of a finite-stratum ray as an exact sum of
     (rational coefficient, angle) terms.
 
-    Unrolls the recursion: level i contributes
-    (prod_{j<i} 2^(-3-n_j)) * (1 - 2^(1-n_i)) * e^(2 pi i theta_i),
-    and the final all-image tail contributes its series angle scaled by the
-    accumulated contraction factor.
+    Unrolls the recursion: the levels give the center of the ray's circle
+    (see _spec_from_levels), and the final all-image tail contributes its
+    series angle scaled by the accumulated contraction factor, which is
+    the circle's radius.
     """
     if kappa(p, x) == math.inf:
         raise RayError("exact coordinate needs finitely many spare edges")
-    terms: list[tuple[Fraction, Angle]] = []
-    scale = Fraction(1)
-    while kappa(p, x) != 0:
-        n = first_nonxi(p, x)
-        coeff = scale * (1 - Fraction(2) ** (1 - n))
-        if coeff:
-            terms.append((coeff, theta(p, x)))
-        scale *= Fraction(1, 2 ** (3 + n))
-        x = shift_by(x, n)
-    terms.append((scale, theta(p, x)))
-    return terms
+    levels, tail = _level_chain(p, x)
+    spec = _spec_from_levels((), levels)
+    return [*spec.center_terms, (spec.radius, tail)]
 
 
 def _eval_terms(terms: list[tuple[Fraction, Angle]]) -> complex:
@@ -108,6 +111,8 @@ class CircleSpec:
 def _spec_from_levels(
     prefix: tuple[str, ...], levels: list[tuple[int, Angle]]
 ) -> CircleSpec:
+    """Level i contributes (prod_{j<i} 2^(-3-n_j)) * (1 - 2^(1-n_i)) *
+    e^(2 pi i theta_i) to the center; the radius is the full product."""
     terms: list[tuple[Fraction, Angle]] = []
     scale = Fraction(1)
     total_gap = 0
@@ -143,7 +148,7 @@ def circle_specs_report(
     min_radius: Fraction | float = 0,
 ) -> tuple[list[CircleSpec], Fraction]:
     """circle_specs plus the total radius of pruned circles."""
-    tables = completion_tables(p)
+    tables = p.completion
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
     has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
     if not has_tail:
@@ -211,7 +216,7 @@ def fiber_classify(p: EmbeddingPair, base: LassoRay) -> FiberClass:
     the compatible prefixes up to the last spare edge; otherwise the fiber
     is totally disconnected.
     """
-    q = _quotient(p)
+    q = p.quotient
     for e in base.prefix + base.cycle:
         if not q.graph.has_edge(e):
             raise RayError(f"unknown quotient edge {e!r}")
@@ -294,13 +299,8 @@ class InjectivityReport:
 def _discrete_invariant(p: EmbeddingPair, x: LassoRay):
     """(quotient image, chain of (gap, angle) level data, tail angle): a
     complete invariant of the identification class for finite strata."""
-    tau = tau_ray(p, x)
-    chain: list[tuple[int, Fraction]] = []
-    while kappa(p, x) != 0:
-        n = first_nonxi(p, x)
-        chain.append((n, theta(p, x).turns))
-        x = shift_by(x, n)
-    return (tau, tuple(chain), theta(p, x).turns)
+    levels, tail = _level_chain(p, x)
+    return (tau_ray(p, x), tuple((n, a.turns) for n, a in levels), tail.turns)
 
 
 def embedding_injectivity_check(

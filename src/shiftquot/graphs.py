@@ -197,15 +197,6 @@ class PathWord:
         return len(self.edges)
 
 
-def validate_path(g: Graph, edges: Sequence[str]) -> None:
-    for e in edges:
-        if not g.has_edge(e):
-            raise GraphError(f"unknown edge {e!r}")
-    for a, b in zip(edges, edges[1:]):
-        if g.target(a) != g.source(b):
-            raise GraphError(f"edges {a!r},{b!r} are not composable")
-
-
 def adjacency_matrix(g: Graph) -> IntMatrix:
     """Adjacency matrix in the (target, source) convention.
 

@@ -13,21 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .embedding import EmbeddingPair, quotient_graph
+from .embedding import EmbeddingPair
 from .rays import (
     Angle,
     ClassPoint,
     LassoRay,
     RayError,
-    _lcm,
-    digit_series,
-    first_nonxi,
+    first_difference,
     kappa,
+    level,
     shift_by,
     stratum_approximant,
-    theta,
 )
 
 
@@ -56,13 +53,8 @@ class MetricInterval:
 
 def d_shift(x: LassoRay, y: LassoRay) -> Fraction:
     """Shift-space metric 2^-(longest common prefix); 0 for equal rays."""
-    if x == y:
-        return Fraction(0)
-    bound = max(len(x.prefix), len(y.prefix)) + _lcm(len(x.cycle), len(y.cycle)) + 1
-    for n in range(1, bound + 1):
-        if x.edge_at(n) != y.edge_at(n):
-            return Fraction(1, 2 ** (n - 1))
-    return Fraction(0)
+    n = first_difference(x, y)
+    return Fraction(0) if n is None else Fraction(1, 2 ** (n - 1))
 
 
 def circle_distance(s: Angle, t: Angle) -> Fraction:
@@ -70,14 +62,13 @@ def circle_distance(s: Angle, t: Angle) -> Fraction:
     return s.distance(t)
 
 
-@lru_cache(maxsize=None)
 def _quotient(p: EmbeddingPair):
-    return quotient_graph(p)
+    return p.quotient
 
 
 def tau_ray(p: EmbeddingPair, x: LassoRay) -> LassoRay:
     """Image of a ray in the quotient graph's shift space."""
-    q = _quotient(p)
+    q = p.quotient
     return LassoRay.make(
         q.graph, [q.tau[e] for e in x.prefix], [q.tau[e] for e in x.cycle]
     )
@@ -88,37 +79,30 @@ def d_quotient_graph(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     return d_shift(tau_ray(p, x), tau_ray(p, y))
 
 
-def _level_data(p: EmbeddingPair, x: LassoRay) -> tuple[int | float, Angle]:
-    """(first spare position, binary angle); position is inf when kappa = 0,
-    in which case the angle is the full series value mod 1."""
-    k = kappa(p, x)
-    if k == 0:
-        return math.inf, Angle.of(digit_series(p, x))
-    return first_nonxi(p, x), theta(p, x)
-
-
 def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     """The layer part of the metric for rays with finitely many spare edges.
 
-    The recursion consumes the leading spare edge of each argument; a ray
-    with no spare edges contributes position 'infinity' (weight 0) and its
+    Each level where both rays share their first spare position n and
+    their binary angle is skipped at weight 2^-(2+n) (both rays shift past
+    that spare edge); the first level where they differ contributes the
+    gap between the weights 2^-n plus the circle distance of the angles.
+    A ray with no spare edges has position 'infinity' (weight 0) and its
     series angle.  This closed form agrees with the limit of the stratum
     values along approximating sequences, so it extends the stratum metric
     to mixed finite strata exactly.
     """
-    nx, ax = _level_data(p, x)
-    ny, ay = _level_data(p, y)
-    if nx == math.inf and ny == math.inf:
-        return ax.distance(ay)
-    wx = Fraction(0) if nx == math.inf else Fraction(1, 2**int(nx))
-    wy = Fraction(0) if ny == math.inf else Fraction(1, 2**int(ny))
-    base = abs(wx - wy) + ax.distance(ay)
-    if nx == ny and ax == ay:
-        n = int(nx)
-        return Fraction(1, 2 ** (2 + n)) * _lambda_hat(
-            p, shift_by(x, n), shift_by(y, n)
-        )
-    return base
+    exponent = 0
+    while True:
+        nx, tx = level(p, x)
+        ny, ty = level(p, y)
+        ax, ay = Angle.of(tx), Angle.of(ty)
+        if nx != ny or ax != ay or nx == math.inf:
+            break
+        exponent += 2 + int(nx)
+        x, y = shift_by(x, int(nx)), shift_by(y, int(ny))
+    wx = Fraction(0) if nx == math.inf else Fraction(1, 2 ** int(nx))
+    wy = Fraction(0) if ny == math.inf else Fraction(1, 2 ** int(ny))
+    return (abs(wx - wy) + ax.distance(ay)) / 2**exponent
 
 
 def d_stratum(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
@@ -128,7 +112,7 @@ def d_stratum(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
         raise RayError(f"stratum mismatch: kappa {kx} vs {ky} (use d_extended)")
     if kx == math.inf:
         raise RayError("kappa is infinite (use d_extended)")
-    return d_quotient_graph(p, x, y) + _lambda_hat(p, x, y)
+    return _d_finite(p, x, y)
 
 
 def _d_finite(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:

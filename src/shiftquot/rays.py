@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
-from .embedding import EmbeddingPair, completion_tables, epsilon
+from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph, GraphError
 
 
@@ -34,12 +35,21 @@ def _lcm(a: int, b: int) -> int:
     return a // _gcd(a, b) * b
 
 
-def _primitive_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
+def normal_form(prefix: Sequence[str], cycle: tuple[str, ...]) -> "LassoRay":
+    """The lasso of an (already composable) prefix and cycle in normal
+    form: the cycle cut to its primitive root, then every prefix suffix
+    that repeats the cycle rotated into it."""
     n = len(cycle)
-    for d in range(1, n + 1):
+    cyc = cycle
+    for d in range(1, n):
         if n % d == 0 and cycle == cycle[:d] * (n // d):
-            return cycle[:d]
-    return cycle
+            cyc = cycle[:d]
+            break
+    pre = list(prefix)
+    while pre and pre[-1] == cyc[-1]:
+        pre.pop()
+        cyc = (cyc[-1],) + cyc[:-1]
+    return LassoRay(tuple(pre), cyc)
 
 
 @dataclass(frozen=True)
@@ -73,12 +83,7 @@ class LassoRay:
                 raise GraphError("prefix does not meet cycle")
         except GraphError as exc:
             raise RayError(str(exc)) from None
-        cyc = _primitive_cycle(cyc)
-        pre = list(pre)
-        while pre and pre[-1] == cyc[-1]:
-            pre.pop()
-            cyc = (cyc[-1],) + cyc[:-1]
-        return LassoRay(tuple(pre), cyc)
+        return normal_form(pre, cyc)
 
     def edge_at(self, n: int) -> str:
         """Edge at 1-indexed position n."""
@@ -90,9 +95,6 @@ class LassoRay:
 
     def head(self, n: int) -> tuple[str, ...]:
         return tuple(self.edge_at(i) for i in range(1, n + 1))
-
-    def start_vertex(self, g: Graph) -> str:
-        return g.source(self.edge_at(1))
 
 
 def parse_ray(g: Graph, text: str) -> LassoRay:
@@ -149,17 +151,10 @@ def kappa(p: EmbeddingPair, x: LassoRay) -> int | float:
 
 def first_nonxi(p: EmbeddingPair, x: LassoRay) -> int:
     """The least position carrying a spare edge; error when kappa = 0."""
-    for i, e in enumerate(x.prefix, start=1):
-        if not p.in_image(e):
-            return i
-    for j, e in enumerate(x.cycle, start=len(x.prefix) + 1):
-        if not p.in_image(e):
-            return j
-    raise RayError("ray lies entirely in the embedded image (kappa = 0)")
-
-
-def nonxi_positions(p: EmbeddingPair, x: LassoRay, upto: int) -> list[int]:
-    return [i for i in range(1, upto + 1) if not p.in_image(x.edge_at(i))]
+    n, _ = level(p, x)
+    if n == math.inf:
+        raise RayError("ray lies entirely in the embedded image (kappa = 0)")
+    return int(n)
 
 
 def digit_series(p: EmbeddingPair, x: LassoRay) -> Fraction:
@@ -182,29 +177,24 @@ def digit_series(p: EmbeddingPair, x: LassoRay) -> Fraction:
     return total
 
 
-def theta(p: EmbeddingPair, x: LassoRay) -> Angle:
-    """The binary angle of the ray.
+def level(p: EmbeddingPair, x: LassoRay) -> tuple[int | float, Fraction]:
+    """(first spare position, raw digit sum) of the ray's first level.
 
-    With spare edges present this is the finite digit sum up to the first
-    spare position; without them the full series is evaluated in closed
-    form (geometric series over the cycle) and reduced mod 1.
+    The digit sum runs over the positions before the first spare edge (a
+    value in [0, 1)).  When kappa = 0 the position is math.inf and the sum
+    is the full series (in [0, 1]).
     """
-    if kappa(p, x) == 0:
-        return Angle.of(digit_series(p, x))
-    n = first_nonxi(p, x)
-    total = Fraction(0)
-    for j in range(1, n):
-        total += Fraction(epsilon(p, x.edge_at(j)), 2**j)
-    return Angle.of(total)
+    digits = 0
+    for n, e in enumerate(chain(x.prefix, x.cycle), start=1):
+        if not p.in_image(e):
+            return n, Fraction(digits, 2 ** (n - 1))
+        digits = digits << 1 | epsilon(p, e)
+    return math.inf, digit_series(p, x)
 
 
-def theta_partial(p: EmbeddingPair, x: LassoRay) -> Fraction:
-    """Raw digit sum: the full series for kappa = 0 (in [0, 1]), else the
-    finite sum up to the first spare position (in [0, 1))."""
-    if kappa(p, x) == 0:
-        return digit_series(p, x)
-    n = first_nonxi(p, x)
-    return sum((Fraction(epsilon(p, x.edge_at(j)), 2**j) for j in range(1, n)), Fraction(0))
+def theta(p: EmbeddingPair, x: LassoRay) -> Angle:
+    """The binary angle of the ray: the first level's digit sum mod 1."""
+    return Angle.of(level(p, x)[1])
 
 
 # -- shift, flip, canonical ----------------------------------------------------
@@ -220,9 +210,12 @@ def shift(x: LassoRay) -> LassoRay:
 
 
 def shift_by(x: LassoRay, n: int) -> LassoRay:
-    for _ in range(n):
-        x = shift(x)
-    return x
+    """n applications of shift, as one slice or one rotation."""
+    m = len(x.prefix)
+    if n <= m:
+        return LassoRay(x.prefix[max(n, 0):], x.cycle)
+    k = (n - m) % len(x.cycle)
+    return LassoRay((), x.cycle[k:] + x.cycle[:k])
 
 
 def flip(p: EmbeddingPair, x: LassoRay) -> LassoRay | None:
@@ -260,30 +253,27 @@ def flip(p: EmbeddingPair, x: LassoRay) -> LassoRay | None:
         new_prefix[m - 2] = swap(pivot)
     # else: spare pivot, tail swap only
     # renormalize: the prefix may now end in cycle edges
-    pre = new_prefix
-    cyc = new_cycle
-    while pre and pre[-1] == cyc[-1]:
-        pre.pop()
-        cyc = (cyc[-1],) + cyc[:-1]
-    return LassoRay(tuple(pre), cyc)
+    return normal_form(new_prefix, new_cycle)
 
 
-def _compare_rays(g_edge_index: dict[str, int], x: LassoRay, y: LassoRay) -> int:
+def first_difference(x: LassoRay, y: LassoRay) -> int | None:
+    """The least position where the rays carry different edges; None when
+    they are equal."""
     if x == y:
-        return 0
+        return None
     bound = max(len(x.prefix), len(y.prefix)) + _lcm(len(x.cycle), len(y.cycle)) + 1
     for n in range(1, bound + 1):
-        a, b = x.edge_at(n), y.edge_at(n)
-        if a != b:
-            return -1 if g_edge_index[a] < g_edge_index[b] else 1
-    return 0
+        if x.edge_at(n) != y.edge_at(n):
+            return n
+    return None
 
 
 def canonical(p: EmbeddingPair, x: LassoRay) -> ClassPoint:
     """Canonical class representative: the positionwise lexicographically
     smaller of x and its flip (by global edge index)."""
     other = flip(p, x)
-    if other is None or _compare_rays(p.g.edge_index, x, other) <= 0:
+    n = None if other is None else first_difference(x, other)
+    if n is None or p.g.edge_index[x.edge_at(n)] < p.g.edge_index[other.edge_at(n)]:
         return ClassPoint(x)
     return ClassPoint(other)
 
@@ -309,7 +299,7 @@ def stratum_approximant(p: EmbeddingPair, x: LassoRay, depth: int, k: int) -> La
     if k < j:
         raise RayError(f"stratum {k} too small: prefix already has {j} spare edges")
     needed = k - j
-    tables = completion_tables(p)
+    tables = p.completion
     v = p.g.target(head[-1])
     comp = tables[v]
     if comp.min_forced is None:
@@ -381,10 +371,7 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> LassoRay:
     else:
         firsts = [y1]
 
-    target_n: int | float
-    ky = kappa(p, y)
-    target_n = first_nonxi(p, y) if ky != 0 else math.inf
-    target_t = theta_partial(p, y)
+    target_n, target_t = level(p, y)
     target_angle = Angle.of(target_t)
 
     best: tuple[tuple[int, Fraction, int], LassoRay] | None = None
@@ -392,9 +379,8 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> LassoRay:
         (e, rep) for e in firsts for rep in reps
     ):
         z = LassoRay.make(p.g, (e,) + rep.prefix, rep.cycle)
-        kz = kappa(p, z)
-        nz: int | float = first_nonxi(p, z) if kz != 0 else math.inf
-        az = Angle.of(theta_partial(p, z))
+        nz, tz = level(p, z)
+        az = Angle.of(tz)
         matched = 0 if (nz == target_n and az == target_angle) else 1
         score = (matched, az.distance(target_angle), pref_idx)
         if best is None or score < best[0]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph, GraphError
 from .metrics import MetricInterval, d_class
-from .rays import ClassPoint, LassoRay, _lcm, canonical, lift_preimage, shift
+from .rays import ClassPoint, LassoRay, _lcm, canonical, lift_preimage, normal_form, shift
 
 
 class SmaleError(ValueError):
@@ -87,32 +87,14 @@ class BiLasso:
         first_future = self.origin + len(self.core)
         if n >= first_future:
             k = (n - first_future) % len(self.future)
-            return LassoRay((), _primitive(self.future[k:] + self.future[:k]))
-        prefix = self.window(n, first_future - 1)
-        pre = list(prefix)
-        cyc = _primitive(self.future)
-        while pre and pre[-1] == cyc[-1]:
-            pre.pop()
-            cyc = (cyc[-1],) + cyc[:-1]
-        return LassoRay(tuple(pre), cyc)
-
-
-def _primitive(cycle: tuple[str, ...]) -> tuple[str, ...]:
-    n = len(cycle)
-    for d in range(1, n + 1):
-        if n % d == 0 and cycle == cycle[:d] * (n // d):
-            return cycle[:d]
-    return cycle
+            return normal_form((), self.future[k:] + self.future[:k])
+        return normal_form(self.window(n, first_future - 1), self.future)
 
 
 def shift_bilasso(x: BiLasso) -> BiLasso:
     """The left shift: pure reindexing (position n of the result is
     position n+1 of the input)."""
     return replace(x, origin=x.origin - 1)
-
-
-def inv_shift_bilasso(x: BiLasso) -> BiLasso:
-    return replace(x, origin=x.origin + 1)
 
 
 def bilasso_equal(x: BiLasso, y: BiLasso) -> bool:

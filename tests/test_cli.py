@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import bundle_path
@@ -38,6 +40,12 @@ def test_parse_errors_carry_line_numbers():
         parse_bundle(
             "graph G\nvertex v\nedge a v v\ngraph H\nvertex w\nmap xi0 nope a\n"
         )
+    with pytest.raises(BundleError, match=":4: duplicate edge 'a'"):
+        parse_bundle("graph G\nvertex v\nedge a v v\nedge a v v\n")
+    with pytest.raises(BundleError, match=":7: unknown G-edge 'nope'"):
+        parse_bundle(
+            "graph G\nvertex v\nedge a v v\ngraph H\nvertex w\nedge y w w\nmap xi0 y nope\n"
+        )
 
 
 def test_check_exit_codes(capsys):
@@ -47,6 +55,15 @@ def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", bundle_path("full2.bundle"))
     assert code == 1
     assert "h2 = fail" in out and "witness: edge h" in out
+
+
+def test_distance_through_many_common_levels(capsys):
+    # n shared spare levels each scale the layer part by 2^-3
+    n = 1200
+    lead = ",".join(["c"] * n)
+    code, out, _ = run(capsys, "distance", bundle_path("full3.bundle"), lead + ",a;a", lead + ",b;a")
+    assert code == 0
+    assert out == f"{Fraction(1, 2 ** (3 * n + 1))}\n"
 
 
 def test_missing_bundle_is_usage_error(capsys):

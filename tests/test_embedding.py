@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from conftest import bundle_path
 from shiftquot.embedding import (
     EmbeddingError,
     EmbeddingPair,
@@ -103,8 +108,6 @@ def test_completion_tables_full3(full3):
     tables = completion_tables(full3)
     comp = tables["v"]
     assert comp.xi_tail == ((), ("a",))
-    assert comp.nonxi_path_to_tail == ()
-    assert comp.nearest_nonxi == ((), "c")
     assert comp.min_forced == 0
 
 
@@ -138,3 +141,23 @@ def test_twovertex_completion(twovertex):
         comp = tables[v]
         assert comp.xi_tail is not None
         assert comp.min_forced == 0
+
+
+PROBE = """
+from shiftquot.cli import load_bundle
+from shiftquot.rays import format_ray, parse_ray, stratum_approximant
+p = load_bundle({bundle!r}).pair()
+print(format_ray(stratum_approximant(p, parse_ray(p.g, "p2;p2"), 2, 9)))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_completion_tables_ignore_hash_seed(hash_seed):
+    # twovertex has ties between tail vertices; they must break the same
+    # way whatever the string hash seed
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    code = PROBE.format(bundle=bundle_path("twovertex.bundle"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "p2,p2,p2,p2,p2,p2,p2,p2,p2;p0\n"

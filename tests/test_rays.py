@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -232,3 +233,30 @@ def test_canonical_shift_commute_hyp(data):
     fx = flip(_FULL3, x)
     if fx is not None:
         assert class_equal(_FULL3, shift(x), shift(fx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lassos(), st.integers(min_value=0, max_value=12))
+def test_shift_by_is_iterated_shift_hyp(data, n):
+    prefix, cycle = data
+    x = LassoRay.make(_FULL3.g, prefix, cycle)
+    y = x
+    for _ in range(n):
+        y = shift(y)
+    assert shift_by(x, n) == y
+
+
+def test_class_equal_is_equal_binary_value_exhaustive():
+    # on full3 every all-image ray is a binary expansion; the carry
+    # identification glues exactly the rays with the same value mod 1
+    words = [w for k in range(5) for w in itertools.product("ab", repeat=k)]
+    rays = {
+        LassoRay.make(_FULL3.g, prefix, cycle)
+        for prefix in words
+        for cycle in words
+        if 1 <= len(cycle) <= 3
+    }
+    assert len(rays) == 160
+    values = {x: digit_series(_FULL3, x) % 1 for x in rays}
+    for x, y in itertools.combinations(sorted(rays, key=format_ray), 2):
+        assert class_equal(_FULL3, x, y) == (values[x] == values[y]), (x, y)
