@@ -1,15 +1,19 @@
 """Exact integer linear algebra and the algebraic invariants of the quotient.
 
-Smith normal form with recorded unimodular transforms drives everything:
-cokernels and kernel ranks, Bowen-Franks groups, the eight K-groups of the
-stable/unstable algebras and their crossed products, the two-row homology
-table, and the synthesis pipeline that realizes prescribed K-groups by a
-seed bundle.
+The Smith diagonal drives everything: cokernels and kernel ranks,
+Bowen-Franks groups, the eight K-groups of the stable/unstable algebras and
+their crossed products, the two-row homology table, and the synthesis
+pipeline that realizes prescribed K-groups by a seed bundle.  The diagonal
+is computed by elimination modulo a maximal nonzero minor, so entries stay
+below that minor; the unimodular certificates U and V are built only when
+they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from .embedding import EmbeddingPair
@@ -23,20 +27,71 @@ class AlgebraError(ValueError):
 # -- Smith normal form --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular and D diagonal with a
-    divisibility chain d1 | d2 | ..."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))
+def _chain(orders: Sequence[int]) -> list[int]:
+    """The same positive cyclic orders rearranged into a divisibility chain
+    of the same length, by Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b)."""
+    f = list(orders)
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            g = gcd(f[i], f[j])
+            f[i], f[j] = g, f[i] // g * f[j]
+    return f
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+def _clear_column(m: list[list[int]], t: int, delta: int) -> None:
+    """Zero column t below the pivot m[t][t] by row operations mod delta;
+    the pivot becomes the gcd of the column."""
+    for i in range(t + 1, len(m)):
+        p, b = m[t][t], m[i][t]
+        if b == 0:
+            continue
+        top, row = m[t][t:], m[i][t:]
+        if b % p == 0:
+            q = b // p
+            m[i][t:] = [(v - q * w) % delta for v, w in zip(row, top)]
+            continue
+        # Euclid on the scalars, then one unimodular 2x2 step on the rows
+        (x, y), (r0, r1), (s0, s1) = (p, b), (1, 0), (0, 1)
+        while y:
+            q = x // y
+            x, y, r0, r1, s0, s1 = y, x - q * y, r1, r0 - q * r1, s1, s0 - q * s1
+        m[t][t:] = [(r0 * w + s0 * v) % delta for v, w in zip(row, top)]
+        m[i][t:] = [(p // x * v - b // x * w) % delta for v, w in zip(row, top)]
+
+
+def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of A, then zeros up to min(rows, cols).
+
+    With r the rank and delta a nonzero r x r minor, every invariant factor
+    divides delta, and Z^m / (A Z^n + delta Z^m) is the sum of the Z/d_i
+    and (m - r) copies of Z/delta.  Eliminating mod delta keeps the entries
+    below delta; each pivot s gives the order gcd(s, delta)."""
+    rank, delta = a.rank_and_minor()
+    delta, n = abs(delta), min(a.rows, a.cols)
+    if delta == 1:
+        return (1,) * rank + (0,) * (n - rank)
+    m = [[x % delta for x in row] for row in a.entries]
+    orders = [delta] * (a.rows - n)
+    for t in range(n):
+        live = [(x, i, j) for i in range(t, len(m)) for j, x in enumerate(m[i][t:], t) if x]
+        if not live:
+            orders += [delta] * (n - t)
+            break
+        _, i, j = min(live)
+        m[t], m[i] = m[i], m[t]
+        for row in m:
+            row[t], row[j] = row[j], row[t]
+        _clear_column(m, t, delta)
+        while any(x % m[t][t] for x in m[t][t + 1:]):
+            m = [list(col) for col in zip(*m)]  # the transpose has the same diagonal
+            _clear_column(m, t, delta)
+        m[t][t + 1:] = [0] * (len(m[t]) - t - 1)
+        orders.append(gcd(m[t][t], delta))
+    return tuple(_chain(orders)[:rank]) + (0,) * (n - rank)
+
+
+def _tracked_elimination(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V) by Euclidean elimination over Z recording every operation."""
     rows, cols = a.rows, a.cols
     m = [list(r) for r in a.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
@@ -121,8 +176,38 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if m[t][t] < 0:
             negate_row(t)
 
-    d = IntMatrix.from_rows(m)
-    return SmithDecomposition(IntMatrix.from_rows(u), d, IntMatrix.from_rows(v))
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U @ A @ V = D with U, V unimodular and D diagonal with a
+    divisibility chain d1 | d2 | ...
+
+    D comes from the modular diagonal.  U and V are built on first read by
+    the transform-tracking elimination, which must reproduce D."""
+
+    a: IntMatrix
+    d: IntMatrix
+
+    @cached_property
+    def _certificate(self) -> tuple[IntMatrix, IntMatrix]:
+        u, d, v = _tracked_elimination(self.a)
+        if d != self.d:
+            raise AlgebraError("tracked elimination disagrees with the modular diagonal")
+        return u, v
+
+    u = property(lambda self: self._certificate[0])
+    v = property(lambda self: self._certificate[1])
+
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    diag = _smith_diagonal(a)
+    d = [[diag[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)]
+    return SmithDecomposition(a, IntMatrix(a.rows, a.cols, tuple(map(tuple, d))))
 
 
 # -- finitely generated abelian groups -----------------------------------------
@@ -145,15 +230,9 @@ class FgAbelianGroup:
     @staticmethod
     def of(rank: int, factors: Sequence[int] = ()) -> "FgAbelianGroup":
         """Canonicalize arbitrary cyclic factors into invariant-factor form."""
-        fs = [f for f in factors if f != 1]
-        rank += sum(1 for f in fs if f == 0)
-        fs = [abs(f) for f in fs if f != 0]
-        if not fs:
-            return FgAbelianGroup(rank, ())
-        diag = [[fs[i] if i == j else 0 for j in range(len(fs))] for i in range(len(fs))]
-        snf = smith_normal_form(IntMatrix.from_rows(diag))
-        chain = tuple(d for d in snf.diagonal() if d > 1)
-        return FgAbelianGroup(rank, chain)
+        rank += sum(1 for f in factors if f == 0)
+        chain = _chain([abs(f) for f in factors if f != 0])
+        return FgAbelianGroup(rank, tuple(f for f in chain if f > 1))
 
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
         return FgAbelianGroup.of(self.rank + other.rank, self.torsion + other.torsion)
@@ -250,29 +329,23 @@ def ruelle_k_theory(p: EmbeddingPair) -> RuelleKTheory:
                 warnings.append(f"{name} fails" + (f" ({res.witness})" if res.witness else ""))
     ag = adjacency_matrix(p.g)
     ah = adjacency_matrix(p.h)
-    ig = IntMatrix.identity(ag.rows)
-    ih = IntMatrix.identity(ah.rows)
     dg = len(p.g.vertices)
     dh = len(p.h.vertices)
-
-    k0_rs = cokernel(ig - ag.transpose()).direct_sum(
-        FgAbelianGroup(kernel_rank(ih - ah.transpose()))
-    )
-    k1_rs = cokernel(ih - ah.transpose()).direct_sum(
-        FgAbelianGroup(kernel_rank(ig - ag.transpose()))
-    )
-    k0_ru = cokernel(ig - ag).direct_sum(FgAbelianGroup(kernel_rank(ih - ah)))
-    k1_ru = cokernel(ih - ah).direct_sum(FgAbelianGroup(kernel_rank(ig - ag)))
+    # I - A is square, so its kernel rank is its cokernel rank, and I - A^T
+    # has the same Smith diagonal: one cokernel per graph gives all four groups
+    bg, bh = bowen_franks(p.g), bowen_franks(p.h)
+    k0 = bg.direct_sum(FgAbelianGroup(bh.rank))
+    k1 = bh.direct_sum(FgAbelianGroup(bg.rank))
 
     return RuelleKTheory(
         k0_stable=MarkedGroupPresentation(dg, ag.transpose(), "A_G^T"),
         k1_stable=MarkedGroupPresentation(dh, ah.transpose(), "A_H^T"),
         k0_unstable=MarkedGroupPresentation(dg, ag, "A_G^-1"),
         k1_unstable=MarkedGroupPresentation(dh, ah, "A_H^-1"),
-        k0_ruelle_s=k0_rs,
-        k1_ruelle_s=k1_rs,
-        k0_ruelle_u=k0_ru,
-        k1_ruelle_u=k1_ru,
+        k0_ruelle_s=k0,
+        k1_ruelle_s=k1,
+        k0_ruelle_u=k0,
+        k1_ruelle_u=k1,
         valid=rep.standing(),
         warnings=tuple(warnings),
     )

@@ -153,9 +153,9 @@ def parse_group(text: str) -> algebra.FgAbelianGroup:
         tok = tok.strip()
         if tok == "Z":
             rank += 1
-        elif tok.startswith("Z^"):
+        elif tok[:2] == "Z^" and tok[2:].isdecimal():
             rank += int(tok[2:])
-        elif tok.startswith("Z/"):
+        elif tok[:2] == "Z/" and tok[2:].isdecimal():
             factors.append(int(tok[2:]))
         else:
             raise BundleError(f"cannot parse group term {tok!r}")

@@ -99,31 +99,35 @@ class IntMatrix:
     def entry_sum(self) -> int:
         return sum(sum(row) for row in self.entries)
 
+    def rank_and_minor(self) -> tuple[int, int]:
+        """Rank r and a nonzero r x r minor (1 when r = 0) by fraction-free
+        (Bareiss) elimination with row and column swaps.  The minor carries
+        the sign of the swaps, so for a nonsingular square matrix it is the
+        determinant."""
+        m = [list(row) for row in self.entries]
+        sign, prev = 1, 1
+        for k in range(min(self.rows, self.cols)):
+            pivot = next(((i, j) for j in range(k, self.cols) for i in range(k, self.rows) if m[i][j]), None)
+            if pivot is None:
+                return k, sign * prev
+            i, j = pivot
+            m[k], m[i] = m[i], m[k]
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            sign *= (-1) ** ((i != k) + (j != k))
+            top, p = m[k], m[k][k]
+            for i in range(k + 1, self.rows):
+                row, x = m[i], m[i][k]
+                row[k + 1:] = [(v * p - x * w) // prev for v, w in zip(row[k + 1:], top[k + 1:])]
+            prev = p
+        return min(self.rows, self.cols), sign * prev
+
     def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant: the Bareiss minor when the rank is full, else 0."""
         if self.rows != self.cols:
             raise GraphError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, minor = self.rank_and_minor()
+        return minor if rank == self.rows else 0
 
     def _check_shape(self, other: "IntMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

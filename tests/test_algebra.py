@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from shiftquot.algebra import (
     AlgebraError,
     FgAbelianGroup,
+    SmithDecomposition,
     bowen_franks,
     build_pair_complex,
     cokernel,
@@ -69,6 +71,53 @@ def test_snf_random(rows, cols, data):
         [data.draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)
     ]
     verify_snf(IntMatrix.from_rows(entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 8), st.data())
+def test_snf_low_rank_products(rows, cols, inner, data):
+    """B @ C with B rows x inner and C inner x cols: the singular path."""
+    def draw(r, c):
+        return IntMatrix.from_rows([[data.draw(st.integers(-6, 6)) for _ in range(c)] for _ in range(r)])
+
+    a = draw(rows, inner) @ draw(inner, cols) if inner else IntMatrix.zero(rows, cols)
+    rank, _ = a.rank_and_minor()
+    assert rank <= min(rows, cols, inner)
+    snf = verify_snf(a)
+    assert snf.diagonal().count(0) == min(rows, cols) - rank
+
+
+def test_snf_48_vertex_scale():
+    rng = random.Random(48)
+    n = 48
+    a = IntMatrix.from_rows(
+        [[(i == j) - rng.randint(0, 9) for j in range(n)] for i in range(n)]
+    )
+    snf = smith_normal_form(a)
+    group = cokernel(a)
+    assert group.rank == 0 and 0 not in snf.diagonal()
+    assert math.prod(group.torsion) == abs(a.determinant()) > 1
+    assert "_certificate" not in vars(snf)  # U and V are built only when read
+
+
+def test_snf_rank_deficient_40():
+    """U @ D @ V with unimodular U, V and a known diagonal D of rank 34."""
+    rng = random.Random(40)
+    n = 40
+    diag = [1] * 29 + [2, 2, 6, 12, 60] + [0] * 6
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(400):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        if rng.random() < 0.5:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        else:
+            for row in rows:
+                row[i] += c * row[j]
+    a = IntMatrix.from_rows(rows)
+    assert a.rank_and_minor()[0] == 34
+    assert smith_normal_form(a).diagonal() == tuple(diag)
+    assert cokernel(a) == FgAbelianGroup(6, (2, 2, 6, 12, 60))
 
 
 def test_cokernel_examples():
@@ -137,6 +186,27 @@ def test_fg_group_canonicalization():
     assert FgAbelianGroup(0, ()).render() == "0"
     with pytest.raises(AlgebraError):
         FgAbelianGroup(0, (3, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(-40, 40), max_size=6))
+def test_fg_group_of_matches_certified_snf(rank, factors):
+    group = FgAbelianGroup.of(rank, factors)
+    cyclic = [abs(f) for f in factors if f]
+    assert group.rank == rank + factors.count(0)
+    assert all(b % a == 0 for a, b in zip(group.torsion, group.torsion[1:]))
+    assert math.prod(group.torsion) == math.prod(cyclic)
+    if cyclic:
+        d = [[f if i == j else 0 for j in range(len(cyclic))] for i, f in enumerate(cyclic)]
+        snf = verify_snf(IntMatrix.from_rows(d))
+        assert group.torsion == tuple(x for x in snf.diagonal() if x > 1)
+
+
+def test_certificate_must_reproduce_the_diagonal():
+    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    wrong = SmithDecomposition(a, IntMatrix.from_rows([[2, 0], [0, 3]]))
+    with pytest.raises(AlgebraError):
+        wrong.u
 
 
 def test_ruelle_k_theory_full3(full3):

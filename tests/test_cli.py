@@ -149,8 +149,18 @@ def test_parse_group():
     assert parse_group("Z") == FgAbelianGroup(1)
     assert parse_group("Z^2+Z/2+Z/4") == FgAbelianGroup(2, (2, 4))
     assert parse_group("Z/2+Z/3") == FgAbelianGroup(0, (6,))
-    with pytest.raises(BundleError):
-        parse_group("Q")
+    for bad in ("Q", "Z^x", "Z/x", "Z^-1", "Z/-2", "Z^", "Z^ 2"):
+        with pytest.raises(BundleError, match="cannot parse group term"):
+            parse_group(bad)
+
+
+@pytest.mark.parametrize("literal", ["Z^x", "Z/x", "Z^-1"])
+def test_malformed_group_is_usage_error(capsys, tmp_path, literal):
+    out = tmp_path / "s.bundle"
+    code, _, err = run(capsys, "synthesize", "--k1", literal, "--k0tor", "0", "-o", str(out))
+    assert code == 2
+    assert "cannot parse group term" in err
+    assert not out.exists()
 
 
 def test_bundle_text_roundtrip(full3):
