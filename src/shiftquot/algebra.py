@@ -1,6 +1,6 @@
 """Exact integer linear algebra and the algebraic invariants of the quotient.
 
-The Smith diagonal drives everything: cokernels and kernel ranks,
+The Smith diagonal drives everything: cokernels,
 Bowen-Franks groups, the eight K-groups of the stable/unstable algebras and
 their crossed products, the two-row homology table, and the synthesis
 pipeline that realizes prescribed K-groups by a seed bundle.  The diagonal
@@ -253,11 +253,6 @@ def cokernel(a: IntMatrix) -> FgAbelianGroup:
     nonzero = [d for d in diag if d != 0]
     rank = a.rows - len(nonzero)
     return FgAbelianGroup(rank, tuple(d for d in nonzero if d > 1))
-
-
-def kernel_rank(a: IntMatrix) -> int:
-    diag = smith_normal_form(a).diagonal()
-    return a.cols - sum(1 for d in diag if d != 0)
 
 
 # -- dimension groups, Bowen-Franks, K-theory ----------------------------------

@@ -287,7 +287,23 @@ def cmd_complex(args) -> int:
     return 0 if ok else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    depth = _int_at_least(1)
     ap = argparse.ArgumentParser(prog="shiftquot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -303,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("bundle")
     c.add_argument("ray1")
     c.add_argument("ray2")
-    c.add_argument("--depth", type=int, default=12)
+    c.add_argument("--depth", type=depth, default=12)
     c.set_defaults(fn=cmd_distance)
 
     c = sub.add_parser("zeta", help="complex coordinate of a ray")
     c.add_argument("bundle")
     c.add_argument("ray")
-    c.add_argument("--depth", type=int, default=12)
+    c.add_argument("--depth", type=depth, default=12)
     c.set_defaults(fn=cmd_zeta)
 
     c = sub.add_parser("fibers", help="classify the fiber over a quotient-graph ray")
@@ -319,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("render", help="SVG of the nested-circle picture")
     c.add_argument("bundle")
-    c.add_argument("--max-k", type=int, default=2)
-    c.add_argument("--depth", type=int, default=5)
+    c.add_argument("--max-k", type=_int_at_least(0), default=2)
+    c.add_argument("--depth", type=depth, default=5)
     c.add_argument("--min-radius", type=str, default="0")
     c.add_argument("--scale", type=float, default=400.0)
     c.add_argument("-o", "--output", required=True)

@@ -5,6 +5,9 @@ each spare edge the picture recurses into a disc of radius 2^(-3-n) around
 a point determined by the binary angle accumulated so far.  Circle centers
 and radii are kept symbolically (rational coefficients times roots of
 unity); floats appear only at render time, with certified error bounds.
+Every center, radius and angle is dyadic, so the circle enumeration walks
+on integers (digit-sum numerators and radius exponents) and builds the
+exact Fraction and Angle values only for the circles it emits.
 """
 
 from __future__ import annotations
@@ -141,55 +144,110 @@ def circle_specs(
     return specs
 
 
+def _steps_to_spare(p: EmbeddingPair) -> dict[str, int | float]:
+    """Fewest edges in a path from each vertex whose last edge is spare
+    (inf where no spare edge is reachable): one backward BFS."""
+    g = p.g
+    dist: dict[str, int | float] = dict.fromkeys(g.vertices, math.inf)
+    frontier = [v for v in g.vertices if any(not p.in_image(e) for e in g.out_edges(v))]
+    for v in frontier:
+        dist[v] = 1
+    for v in frontier:  # grows while it is read: breadth-first order
+        for e in g.in_edges(v):
+            u = g.source(e)
+            if dist[u] == math.inf:
+                dist[u] = dist[v] + 1
+                frontier.append(u)
+    return dist
+
+
 def circle_specs_report(
     p: EmbeddingPair,
     max_k: int,
     max_depth: int,
     min_radius: Fraction | float = 0,
 ) -> tuple[list[CircleSpec], Fraction]:
-    """circle_specs plus the total radius of pruned circles."""
+    """circle_specs plus the total radius of pruned circles.
+
+    The walk carries dyadic integers only: the digit sum of the current gap
+    as a numerator N over 2^gap, and each radius as its exponent e (radius
+    2^-e).  A level is the tuple (count, e, levels, center terms, gap chain,
+    numerator chain); its exact angle and center coefficient are built once,
+    when it is pushed, and only if circles of its size are kept.  Circles
+    with equal gap chains have equal angle denominators, so (stratum, gap
+    chain, numerator chain) sorts exactly like the angle chain, and the
+    stable sort keeps ties in walk order.  Edges from which no spare edge
+    is reachable within the depth are skipped: they emit nothing.
+    """
     tables = p.completion
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
     has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
     if not has_tail:
         raise EmbeddingError("no all-image tails exist (the small graph has no cycle)")
-    out: list[CircleSpec] = []
-    pruned = Fraction(0)
+    # radius 2^-e is kept iff 2^-e >= min_r, i.e. iff e <= e_max
+    e_max = math.inf if min_r <= 0 else (min_r.denominator // min_r.numerator).bit_length() - 1
+    found: list[tuple[tuple, CircleSpec]] = []
+    pruned: dict[int, int] = {}  # exponent -> number of pruned circles
 
     # stratum zero: the unit circle itself
-    base = _spec_from_levels((), [])
-    if base.radius >= min_r:
-        out.append(base)
+    if e_max >= 0:
+        found.append(((0, (), ()), _spec_from_levels((), [])))
     else:
-        pruned += base.radius
+        pruned[0] = 1
 
-    def walk(at: str, prefix: list[str], levels: list[tuple[int, Angle]],
-             gap: int, digits: Fraction, depth: int) -> None:
-        nonlocal pruned
-        if depth >= max_depth:
-            return
-        for e in p.g.out_edges(at):
-            prefix.append(e)
-            if p.in_image(e):
-                new_digits = digits + Fraction(epsilon(p, e), 2 ** (gap + 1))
-                walk(p.g.target(e), prefix, levels, gap + 1, new_digits, depth + 1)
-            else:
-                levels.append((gap + 1, Angle.of(digits)))
-                if len(levels) <= max_k and p.g.target(e) in has_tail:
-                    spec = _spec_from_levels(tuple(prefix), levels)
-                    if spec.radius >= min_r:
-                        out.append(spec)
-                    else:
-                        pruned += spec.radius
-                if len(levels) < max_k:
-                    walk(p.g.target(e), prefix, levels, 0, Fraction(0), depth + 1)
-                levels.pop()
-            prefix.pop()
+    g = p.g
+    # per vertex, in reverse out-edge order (the stack pops them in order):
+    # (edge, target, superscript or None for a spare edge, fewest further
+    # edges before a spare one can be taken)
+    to_spare = _steps_to_spare(p)
+    steps = {
+        v: tuple(
+            (e, g.target(e), epsilon(p, e), to_spare[g.target(e)])
+            if p.in_image(e) else (e, g.target(e), None, 0)
+            for e in reversed(g.out_edges(v))
+        )
+        for v in g.vertices
+    }
+    top = (0, 0, (), (), (), ())
+    # (step, position of its edge, gap and numerator before it, level)
+    roots = reversed(g.vertices) if max_k > 0 else ()
+    stack = [(s, 1, 0, 0, top) for v in roots for s in steps[v] if s[3] < max_depth]
+    prefix: list[str] = []
+    while stack:
+        (edge, at, eps, _), pos, gap, num, lev = stack.pop()
+        del prefix[pos - 1:]
+        prefix.append(edge)
+        if eps is not None:
+            gap += 1
+            num = 2 * num + eps
+        else:
+            k, e0, levels, terms, gaps, nums = lev
+            n = gap + 1
+            radius_exp = e0 + 3 + n
+            gaps += (n,)
+            nums += (num,)
+            if radius_exp <= e_max:
+                angle = Angle(Fraction(num, 1 << gap))
+                levels += ((n, angle),)
+                if n > 1:
+                    terms += ((Fraction((1 << gap) - 1, 1 << (gap + e0)), angle),)
+                if at in has_tail:
+                    spec = CircleSpec(tuple(prefix), levels, terms, Fraction(1, 1 << radius_exp))
+                    found.append(((k + 1, gaps, nums), spec))
+            elif at in has_tail:
+                pruned[radius_exp] = pruned.get(radius_exp, 0) + 1
+            if k + 1 == max_k:
+                continue
+            lev = (k + 1, radius_exp, levels, terms, gaps, nums)
+            gap = num = 0
+        room = max_depth - pos
+        for s in steps[at]:
+            if s[3] < room:
+                stack.append((s, pos + 1, gap, num, lev))
 
-    for v in p.g.vertices:
-        walk(v, [], [], 0, Fraction(0), 0)
-    out.sort(key=CircleSpec.sort_key)
-    return out, pruned
+    found.sort(key=lambda item: item[0])
+    total = sum((Fraction(c, 1 << e) for e, c in pruned.items()), Fraction(0))
+    return [spec for _, spec in found], total
 
 
 # -- fiber classification --------------------------------------------------------
@@ -232,18 +290,17 @@ def fiber_classify(p: EmbeddingPair, base: LassoRay) -> FiberClass:
     for i, e in enumerate(base.prefix, start=1):
         if e not in doubled:
             n_max = i
-    count = 0
-
-    def dfs(i: int, at: str | None) -> None:
-        nonlocal count
-        if i > n_max:
-            count += 1
-            return
+    # compatible lifts of positions 1..i, counted by the vertex they end at
+    # (None before position 1, where a lift may start anywhere)
+    ends: dict[str, int] | None = None
+    for i in range(1, n_max + 1):
+        step: dict[str, int] = {}
         for e in q.fiber(base.edge_at(i)):
-            if at is None or p.g.source(e) == at:
-                dfs(i + 1, p.g.target(e))
-
-    dfs(1, None)
+            lifts = 1 if ends is None else ends.get(p.g.source(e), 0)
+            if lifts:
+                step[p.g.target(e)] = step.get(p.g.target(e), 0) + lifts
+        ends = step
+    count = 1 if ends is None else sum(ends.values())
     return FiberClass("circles", count)
 
 

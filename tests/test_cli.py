@@ -126,6 +126,46 @@ def test_render_deterministic_bytes(tmp_path, capsys):
     assert out1.read_text().count("<circle") == 16
 
 
+@pytest.mark.parametrize("depth", ["500", "1500"])
+def test_render_without_reachable_spare_edge_is_immediate(tmp_path, capsys, depth):
+    # full2 has no spare edge: the walk skips every branch instead of
+    # following 2^depth image paths (or recursing 1500 deep)
+    out = tmp_path / "f2.svg"
+    code, text, _ = run(
+        capsys, "render", bundle_path("full2.bundle"),
+        "--max-k", "1", "--depth", depth, "-o", str(out),
+    )
+    assert code == 0
+    assert text.startswith("circles = 1\npruned_radius_sum = 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--depth", "0"],
+    ["render", "--depth", "-3"],
+    ["render", "--max-k", "-2"],
+    ["render", "--depth", "x"],
+])
+def test_render_out_of_range_is_usage_error(capsys, tmp_path, argv):
+    out = tmp_path / "r.svg"
+    code, _, err = run(capsys, argv[0], bundle_path("full3.bundle"), *argv[1:], "-o", str(out))
+    assert code == 2
+    assert "--" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", ";a", ";b", "--depth", "0"],
+    ["distance", ";a", ";b", "--depth", "-1"],
+    ["zeta", ";a", "--depth", "0"],
+    ["zeta", ";a", "--depth", "-1"],
+])
+def test_query_depth_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], bundle_path("full3.bundle"), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
+
+
 def test_synthesize_roundtrip_cli(tmp_path, capsys):
     out = tmp_path / "syn.bundle"
     code, text, _ = run(

@@ -127,6 +127,12 @@ def test_fiber_classify_cases(full3):
     assert fiber_classify(full3, qray(full3, "h',h';c'")).render() == "Points(4)"
 
 
+def test_fiber_circle_count_without_enumerating_lifts(full3):
+    # 40 doubled positions before the last spare one: 2^40 compatible lifts
+    base = qray(full3, ",".join(["h'"] * 40 + ["c'"]) + ";h'")
+    assert fiber_classify(full3, base).render() == f"Circles({2**40})"
+
+
 def test_render_deterministic(full3):
     a = render_svg(full3, 1, 4, 0, 400.0)
     b = render_svg(full3, 1, 4, 0, 400.0)
