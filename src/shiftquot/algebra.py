@@ -6,7 +6,9 @@ their crossed products, the two-row homology table, and the synthesis
 pipeline that realizes prescribed K-groups by a seed bundle.  The diagonal
 is computed by elimination modulo a maximal nonzero minor, so entries stay
 below that minor; the unimodular certificates U and V are built only when
-they are read.
+they are read.  The block-7 pair complex is counted by path-count
+recurrences over the two graphs, with verdicts from local facts of the
+seed; its cells are enumerated only when they are read.
 """
 
 from __future__ import annotations
@@ -378,47 +380,77 @@ def homology_table(p: EmbeddingPair) -> tuple[HomologyRow, ...]:
 Pair = tuple[tuple[str, ...], tuple[str, ...]]
 
 
+def _walk_counts(g: Graph, n: int, backward: bool = False) -> list[dict[str, int]]:
+    """Per vertex, the number of paths of each length 0..n that end there
+    (that start there when backward): one pass over the edges per length."""
+    ahead, behind = (g.source, g.target) if backward else (g.target, g.source)
+    counts = [dict.fromkeys(g.vertices, 1)]
+    for _ in range(n):
+        prev, cur = counts[-1], dict.fromkeys(g.vertices, 0)
+        for e in g.edges:
+            cur[ahead(e)] += prev[behind(e)]
+        counts.append(cur)
+    return counts
+
+
+def _cell_counts(
+    p: EmbeddingPair, gin: list[dict[str, int]], hout: list[dict[str, int]], length: int
+) -> tuple[int, ...]:
+    """|C_0| .. |C_length| over words of the given length.  A pair in C_k is
+    a G-path x of length - k followed by the two images of an H-path y of
+    length k; the split point fixes (x, y), injective edge maps keep the
+    words apart, and H1 keeps (a, b) apart from (b, a)."""
+    middle = (
+        2 * sum(gin[length - k][p.xi0_vertices[u]] * hout[k][u] for u in p.h.vertices)
+        for k in range(1, length)
+    )
+    return (sum(gin[length].values()), *middle, 2 * sum(hout[length].values()))
+
+
 @dataclass(frozen=True)
 class PairComplex:
     """Words of the self-product shift presenting the two-to-one locus,
-    partitioned by carry pattern, with the degree-one boundary data."""
+    partitioned by carry pattern, with the degree-one boundary data.
 
-    vertex_cells: tuple[frozenset[Pair], ...]  # V_0 .. V_6 over 6-words
-    edge_cells: tuple[frozenset[Pair], ...]  # E_0 .. E_7 over 7-words
-    h6: tuple[tuple[str, ...], ...]
+    The cell sizes are counted from path-count recurrences over the two
+    graphs; the cells themselves are enumerated only when read."""
+
+    pair: EmbeddingPair
+    vertex_counts: tuple[int, ...]  # |V_0| .. |V_6| over 6-words
+    edge_counts: tuple[int, ...]  # |E_0| .. |E_7| over 7-words
+    h6_count: int
     containments_ok: bool
     quotient_rank: int
 
-    def boundary_on_generator(self, y: tuple[str, ...], p: EmbeddingPair):
-        """Image of the degree-one generator attached to an H 6-word:
-        a +/-1 chain on G 6-words."""
-        w0 = tuple(p.xi0_edges[e] for e in y)
-        w1 = tuple(p.xi1_edges[e] for e in y)
-        return ((w0, 1), (w1, -1))
+    @cached_property
+    def vertex_cells(self) -> tuple[frozenset[Pair], ...]:
+        return _pair_cells(self.pair, 6)
+
+    @cached_property
+    def edge_cells(self) -> tuple[frozenset[Pair], ...]:
+        return _pair_cells(self.pair, 7)
+
+    @cached_property
+    def h6(self) -> tuple[tuple[str, ...], ...]:
+        return _h_words(self.pair.h, 6)
 
     def terminal_boundary_vanishes(self, p: EmbeddingPair) -> bool:
-        """The terminal-vertex image of every generator boundary is zero."""
-        for y in self.h6:
-            chain = self.boundary_on_generator(y, p)
-            acc: dict[str, int] = {}
-            for word, sign in chain:
-                v = p.g.target(word[-1])
-                acc[v] = acc.get(v, 0) + sign
-            if any(c != 0 for c in acc.values()):
-                return False
-        return True
+        """The terminal-vertex image of every generator boundary
+        xi0(y) - xi1(y), y an H 6-word, is zero: H0 at the terminal vertex
+        of each H-edge that ends an H 6-path."""
+        hin = _walk_counts(p.h, 5)[5]
+        return all(
+            p.g.target(p.xi0_edges[y]) == p.g.target(p.xi1_edges[y])
+            for y in p.h.edges
+            if hin[p.h.source(y)]
+        )
 
 
-def _h_words(h: Graph, n: int) -> list[tuple[str, ...]]:
-    return [p.edges for p in paths_of_length(h, n)]
+def _h_words(h: Graph, n: int) -> tuple[tuple[str, ...], ...]:
+    return tuple(w.edges for w in paths_of_length(h, n))
 
 
-def _xi_word(p: EmbeddingPair, i: int, y: Sequence[str]) -> tuple[str, ...]:
-    emap = p.xi0_edges if i == 0 else p.xi1_edges
-    return tuple(emap[e] for e in y)
-
-
-def _pair_cells(p: EmbeddingPair, length: int) -> list[frozenset[Pair]]:
+def _pair_cells(p: EmbeddingPair, length: int) -> tuple[frozenset[Pair], ...]:
     """Cells V_0..V_length over words of the given length (6 or 7).
 
     Three pattern families: diagonal pairs, fully swapped doubled pairs,
@@ -430,57 +462,38 @@ def _pair_cells(p: EmbeddingPair, length: int) -> list[frozenset[Pair]]:
     cells: list[set[Pair]] = [set() for _ in range(length + 1)]
     for w in paths_of_length(g, length):
         cells[0].add((w.edges, w.edges))
-    for y in _h_words(h, length):
-        a, b = _xi_word(p, 0, y), _xi_word(p, 1, y)
-        cells[length].add((a, b))
-        cells[length].add((b, a))
-    for k in range(1, length):
+    for k in range(1, length + 1):
         for y in _h_words(h, k):
             head = p.xi0_vertices[h.source(y[0])]
-            for x in paths_of_length(g, length - k, dst=head):
-                a = x.edges + _xi_word(p, 0, y)
-                b = x.edges + _xi_word(p, 1, y)
-                cells[k].add((a, b))
-                cells[k].add((b, a))
-    return [frozenset(c) for c in cells]
+            y0 = tuple(p.xi0_edges[e] for e in y)
+            y1 = tuple(p.xi1_edges[e] for e in y)
+            xs = [x.edges for x in paths_of_length(g, length - k, dst=head)] if k < length else [()]
+            for x in xs:
+                cells[k].add((x + y0, x + y1))
+                cells[k].add((x + y1, x + y0))
+    return tuple(frozenset(c) for c in cells)
 
 
 def build_pair_complex(p: EmbeddingPair, word_cap: int = 10**7) -> PairComplex:
-    """Construct the block-7 pair complex and verify its structure."""
+    """Count the cells of the block-7 pair complex and verify its structure.
+
+    Every initial/terminal containment holds by construction: dropping the
+    last or first letter of a pair in E_k lands in V_(k-1) or V_k (V_0 for
+    E_0 and V_6 for E_7).  The cells are disjoint because the two words of a
+    pair in V_k first differ at position 6 - k, which H1 guarantees.
+    word_cap bounds the number of G-paths of length 7."""
     rep = p.hypotheses
     if not rep.standing():
         raise AlgebraError("pair complex requires the standing hypotheses")
-    if len(p.g.edges) ** 7 > word_cap:
-        raise AlgebraError(
-            f"pair complex too large: |G^1|^7 = {len(p.g.edges) ** 7} exceeds cap {word_cap}"
-        )
-    v_cells = _pair_cells(p, 6)
-    e_cells = _pair_cells(p, 7)
-
-    def initial(pair: Pair) -> Pair:
-        return (pair[0][:-1], pair[1][:-1])
-
-    def terminal(pair: Pair) -> Pair:
-        return (pair[0][1:], pair[1][1:])
-
-    ok = True
-    ok &= all(initial(e) in v_cells[0] for e in e_cells[0])
-    ok &= all(terminal(e) in v_cells[0] for e in e_cells[0])
-    for j in range(1, 8):
-        ok &= all(initial(e) in v_cells[j - 1] for e in e_cells[j])
-    for j in range(0, 7):
-        ok &= all(terminal(e) in v_cells[j] for e in e_cells[j])
-    ok &= all(terminal(e) in v_cells[6] for e in e_cells[7])
-    # cells must be pairwise disjoint
-    seen: set[Pair] = set()
-    for cell in v_cells:
-        if seen & cell:
-            ok = False
-        seen |= cell
-    h6 = tuple(_h_words(p.h, 6))
+    gin = _walk_counts(p.g, 7)
+    words = sum(gin[7].values())
+    if words > word_cap:
+        raise AlgebraError(f"pair complex too large: {words} G-paths of length 7 exceed cap {word_cap}")
+    hout = _walk_counts(p.h, 7, backward=True)
+    h6 = sum(hout[6].values())
+    v_counts = _cell_counts(p, gin, hout, 6)
     # the swap action pairs the two orientations of each doubled word
-    rank = len(v_cells[6]) // 2
-    return PairComplex(tuple(v_cells), tuple(e_cells), h6, ok, rank)
+    return PairComplex(p, v_counts, _cell_counts(p, gin, hout, 7), h6, rep.h1.passed, v_counts[6] // 2)
 
 
 # -- realization of prescribed groups -------------------------------------------

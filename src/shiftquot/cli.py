@@ -120,6 +120,13 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
         raise BundleError(f"{name}: empty bundle")
     gv, ge = graphs["G"]
     hv, he = graphs["H"]
+    for w in hv:
+        if w not in vmap:
+            raise BundleError(f"{name}: H-vertex {w!r} has no 'map vertex' line")
+    for y in he:
+        for what, emap in (("xi0", xi0), ("xi1", xi1)):
+            if y not in emap:
+                raise BundleError(f"{name}: H-edge {y!r} has no 'map {what}' line")
     return SeedBundle(name, Graph(gv, ge.values()), Graph(hv, he.values()), vmap, xi0, xi1)
 
 
@@ -275,15 +282,15 @@ def cmd_complex(args) -> int:
     p = bundle.pair()
     pc = algebra.build_pair_complex(p, word_cap=args.word_cap)
     print(f"containments = {'ok' if pc.containments_ok else 'FAIL'}")
-    for k, cell in enumerate(pc.vertex_cells):
-        print(f"|V{k}| = {len(cell)}")
-    for k, cell in enumerate(pc.edge_cells):
-        print(f"|E{k}| = {len(cell)}")
-    print(f"|H6| = {len(pc.h6)}")
+    for k, count in enumerate(pc.vertex_counts):
+        print(f"|V{k}| = {count}")
+    for k, count in enumerate(pc.edge_counts):
+        print(f"|E{k}| = {count}")
+    print(f"|H6| = {pc.h6_count}")
     print(f"quotient_rank = {pc.quotient_rank}")
     boundary_zero = pc.terminal_boundary_vanishes(p)
     print(f"boundary_zero = {'ok' if boundary_zero else 'FAIL'}")
-    ok = pc.containments_ok and boundary_zero and pc.quotient_rank == len(pc.h6)
+    ok = pc.containments_ok and boundary_zero and pc.quotient_rank == pc.h6_count
     return 0 if ok else 1
 
 

@@ -213,25 +213,6 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
     return IntMatrix.from_rows(data)
 
 
-def is_irreducible(g: Graph) -> bool:
-    """True iff every ordered vertex pair is joined by a path (length >= 1)."""
-    if not g.vertices:
-        raise GraphError("empty graph")
-    # reach[v] = set of vertices reachable from v by a nonempty path
-    for v in g.vertices:
-        seen: set[str] = set()
-        stack = [g.target(e) for e in g.out_edges(v)]
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(g.target(e) for e in g.out_edges(w))
-        if len(seen) != len(g.vertices):
-            return False
-    return True
-
-
 def _bool_rows(m: IntMatrix) -> list[int]:
     # row i as a bitmask over columns
     return [sum(1 << j for j, x in enumerate(row) if x > 0) for row in m.entries]
@@ -287,39 +268,22 @@ def paths_of_length(
         raise GraphError("path length must be >= 1")
     starts = [src] if src is not None else list(g.vertices)
     out: list[PathWord] = []
-
-    def extend(prefix: list[str], at: str) -> None:
-        if len(prefix) == n:
-            if dst is None or at == dst:
-                out.append(PathWord(tuple(prefix)))
-            return
-        for e in g.out_edges(at):
-            prefix.append(e)
-            extend(prefix, g.target(e))
-            prefix.pop()
-
     for v in starts:
         if v not in g.vertex_index:
             raise GraphError(f"unknown vertex {v!r}")
-        extend([], v)
+        # depth-first with an explicit stack: one out-edge iterator per
+        # prefix edge, so the depth does not meet the recursion limit
+        prefix: list[str] = []
+        stack = [iter(g.out_edges(v))]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if prefix:
+                    prefix.pop()
+            elif len(prefix) + 1 < n:
+                prefix.append(e)
+                stack.append(iter(g.out_edges(g.target(e))))
+            elif dst is None or g.target(e) == dst:
+                out.append(PathWord((*prefix, e)))
     return out
-
-
-WORD_SEP = "."
-
-
-def word_id(edges: Sequence[str]) -> str:
-    return WORD_SEP.join(edges)
-
-
-def higher_block_graph(g: Graph, block: int) -> Graph:
-    """Block recoding: vertices are words of length block-1, edges words of
-    length block, with truncation source/target maps."""
-    if block < 2:
-        raise GraphError("block length must be >= 2")
-    vertices = [word_id(p.edges) for p in paths_of_length(g, block - 1)]
-    edges = [
-        (word_id(p.edges), word_id(p.edges[:-1]), word_id(p.edges[1:]))
-        for p in paths_of_length(g, block)
-    ]
-    return Graph(vertices, edges)

@@ -72,6 +72,24 @@ def test_missing_bundle_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "dropped,missing",
+    [("map xi1 h b", "H-edge 'h' has no 'map xi1' line"),
+     ("map xi0 h a", "H-edge 'h' has no 'map xi0' line"),
+     ("map vertex w v", "H-vertex 'w' has no 'map vertex' line")],
+)
+def test_incomplete_bundle_is_usage_error(capsys, tmp_path, dropped, missing):
+    with open(bundle_path("full3.bundle"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert dropped in text
+    path = tmp_path / "partial.bundle"
+    path.write_text(text.replace(dropped, ""), encoding="utf-8")
+    for command in ("check", "complex"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert f"{path}: {missing}" in err
+
+
 def test_invariants_output(capsys):
     code, out, _ = run(capsys, "invariants", bundle_path("full3.bundle"))
     assert code == 0

@@ -64,6 +64,7 @@ CASES = [
     ["synthesize", "--k1", "0", "--k0tor", "0", "-o", "{out}"],
     ["complex", F3],
     ["complex", F2],
+    ["complex", TV],
 ]
 
 

@@ -3,11 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from shiftquot.graphs import (
     Graph,
-    GraphError,
     IntMatrix,
     adjacency_matrix,
-    higher_block_graph,
-    is_irreducible,
     is_primitive,
     paths_of_length,
 )
@@ -39,14 +36,6 @@ def test_adjacency_edgeless():
     assert adjacency_matrix(g).entries == ((0, 0), (0, 0))
 
 
-def test_irreducible():
-    assert is_irreducible(full(3))
-    assert is_irreducible(two_cycle())
-    assert not is_irreducible(Graph(["v", "w"], [("e", "v", "w")]))
-    with pytest.raises(GraphError):
-        is_irreducible(Graph([], []))
-
-
 def test_primitive_full():
     assert is_primitive(full(3)) == (True, 1)
     assert is_primitive(full(2)) == (True, 1)
@@ -67,7 +56,12 @@ def test_primitive_implies_irreducible_on_samples():
     graphs = [full(1), full(3), two_cycle(), Graph(["u", "w"], [("e", "u", "w")])]
     for g in graphs:
         if is_primitive(g)[0]:
-            assert is_irreducible(g)
+            # irreducible: A + A^2 + ... + A^d is entrywise positive
+            a, d = adjacency_matrix(g), len(g.vertices)
+            reach = a.power(1)
+            for k in range(2, d + 1):
+                reach = reach + a.power(k)
+            assert all(x > 0 for row in reach.entries for x in row)
 
 
 @pytest.mark.parametrize(
@@ -76,6 +70,10 @@ def test_primitive_implies_irreducible_on_samples():
 )
 def test_path_counts(g, n, expected):
     assert len(paths_of_length(g, n)) == expected
+
+
+def test_paths_deeper_than_the_recursion_limit():
+    assert [len(w) for w in paths_of_length(full(1), 5_000)] == [5_000]
 
 
 def test_paths_with_endpoints():
@@ -103,22 +101,15 @@ def test_path_count_equals_power_sum(g, n):
     assert len(paths_of_length(g, n)) == adjacency_matrix(g).power(n).entry_sum()
 
 
-def test_higher_block_counts():
-    b = higher_block_graph(full(3), 2)
-    assert (len(b.vertices), len(b.edges)) == (3, 9)
-    b7 = higher_block_graph(full(2), 7)
-    assert (len(b7.vertices), len(b7.edges)) == (64, 128)
-
-
-def test_higher_block_k2_vertices_are_edges():
-    g = two_cycle()
-    assert len(higher_block_graph(g, 2).vertices) == len(g.edges)
-
-
 @pytest.mark.parametrize("block", [2, 3, 4])
 def test_higher_block_path_bijection(block):
+    # block recoding: vertices are (block-1)-words, edges block-words
     g = two_cycle()
-    b = higher_block_graph(g, block)
+    b = Graph(
+        [".".join(w.edges) for w in paths_of_length(g, block - 1)],
+        [(".".join(w.edges), ".".join(w.edges[:-1]), ".".join(w.edges[1:]))
+         for w in paths_of_length(g, block)],
+    )
     for n in range(1, 5):
         assert len(paths_of_length(b, n)) == len(paths_of_length(g, n + block - 1))
 
