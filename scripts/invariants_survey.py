@@ -13,7 +13,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from shiftquot.algebra import FgAbelianGroup, ruelle_k_theory, synthesize_seed
-from shiftquot.embedding import check_standing_hypotheses
 
 
 def random_chain(rng, cap=12):
@@ -34,7 +33,7 @@ def main() -> None:
         k1 = FgAbelianGroup(rng.randint(0, 2), random_chain(rng))
         k0 = FgAbelianGroup(0, random_chain(rng))
         p = synthesize_seed(k0, k1)
-        assert check_standing_hypotheses(p).standing()
+        assert p.hypotheses.standing()
         kt = ruelle_k_theory(p)
         sizes = f"{len(p.g.edges)}/{len(p.h.edges)}"
         ok = kt.k1_ruelle_s == k1 and kt.k0_ruelle_s == FgAbelianGroup(k1.rank, k0.torsion)

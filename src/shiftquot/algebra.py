@@ -413,7 +413,9 @@ class PairComplex:
     partitioned by carry pattern, with the degree-one boundary data.
 
     The cell sizes are counted from path-count recurrences over the two
-    graphs; the cells themselves are enumerated only when read."""
+    graphs; the cells themselves are enumerated only when read, and only
+    when the G-paths of length 7 (the words of E_0) number at most
+    word_cap."""
 
     pair: EmbeddingPair
     vertex_counts: tuple[int, ...]  # |V_0| .. |V_6| over 6-words
@@ -421,17 +423,26 @@ class PairComplex:
     h6_count: int
     containments_ok: bool
     quotient_rank: int
+    word_cap: int
+
+    def _check_cap(self) -> None:
+        words = self.edge_counts[0]
+        if words > self.word_cap:
+            raise AlgebraError(f"pair complex too large: {words} G-paths of length 7 exceed cap {self.word_cap}")
 
     @cached_property
     def vertex_cells(self) -> tuple[frozenset[Pair], ...]:
+        self._check_cap()
         return _pair_cells(self.pair, 6)
 
     @cached_property
     def edge_cells(self) -> tuple[frozenset[Pair], ...]:
+        self._check_cap()
         return _pair_cells(self.pair, 7)
 
     @cached_property
     def h6(self) -> tuple[tuple[str, ...], ...]:
+        self._check_cap()
         return _h_words(self.pair.h, 6)
 
     def terminal_boundary_vanishes(self, p: EmbeddingPair) -> bool:
@@ -481,19 +492,17 @@ def build_pair_complex(p: EmbeddingPair, word_cap: int = 10**7) -> PairComplex:
     last or first letter of a pair in E_k lands in V_(k-1) or V_k (V_0 for
     E_0 and V_6 for E_7).  The cells are disjoint because the two words of a
     pair in V_k first differ at position 6 - k, which H1 guarantees.
-    word_cap bounds the number of G-paths of length 7."""
+    word_cap bounds the number of G-paths of length 7 when the cells are
+    read; the counts are never refused."""
     rep = p.hypotheses
     if not rep.standing():
         raise AlgebraError("pair complex requires the standing hypotheses")
     gin = _walk_counts(p.g, 7)
-    words = sum(gin[7].values())
-    if words > word_cap:
-        raise AlgebraError(f"pair complex too large: {words} G-paths of length 7 exceed cap {word_cap}")
     hout = _walk_counts(p.h, 7, backward=True)
     h6 = sum(hout[6].values())
     v_counts = _cell_counts(p, gin, hout, 6)
     # the swap action pairs the two orientations of each doubled word
-    return PairComplex(p, v_counts, _cell_counts(p, gin, hout, 7), h6, rep.h1.passed, v_counts[6] // 2)
+    return PairComplex(p, v_counts, _cell_counts(p, gin, hout, 7), h6, rep.h1.passed, v_counts[6] // 2, word_cap)
 
 
 # -- realization of prescribed groups -------------------------------------------

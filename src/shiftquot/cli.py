@@ -280,7 +280,7 @@ def cmd_synthesize(args) -> int:
 def cmd_complex(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
-    pc = algebra.build_pair_complex(p, word_cap=args.word_cap)
+    pc = algebra.build_pair_complex(p)
     print(f"containments = {'ok' if pc.containments_ok else 'FAIL'}")
     for k, count in enumerate(pc.vertex_counts):
         print(f"|V{k}| = {count}")
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("complex", help="pair-complex checks")
     c.add_argument("bundle")
-    c.add_argument("--word-cap", type=int, default=10**7)
     c.set_defaults(fn=cmd_complex)
     return ap
 

@@ -87,6 +87,16 @@ class EmbeddingPair:
         return eps
 
     @cached_property
+    def _spare_index(self) -> dict[tuple[str, str], str]:
+        """(source, target) -> the first spare edge between them, in G's
+        edge order; one pass over the edges."""
+        index: dict[tuple[str, str], str] = {}
+        for x in self.g.edges:
+            if x not in self.xi_image:
+                index.setdefault((self.g.source(x), self.g.target(x)), x)
+        return index
+
+    @cached_property
     def _partner(self) -> dict[str, str] | None:
         if self._superscript is None:
             return None
@@ -113,6 +123,10 @@ class EmbeddingPair:
 
     def in_image(self, edge: str) -> bool:
         return edge in self.xi_image
+
+    def spare_twin(self, edge: str) -> str | None:
+        """The first spare edge parallel to the given G-edge, or None."""
+        return self._spare_index.get((self.g.source(edge), self.g.target(edge)))
 
     def partner(self, edge: str) -> str:
         """The other copy of the same H-edge (requires H1)."""
@@ -176,18 +190,7 @@ def check_standing_hypotheses(p: EmbeddingPair) -> HypothesisReport:
     overlap = set(p.xi0_edges.values()) & set(p.xi1_edges.values())
     h1 = CheckResult(not overlap, f"shared image edge {sorted(overlap)[0]}" if overlap else None)
 
-    h2_bad = None
-    for y in p.h.edges:
-        e0 = p.xi0_edges[y]
-        spare = any(
-            x not in p.xi_image
-            and p.g.source(x) == p.g.source(e0)
-            and p.g.target(x) == p.g.target(e0)
-            for x in p.g.edges
-        )
-        if not spare:
-            h2_bad = y
-            break
+    h2_bad = next((y for y in p.h.edges if p.spare_twin(p.xi0_edges[y]) is None), None)
     h2 = CheckResult(h2_bad is None, h2_bad and f"edge {h2_bad}")
 
     prim, _ = is_primitive(p.g)
@@ -313,13 +316,12 @@ def _h_tail_witness(h: Graph) -> dict[str, tuple[tuple[str, ...], tuple[str, ...
     frontier = deque(on_cycle)
     while frontier:
         w = frontier.popleft()
-        for e in h.edges:
-            if h.target(e) == w:
-                u = h.source(e)
-                if u not in result:
-                    lead, cyc = result[w]
-                    result[u] = ((e,) + lead, cyc)
-                    frontier.append(u)
+        for e in h.in_edges(w):
+            u = h.source(e)
+            if u not in result:
+                lead, cyc = result[w]
+                result[u] = ((e,) + lead, cyc)
+                frontier.append(u)
     return result
 
 

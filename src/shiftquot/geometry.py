@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import EmbeddingPair, EmbeddingError, epsilon
+from .graphs import paths_of_length
 from .metrics import tau_ray
 from .rays import (
     Angle,
     LassoRay,
     RayError,
     canonical,
+    format_ray,
     kappa,
     level,
     shift_by,
@@ -372,61 +374,47 @@ def embedding_injectivity_check(
     Enumerates all lassos with prefix length <= depth and cycle length
     <= tail_length whose spare count is finite.
     """
-    from .rays import format_ray
-
     g = p.g
-    cycles: list[tuple[str, ...]] = []
-    for L in range(1, tail_length + 1):
-        cycles.extend(_all_cycles(g, L))
+    cycles = [
+        w.edges
+        for L in range(1, tail_length + 1)
+        for v in g.vertices
+        for w in paths_of_length(g, L, src=v, dst=v)
+    ]
+    cycles_at: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.vertices}
+    for cyc in cycles:
+        cycles_at[g.source(cyc[0])].append(cyc)
 
     reps: dict[object, LassoRay] = {}
     invariants: dict[object, object] = {}
     collisions: list[tuple[str, str]] = []
-
-    def consider(x: LassoRay) -> None:
-        if kappa(p, x) == math.inf:
-            return
-        c = canonical(p, x)
-        key = (c.rep.prefix, c.rep.cycle)
-        if key in reps:
-            return
-        if len(reps) >= class_cap:
-            raise RayError("class cap exceeded")
-        reps[key] = c.rep
-        inv = _discrete_invariant(p, c.rep)
-        other = invariants.get(inv)
-        if other is not None:
-            collisions.append((format_ray(other), format_ray(c.rep)))
+    # depth-first over composable prefixes, each prefix before its extensions;
+    # the empty prefix takes every cycle and extends by every edge
+    stack: list[tuple[str, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        if prefix:
+            at = g.target(prefix[-1])
+            here, onward = cycles_at[at], g.out_edges(at)
         else:
-            invariants[inv] = c.rep
-
-    def extend(prefix: list[str], at: str | None, remaining: int) -> None:
-        for cyc in cycles:
-            if at is None or p.g.source(cyc[0]) == at:
-                if not prefix or p.g.target(prefix[-1]) == p.g.source(cyc[0]):
-                    try:
-                        consider(LassoRay.make(g, tuple(prefix), cyc))
-                    except RayError:
-                        continue
-        if remaining == 0:
-            return
-        start_edges = g.edges if at is None else g.out_edges(at)
-        for e in start_edges:
-            if prefix and g.target(prefix[-1]) != g.source(e):
+            here, onward = cycles, g.edges
+        for cyc in here:
+            x = LassoRay.make(g, prefix, cyc)
+            if kappa(p, x) == math.inf:
                 continue
-            prefix.append(e)
-            extend(prefix, g.target(e), remaining - 1)
-            prefix.pop()
-
-    extend([], None, depth)
+            c = canonical(p, x)
+            key = (c.rep.prefix, c.rep.cycle)
+            if key in reps:
+                continue
+            if len(reps) >= class_cap:
+                raise RayError("class cap exceeded")
+            reps[key] = c.rep
+            inv = _discrete_invariant(p, c.rep)
+            other = invariants.get(inv)
+            if other is not None:
+                collisions.append((format_ray(other), format_ray(c.rep)))
+            else:
+                invariants[inv] = c.rep
+        if len(prefix) < depth:
+            stack.extend(prefix + (e,) for e in reversed(onward))
     return InjectivityReport(len(reps), tuple(collisions))
-
-
-def _all_cycles(g, length: int) -> list[tuple[str, ...]]:
-    from .graphs import paths_of_length
-
-    out = []
-    for v in g.vertices:
-        for w in paths_of_length(g, length, src=v, dst=v):
-            out.append(w.edges)
-    return out

@@ -67,9 +67,6 @@ class IntMatrix:
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise GraphError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

@@ -127,9 +127,6 @@ class Angle:
         d = abs(self.turns - other.turns)
         return min(d, 1 - d)
 
-    def double(self) -> "Angle":
-        return Angle.of(2 * self.turns)
-
 
 @dataclass(frozen=True)
 class ClassPoint:
@@ -327,19 +324,9 @@ def stratum_approximant(p: EmbeddingPair, x: LassoRay, depth: int, k: int) -> La
         route.extend(cyc)
         slots.extend(range(base, base + len(cyc)))
     for idx in slots[:budget]:
-        e = route[idx]
-        spare = next(
-            (
-                s
-                for s in p.g.edges
-                if not p.in_image(s)
-                and p.g.source(s) == p.g.source(e)
-                and p.g.target(s) == p.g.target(e)
-            ),
-            None,
-        )
+        spare = p.spare_twin(route[idx])
         if spare is None:
-            raise RayError(f"no spare edge parallel to {e!r} (H2 fails)")
+            raise RayError(f"no spare edge parallel to {route[idx]!r} (H2 fails)")
         route[idx] = spare
     return LassoRay.make(p.g, head + route, cyc)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .embedding import EmbeddingPair, epsilon
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, paths_of_length
 from .metrics import MetricInterval, d_class
 from .rays import ClassPoint, LassoRay, _lcm, canonical, lift_preimage, normal_form, shift
 
@@ -316,24 +316,10 @@ class TransversalSpec:
 
 def transversal_spec(p: EmbeddingPair) -> TransversalSpec:
     g = p.g
+    spare = Graph(g.vertices, [(e, g.source(e), g.target(e)) for e in g.edges if not p.in_image(e)])
     best: tuple[str, ...] | None = None
     for L in range(1, len(g.vertices) + 1):
-        candidates: list[tuple[str, ...]] = []
-        for v in g.vertices:
-            # bounded DFS over spare edges only
-            def walk(at: str, path: list[str]) -> None:
-                if len(path) == L:
-                    if at == v:
-                        candidates.append(tuple(path))
-                    return
-                for e in g.out_edges(at):
-                    if p.in_image(e):
-                        continue
-                    path.append(e)
-                    walk(g.target(e), path)
-                    path.pop()
-
-            walk(v, [])
+        candidates = [w.edges for v in g.vertices for w in paths_of_length(spare, L, src=v, dst=v)]
         if candidates:
             best = min(candidates)
             break

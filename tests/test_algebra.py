@@ -263,8 +263,11 @@ def test_pair_complex_twovertex(twovertex):
 
 
 def test_pair_complex_cap(full3):
-    with pytest.raises(AlgebraError):
-        build_pair_complex(full3, word_cap=10)
+    # the cap refuses only the enumeration of cells, never the counts
+    pc = build_pair_complex(full3, word_cap=10)
+    assert pc.edge_counts[0] == 3**7
+    with pytest.raises(AlgebraError, match="2187 G-paths of length 7 exceed cap 10"):
+        pc.edge_cells
 
 
 @pytest.mark.parametrize(

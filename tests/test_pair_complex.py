@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import bundle_path
 from shiftquot.algebra import AlgebraError, FgAbelianGroup, build_pair_complex, synthesize_seed
-from shiftquot.cli import main
+from shiftquot.cli import load_bundle, main
 from shiftquot.embedding import EmbeddingPair
 from shiftquot.graphs import Graph, IntMatrix, adjacency_matrix
 
@@ -107,7 +107,7 @@ def test_synthesized_seed_counts_by_matrix_powers():
     7-words, out of the enumerator's reach."""
     p = synthesize_seed(FgAbelianGroup(0, (3,)), FgAbelianGroup(0, (2,)))
     assert (len(p.g.edges), len(p.h.edges)) == (46, 12)
-    pc = build_pair_complex(p, word_cap=10**12)
+    pc = build_pair_complex(p)
     ag, ah = adjacency_matrix(p.g), adjacency_matrix(p.h)
     assert pc.vertex_counts[0] == ag.power(6).entry_sum()
     assert pc.edge_counts[0] == ag.power(7).entry_sum()
@@ -115,8 +115,9 @@ def test_synthesized_seed_counts_by_matrix_powers():
     assert pc.vertex_counts == matrix_counts(p, 6)
     assert pc.edge_counts == matrix_counts(p, 7)
     assert pc.containments_ok and pc.terminal_boundary_vanishes(p)
+    # the default cap refuses only the enumeration
     with pytest.raises(AlgebraError, match=str(pc.edge_counts[0])):
-        build_pair_complex(p)
+        pc.edge_cells
 
 
 def test_word_cap_bounds_the_true_7_word_count(tmp_path, capsys):
@@ -129,8 +130,14 @@ def test_word_cap_bounds_the_true_7_word_count(tmp_path, capsys):
     assert main(["complex", str(path)]) == 0
     out = capsys.readouterr().out
     assert "containments = ok" in out and "boundary_zero = ok" in out
-    assert main(["complex", bundle_path("full3.bundle"), "--word-cap", "2186"]) == 1
-    assert "2187 G-paths of length 7 exceed cap 2186" in capsys.readouterr().err
+    # a synthesized seed has billions of 7-words; `complex` only counts them
+    synth = str(tmp_path / "synth.bundle")
+    assert main(["synthesize", "--k1", "Z/2", "--k0tor", "Z/3", "-o", synth]) == 0
+    capsys.readouterr()
+    assert main(["complex", synth]) == 0
+    out = capsys.readouterr().out
+    ag = adjacency_matrix(load_bundle(synth).pair().g)
+    assert f"|V0| = {ag.power(6).entry_sum()}\n" in out
 
 
 def test_terminal_boundary_fails_without_h0(full3):
