@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 domain failure (hypotheses), 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,11 +216,20 @@ def cmd_invariants(args) -> int:
     return 0
 
 
+def _parse_ray(g: Graph, text: str) -> rays.LassoRay:
+    """A ray literal given on the command line; a malformed one is a parse
+    error (exit 2), not a domain failure."""
+    try:
+        return rays.parse_ray(g, text)
+    except rays.RayError as exc:
+        raise BundleError(f"ray {text!r}: {exc}") from None
+
+
 def cmd_distance(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
-    x = rays.parse_ray(p.g, args.ray1)
-    y = rays.parse_ray(p.g, args.ray2)
+    x = _parse_ray(p.g, args.ray1)
+    y = _parse_ray(p.g, args.ray2)
     iv = metrics.d_extended(p, x, y, args.depth)
     print(_fmt_interval(iv))
     return 0
@@ -228,7 +238,7 @@ def cmd_distance(args) -> int:
 def cmd_zeta(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
-    x = rays.parse_ray(p.g, args.ray)
+    x = _parse_ray(p.g, args.ray)
     value, bound = geometry.zeta_approx(p, x, args.depth)
     print(f"zeta = {value.real:.12f} + {value.imag:.12f}i")
     print(f"error <= {bound} ~= {float(bound):.3e}")
@@ -238,7 +248,7 @@ def cmd_zeta(args) -> int:
 def cmd_fibers(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
-    base = rays.parse_ray(p.quotient.graph, args.ray)
+    base = _parse_ray(p.quotient.graph, args.ray)
     print(geometry.fiber_classify(p, base).render())
     return 0
 
@@ -309,7 +319,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use (parsing
+    does not change it)."""
     depth = _int_at_least(1)
     ap = argparse.ArgumentParser(prog="shiftquot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

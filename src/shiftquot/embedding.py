@@ -106,6 +106,12 @@ class EmbeddingPair:
             partner[e0], partner[e1] = e1, e0
         return partner
 
+    @cached_property
+    def _h_tails(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """For each H-vertex that can reach an H-cycle: (path-to-cycle, cycle);
+        empty exactly when H has no cycle."""
+        return _h_tail_witness(self.h)
+
     # The module functions below do the work; they are looked up by name at
     # call time, so a wrapper installed on the module sees each computation.
 
@@ -166,20 +172,6 @@ class HypothesisReport:
         return self.h0.passed and self.h1.passed and self.h2.passed and self.primitive.passed
 
 
-def _h_has_cycle(h: Graph) -> bool:
-    # cycle detection by iterated sink removal
-    alive = set(h.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            deg = sum(1 for e in h.out_edges(v) if h.target(e) in alive)
-            if deg == 0:
-                alive.discard(v)
-                changed = True
-    return bool(alive)
-
-
 def check_standing_hypotheses(p: EmbeddingPair) -> HypothesisReport:
     """Evaluate H0, H1, H2 and primitivity independently, with witnesses."""
     h0_bad = next(
@@ -195,7 +187,7 @@ def check_standing_hypotheses(p: EmbeddingPair) -> HypothesisReport:
 
     prim, _ = is_primitive(p.g)
     primitive = CheckResult(prim, None if prim else "no power of the adjacency matrix is positive")
-    return HypothesisReport(h0, h1, h2, primitive, _h_has_cycle(p.h))
+    return HypothesisReport(h0, h1, h2, primitive, bool(p._h_tails))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,11 +324,10 @@ def completion_tables(p: EmbeddingPair) -> CompletionTables:
         if not g.out_edges(v):
             raise EmbeddingError(f"degenerate graph: vertex {v!r} has no outgoing edge")
 
-    h_tails = _h_tail_witness(p.h)
     xi_tail: dict[str, tuple[tuple[str, ...], tuple[str, ...]] | None] = {
         v: None for v in g.vertices
     }
-    for w, (lead, cyc) in h_tails.items():
+    for w, (lead, cyc) in p._h_tails.items():
         v = p.xi0_vertices[w]
         xi_tail[v] = (
             tuple(p.xi0_edges[y] for y in lead),

@@ -27,26 +27,13 @@ from .rays import (
     canonical,
     format_ray,
     kappa,
-    level,
-    shift_by,
+    levels,
     stratum_approximant,
 )
 
 
 def _angle_complex(a: Angle) -> complex:
     return cmath.exp(2j * math.pi * float(a.turns))
-
-
-def _level_chain(p: EmbeddingPair, x: LassoRay) -> tuple[list[tuple[int, Angle]], Angle]:
-    """The (gap to the next spare edge, angle) of every level of a
-    finite-stratum ray, and the series angle of its all-image tail."""
-    levels: list[tuple[int, Angle]] = []
-    n, t = level(p, x)
-    while n != math.inf:
-        levels.append((int(n), Angle.of(t)))
-        x = shift_by(x, int(n))
-        n, t = level(p, x)
-    return levels, Angle.of(t)
 
 
 def zeta_exact_terms(
@@ -62,9 +49,9 @@ def zeta_exact_terms(
     """
     if kappa(p, x) == math.inf:
         raise RayError("exact coordinate needs finitely many spare edges")
-    levels, tail = _level_chain(p, x)
-    spec = _spec_from_levels((), levels)
-    return [*spec.center_terms, (spec.radius, tail)]
+    *chain, (_, tail) = levels(p, x)
+    spec = _spec_from_levels((), [(n, Angle.of(t)) for n, t in chain])
+    return [*spec.center_terms, (spec.radius, Angle.of(tail))]
 
 
 def _eval_terms(terms: list[tuple[Fraction, Angle]]) -> complex:
@@ -358,8 +345,8 @@ class InjectivityReport:
 def _discrete_invariant(p: EmbeddingPair, x: LassoRay):
     """(quotient image, chain of (gap, angle) level data, tail angle): a
     complete invariant of the identification class for finite strata."""
-    levels, tail = _level_chain(p, x)
-    return (tau_ray(p, x), tuple((n, a.turns) for n, a in levels), tail.turns)
+    *chain, (_, tail) = levels(p, x)
+    return (tau_ray(p, x), tuple(chain), Angle.of(tail).turns)
 
 
 def embedding_injectivity_check(

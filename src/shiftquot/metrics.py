@@ -22,8 +22,7 @@ from .rays import (
     RayError,
     first_difference,
     kappa,
-    level,
-    shift_by,
+    levels,
     stratum_approximant,
 )
 
@@ -92,17 +91,15 @@ def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     to mixed finite strata exactly.
     """
     exponent = 0
-    while True:
-        nx, tx = level(p, x)
-        ny, ty = level(p, y)
-        ax, ay = Angle.of(tx), Angle.of(ty)
-        if nx != ny or ax != ay or nx == math.inf:
+    # a finite level's digit sum lies in [0, 1), so equal sums are equal
+    # angles; the loop stops at the first tail, which needs the reduction
+    for (nx, tx), (ny, ty) in zip(levels(p, x), levels(p, y)):
+        if nx != ny or tx != ty or nx == math.inf:
             break
-        exponent += 2 + int(nx)
-        x, y = shift_by(x, int(nx)), shift_by(y, int(ny))
-    wx = Fraction(0) if nx == math.inf else Fraction(1, 2 ** int(nx))
-    wy = Fraction(0) if ny == math.inf else Fraction(1, 2 ** int(ny))
-    return (abs(wx - wy) + ax.distance(ay)) / 2**exponent
+        exponent += 2 + nx
+    wx = Fraction(0) if nx == math.inf else Fraction(1, 2**nx)
+    wy = Fraction(0) if ny == math.inf else Fraction(1, 2**ny)
+    return (abs(wx - wy) + Angle.of(tx).distance(Angle.of(ty))) / 2**exponent
 
 
 def d_stratum(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:

@@ -11,11 +11,11 @@ Positions are 1-indexed throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph, GraphError
@@ -23,16 +23,6 @@ from .graphs import Graph, GraphError
 
 class RayError(ValueError):
     """Raised for invalid rays or violated ray-operation preconditions."""
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // _gcd(a, b) * b
 
 
 def normal_form(prefix: Sequence[str], cycle: tuple[str, ...]) -> "LassoRay":
@@ -79,8 +69,6 @@ class LassoRay:
                     raise GraphError(f"edges {a!r},{b!r} are not composable")
             if g.target(cyc[-1]) != g.source(cyc[0]):
                 raise GraphError("cycle does not close up")
-            if pre and g.target(pre[-1]) != g.source(cyc[0]):
-                raise GraphError("prefix does not meet cycle")
         except GraphError as exc:
             raise RayError(str(exc)) from None
         return normal_form(pre, cyc)
@@ -162,31 +150,42 @@ def digit_series(p: EmbeddingPair, x: LassoRay) -> Fraction:
     """
     if kappa(p, x) != 0:
         raise RayError("digit series needs kappa = 0")
-    total = Fraction(0)
-    for i, e in enumerate(x.prefix, start=1):
-        total += Fraction(epsilon(p, e), 2**i)
-    m = len(x.prefix)
-    L = len(x.cycle)
-    cyc_int = 0
+    return next(levels(p, x))[1]
+
+
+def levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, Fraction]]:
+    """(gap, raw digit sum) of each level of the ray, in order.
+
+    A level runs up to and including the next spare edge; its gap is the
+    number of positions it spans and its digit sum runs over the positions
+    before that spare edge (a value in [0, 1)).  When the ray has finitely
+    many spare edges the walk ends with (math.inf, full series of the
+    all-image tail), a value in [0, 1]; otherwise it never ends.
+    """
+    edges: Iterable[str] = x.prefix
+    if any(not p.in_image(e) for e in x.cycle):
+        edges = itertools.chain(x.prefix, itertools.cycle(x.cycle))
+    gap = digits = 0
+    for e in edges:
+        gap += 1
+        if not p.in_image(e):
+            yield gap, Fraction(digits, 2 ** (gap - 1))
+            gap = digits = 0
+        else:
+            digits = digits << 1 | epsilon(p, e)
+    # the tail: the last gap prefix digits, then the spare-free cycle repeating
+    lap = 0
     for e in x.cycle:
-        cyc_int = (cyc_int << 1) | epsilon(p, e)
-    total += Fraction(cyc_int, 2**m * (2**L - 1))
-    return total
+        lap = lap << 1 | epsilon(p, e)
+    period = 2 ** len(x.cycle) - 1
+    yield math.inf, Fraction(digits * period + lap, 2**gap * period)
 
 
 def level(p: EmbeddingPair, x: LassoRay) -> tuple[int | float, Fraction]:
-    """(first spare position, raw digit sum) of the ray's first level.
-
-    The digit sum runs over the positions before the first spare edge (a
-    value in [0, 1)).  When kappa = 0 the position is math.inf and the sum
-    is the full series (in [0, 1]).
-    """
-    digits = 0
-    for n, e in enumerate(chain(x.prefix, x.cycle), start=1):
-        if not p.in_image(e):
-            return n, Fraction(digits, 2 ** (n - 1))
-        digits = digits << 1 | epsilon(p, e)
-    return math.inf, digit_series(p, x)
+    """(first spare position, raw digit sum) of the ray's first level; see
+    levels.  When kappa = 0 the position is math.inf and the sum is the
+    full series (in [0, 1])."""
+    return next(levels(p, x))
 
 
 def theta(p: EmbeddingPair, x: LassoRay) -> Angle:
@@ -258,7 +257,7 @@ def first_difference(x: LassoRay, y: LassoRay) -> int | None:
     they are equal."""
     if x == y:
         return None
-    bound = max(len(x.prefix), len(y.prefix)) + _lcm(len(x.cycle), len(y.cycle)) + 1
+    bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle)) + 1
     for n in range(1, bound + 1):
         if x.edge_at(n) != y.edge_at(n):
             return n

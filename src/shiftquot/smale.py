@@ -9,13 +9,14 @@ quotient space has diameter at most 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph, GraphError, paths_of_length
 from .metrics import MetricInterval, d_class
-from .rays import ClassPoint, LassoRay, _lcm, canonical, lift_preimage, normal_form, shift
+from .rays import ClassPoint, LassoRay, canonical, lift_preimage, normal_form, shift
 
 
 class SmaleError(ValueError):
@@ -99,8 +100,8 @@ def shift_bilasso(x: BiLasso) -> BiLasso:
 
 def bilasso_equal(x: BiLasso, y: BiLasso) -> bool:
     """Semantic equality of the represented bi-infinite paths."""
-    lp = _lcm(len(x.past), len(y.past))
-    lf = _lcm(len(x.future), len(y.future))
+    lp = math.lcm(len(x.past), len(y.past))
+    lf = math.lcm(len(x.future), len(y.future))
     a = min(x.origin, y.origin) - lp
     b = max(x.core_end(), y.core_end()) + lf
     return all(x.edge_at(n) == y.edge_at(n) for n in range(a, b + 1))
@@ -233,8 +234,8 @@ def pair_related(p: EmbeddingPair, x: BiLasso, y: BiLasso) -> PairWitness | None
     quotient, with a witness."""
     if bilasso_equal(x, y):
         return PairWitness("a")
-    lp = _lcm(len(x.past), len(y.past))
-    lf = _lcm(len(x.future), len(y.future))
+    lp = math.lcm(len(x.past), len(y.past))
+    lf = math.lcm(len(x.future), len(y.future))
     lo = min(x.origin, y.origin) - lp - 1
     hi = max(x.core_end(), y.core_end()) + lf
 
@@ -336,7 +337,7 @@ def membership_yu(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
     """Whether the whole past of x (positions <= 0) repeats the transversal
     cycle."""
     for q in spec.points:
-        span = _lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
+        span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
         if all(x.edge_at(n) == q.edge_at(n) for n in range(-span, 1)):
             return True
     return False
@@ -345,7 +346,7 @@ def membership_yu(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
 def membership_ys(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
     """Whether x agrees with a transversal point on all positions >= -1."""
     for q in spec.points:
-        span = _lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
+        span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
         if all(x.edge_at(n) == q.edge_at(n) for n in range(-1, span + 1)):
             return True
     return False

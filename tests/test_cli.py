@@ -111,9 +111,47 @@ def test_distance_interval_output(capsys):
     assert out.startswith("[")
 
 
-def test_bad_ray_is_domain_error(capsys):
-    code, _, err = run(capsys, "distance", bundle_path("full3.bundle"), "zz;a", ";a")
+def test_bad_ray_is_usage_error(capsys):
+    full3 = bundle_path("full3.bundle")
+    for argv in (
+        ["distance", full3, "zz;a", ";a"],
+        ["distance", full3, "c;z", "a;c"],  # unknown edge
+        ["fibers", full3, "zz;h'"],
+        ["zeta", full3, "c;"],  # empty cycle
+        ["zeta", full3, "c"],  # no ';'
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ray ")
+
+
+DETOUR = """graph G
+vertex u
+vertex v
+edge a u u
+edge b u u
+edge c u u
+edge s u v
+edge t v u
+graph H
+vertex w
+edge h w w
+map vertex w u
+map xi0 h a
+map xi1 h b
+"""
+
+
+def test_unreachable_stratum_is_domain_error(capsys, tmp_path):
+    # both rays parse; the first one's head s,t,s ends at v, whose only way
+    # out is the spare edge t, so no approximant with 3 spare edges exists
+    path = tmp_path / "detour.bundle"
+    path.write_text(DETOUR)
+    code, out, err = run(capsys, "distance", str(path), "s;t,s", "a;a", "--depth", "2")
     assert code == 1
+    assert out == ""
+    assert "stratum 3 unreachable" in err
 
 
 def test_zeta_output(capsys):
