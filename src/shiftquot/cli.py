@@ -161,10 +161,15 @@ def parse_group(text: str) -> algebra.FgAbelianGroup:
         tok = tok.strip()
         if tok == "Z":
             rank += 1
-        elif tok[:2] == "Z^" and tok[2:].isdecimal():
-            rank += int(tok[2:])
-        elif tok[:2] == "Z/" and tok[2:].isdecimal():
-            factors.append(int(tok[2:]))
+        elif tok[:2] in ("Z^", "Z/") and tok[2:].isdecimal():
+            try:
+                n = int(tok[2:])
+            except ValueError:  # more digits than int() converts
+                raise BundleError(f"group term has too many digits ({len(tok) - 2})") from None
+            if tok[1] == "^":
+                rank += n
+            else:
+                factors.append(n)
         else:
             raise BundleError(f"cannot parse group term {tok!r}")
     return algebra.FgAbelianGroup.of(rank, factors)
@@ -219,6 +224,9 @@ def cmd_invariants(args) -> int:
 def _parse_ray(g: Graph, text: str) -> rays.LassoRay:
     """A ray literal given on the command line; a malformed one is a parse
     error (exit 2), not a domain failure."""
+    if not isinstance(text, str):
+        # argparse passes a list when a second '--' stands where the ray goes
+        raise BundleError("ray literal missing")
     try:
         return rays.parse_ray(g, text)
     except rays.RayError as exc:

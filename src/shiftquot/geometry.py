@@ -362,11 +362,13 @@ def embedding_injectivity_check(
     <= tail_length whose spare count is finite.
     """
     g = p.g
+    # a cycle carrying a spare edge gives kappa = infinity whatever the prefix
     cycles = [
         w.edges
         for L in range(1, tail_length + 1)
         for v in g.vertices
         for w in paths_of_length(g, L, src=v, dst=v)
+        if all(p.in_image(e) for e in w.edges)
     ]
     cycles_at: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.vertices}
     for cyc in cycles:
@@ -386,10 +388,7 @@ def embedding_injectivity_check(
         else:
             here, onward = cycles, g.edges
         for cyc in here:
-            x = LassoRay.make(g, prefix, cyc)
-            if kappa(p, x) == math.inf:
-                continue
-            c = canonical(p, x)
+            c = canonical(p, LassoRay.make(g, prefix, cyc))
             key = (c.rep.prefix, c.rep.cycle)
             if key in reps:
                 continue

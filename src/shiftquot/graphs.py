@@ -139,7 +139,9 @@ class Graph:
     everywhere else.
     """
 
-    __slots__ = ("vertices", "edges", "_src", "_dst", "vertex_index", "edge_index", "_out", "_in")
+    __slots__ = (
+        "vertices", "edges", "_src", "_dst", "vertex_index", "edge_index", "_out", "_in", "_adjacency",
+    )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -168,6 +170,7 @@ class Graph:
             inc[self._dst[eid]].append(eid)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
+        self._adjacency: IntMatrix | None = None  # built by adjacency_matrix
 
     def source(self, edge: str) -> str:
         return self._src[edge]
@@ -201,13 +204,16 @@ class PathWord:
 def adjacency_matrix(g: Graph) -> IntMatrix:
     """Adjacency matrix in the (target, source) convention.
 
-    Entry (v, w) counts edges with source w and target v.
+    Entry (v, w) counts edges with source w and target v.  Built once per
+    graph, on first use.
     """
-    n = len(g.vertices)
-    data = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        data[g.vertex_index[g.target(e)]][g.vertex_index[g.source(e)]] += 1
-    return IntMatrix.from_rows(data)
+    if g._adjacency is None:
+        n = len(g.vertices)
+        data = [[0] * n for _ in range(n)]
+        for e in g.edges:
+            data[g.vertex_index[g.target(e)]][g.vertex_index[g.source(e)]] += 1
+        g._adjacency = IntMatrix.from_rows(data)
+    return g._adjacency
 
 
 def _bool_rows(m: IntMatrix) -> list[int]:

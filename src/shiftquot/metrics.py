@@ -113,6 +113,8 @@ def d_stratum(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
 
 
 def _d_finite(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
+    if x == y:  # equal normal forms are the same point
+        return Fraction(0)
     return d_quotient_graph(p, x, y) + _lambda_hat(p, x, y)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .embedding import EmbeddingPair, epsilon
-from .graphs import Graph, GraphError
+from .graphs import Graph
 
 
 class RayError(ValueError):
@@ -42,6 +42,24 @@ def normal_form(prefix: Sequence[str], cycle: tuple[str, ...]) -> "LassoRay":
     return LassoRay(tuple(pre), cyc)
 
 
+def _lasso_fault(g: Graph, whole: tuple[str, ...], start: int) -> str | None:
+    """What LassoRay.make rejects in the edges `whole` whose cycle begins
+    at index `start`, or None: the first unknown edge, else the first
+    non-composable pair, else an open cycle.  One lookup per edge in each
+    of the graph's endpoint tables."""
+    try:
+        sources = list(map(g._src.__getitem__, whole))
+    except KeyError as exc:
+        return f"unknown edge {exc.args[0]!r}"
+    targets = list(map(g._dst.__getitem__, whole))
+    if targets[:-1] != sources[1:]:
+        i = next(i for i, (t, s) in enumerate(zip(targets, sources[1:])) if t != s)
+        return f"edges {whole[i]!r},{whole[i + 1]!r} are not composable"
+    if targets[-1] != sources[start]:
+        return "cycle does not close up"
+    return None
+
+
 @dataclass(frozen=True)
 class LassoRay:
     """Normal form: the cycle is primitive and the prefix is shortest
@@ -59,18 +77,9 @@ class LassoRay:
         cyc = tuple(cycle)
         if not cyc:
             raise RayError("cycle must be nonempty")
-        try:
-            for e in pre + cyc:
-                if not g.has_edge(e):
-                    raise GraphError(f"unknown edge {e!r}")
-            whole = pre + cyc
-            for a, b in zip(whole, whole[1:]):
-                if g.target(a) != g.source(b):
-                    raise GraphError(f"edges {a!r},{b!r} are not composable")
-            if g.target(cyc[-1]) != g.source(cyc[0]):
-                raise GraphError("cycle does not close up")
-        except GraphError as exc:
-            raise RayError(str(exc)) from None
+        fault = _lasso_fault(g, pre + cyc, len(pre))
+        if fault is not None:
+            raise RayError(fault)
         return normal_form(pre, cyc)
 
     def edge_at(self, n: int) -> str:
@@ -360,16 +369,29 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> LassoRay:
     target_n, target_t = level(p, y)
     target_angle = Angle.of(target_t)
 
-    best: tuple[tuple[int, Fraction, int], LassoRay] | None = None
-    for pref_idx, (e, rep) in enumerate(
-        (e, rep) for e in firsts for rep in reps
+    # a candidate e.rep is scored from rep's first level: a spare e puts a
+    # spare edge at position 1, an image e adds one leading digit; only its
+    # new junction needs a check, unless rep itself is not a lasso of G
+    g = p.g
+    scored = [(rep, level(p, rep), _lasso_fault(g, rep.prefix + rep.cycle, len(rep.prefix)))
+              for rep in reps]
+    best: tuple[tuple[int, Fraction, int], str, LassoRay] | None = None
+    for pref_idx, (e, (rep, (n, t), rep_fault)) in enumerate(
+        (e, r) for e in firsts for r in scored
     ):
-        z = LassoRay.make(p.g, (e,) + rep.prefix, rep.cycle)
-        nz, tz = level(p, z)
-        az = Angle.of(tz)
+        if rep_fault is not None:
+            raise RayError(_lasso_fault(g, (e,) + rep.prefix + rep.cycle, 1 + len(rep.prefix)))
+        head = rep.edge_at(1)
+        if g.target(e) != g.source(head):
+            raise RayError(f"edges {e!r},{head!r} are not composable")
+        if p.in_image(e):
+            nz, az = n + 1, Angle.of((epsilon(p, e) + t) / 2)
+        else:
+            nz, az = 1, Angle.of(0)
         matched = 0 if (nz == target_n and az == target_angle) else 1
         score = (matched, az.distance(target_angle), pref_idx)
         if best is None or score < best[0]:
-            best = (score, z)
+            best = (score, e, rep)
     assert best is not None
-    return best[1]
+    _, e, rep = best
+    return LassoRay.make(g, (e,) + rep.prefix, rep.cycle)

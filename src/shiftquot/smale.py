@@ -189,10 +189,25 @@ def tower_distance(
 
 def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
     """Local product coordinates: level 0 from x, deeper levels lifted
-    toward y one preimage at a time."""
-    d = tower_distance(p, x, y, ray_depth=ray_depth)
-    if d.hi > Fraction(1, 2):
-        raise SmaleError(f"bracket undefined: tower distance {d.hi} > 1/2")
+    toward y one preimage at a time.
+
+    Defined when the tower distance is at most 1/2.  Level n enters that
+    distance as 2^-n times a class distance whose upper end is at most the
+    diameter 3 plus the approximant slack 3 * 2^-ray_depth, so a level with
+    (3 + 3 * 2^-ray_depth) * 2^-n <= 1/2 can neither push the distance past
+    1/2 nor raise an upper end that already exceeds it.  Only the levels
+    before the first such n are read: levels 0-2 at the default ray depth.
+    """
+    if x.depth != y.depth:
+        raise SmaleError("towers must share their depth")
+    reach = 3 + 3 * Fraction(2) ** -ray_depth
+    hi = Fraction(3, 2**x.depth)
+    for n in range(x.depth + 1):
+        if reach / 2**n <= Fraction(1, 2):
+            break
+        hi = max(hi, d_class(p, x.level(n), y.level(n), ray_depth).hi / 2**n)
+    if hi > Fraction(1, 2):
+        raise SmaleError(f"bracket undefined: tower distance {hi} > 1/2")
     levels = [x.level(0)]
     for n in range(1, x.depth + 1):
         z = lift_preimage(p, levels[-1].rep, y.level(n).rep)

@@ -124,6 +124,15 @@ def test_bad_ray_is_usage_error(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ray ")
+    # a second '--' where the literal goes reaches the parser as no literal
+    for argv in (
+        ["fibers", full3, "--", "--"],
+        ["zeta", full3, "--", "--"],
+        ["distance", full3, "--", "--", "a;a"],
+        ["distance", full3, "--", "a;a", "--"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: ray literal missing\n"), argv
 
 
 DETOUR = """graph G

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftquot.algebra import homology_table, ruelle_k_theory
 from shiftquot.graphs import (
     Graph,
     IntMatrix,
@@ -34,6 +35,14 @@ def test_adjacency_orientation():
 def test_adjacency_edgeless():
     g = Graph(["v", "w"], [])
     assert adjacency_matrix(g).entries == ((0, 0), (0, 0))
+
+
+def test_adjacency_built_once_per_graph(full3):
+    a = adjacency_matrix(full3.g)
+    ruelle_k_theory(full3)
+    homology_table(full3)
+    assert adjacency_matrix(full3.g) is a
+    assert adjacency_matrix(full(3)) is not a and adjacency_matrix(full(3)) == a
 
 
 def test_primitive_full():
