@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,10 +266,8 @@ def cmd_fibers(args) -> int:
 def cmd_render(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
-    specs, pruned = geometry.circle_specs_report(
-        p, args.max_k, args.depth, Fraction(args.min_radius)
-    )
-    svg = geometry.render_svg(p, args.max_k, args.depth, Fraction(args.min_radius), args.scale)
+    specs, pruned = geometry.circle_specs_report(p, args.max_k, args.depth, args.min_radius)
+    svg = geometry.render_svg(p, args.max_k, args.depth, args.min_radius, args.scale)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"circles = {len(specs)}")
@@ -327,6 +327,29 @@ def _int_at_least(low: int):
     return parse
 
 
+def _min_radius(text: str) -> Fraction:
+    """argparse type: an exact rational such as 1/300, 0.001 or 1e-3."""
+    # Fraction builds 10**exponent, so a long exponent would hang the parse
+    if re.search(r"[eE][-+]?0*\d{5}", text.replace("_", "")):
+        raise argparse.ArgumentTypeError(f"exponent too large: {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
+def _scale(text: str) -> float:
+    """argparse type: a positive float whose picture (2.2 * scale wide) has
+    finite coordinates."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (value > 0 and math.isfinite(4 * value)):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use (parsing
@@ -365,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("bundle")
     c.add_argument("--max-k", type=_int_at_least(0), default=2)
     c.add_argument("--depth", type=depth, default=5)
-    c.add_argument("--min-radius", type=str, default="0")
-    c.add_argument("--scale", type=float, default=400.0)
+    c.add_argument("--min-radius", type=_min_radius, default=Fraction(0))
+    c.add_argument("--scale", type=_scale, default=400.0)
     c.add_argument("-o", "--output", required=True)
     c.set_defaults(fn=cmd_render)
 

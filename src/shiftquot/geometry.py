@@ -7,7 +7,11 @@ and radii are kept symbolically (rational coefficients times roots of
 unity); floats appear only at render time, with certified error bounds.
 Every center, radius and angle is dyadic, so the circle enumeration walks
 on integers (digit-sum numerators and radius exponents) and builds the
-exact Fraction and Angle values only for the circles it emits.
+exact Fraction and Angle values only for the circles it emits, each
+distinct value once per call: the emitted specs share them.  Rendering
+likewise turns each distinct coefficient and angle into a float once and
+formats each distinct circle once.  A walk that would visit more than
+CIRCLE_BUDGET circles is refused before it starts.
 """
 
 from __future__ import annotations
@@ -150,6 +154,51 @@ def _steps_to_spare(p: EmbeddingPair) -> dict[str, int | float]:
     return dist
 
 
+CIRCLE_BUDGET = 250_000
+"""Most circles, kept or pruned, that one circle enumeration may visit.
+twovertex has 233,785 at max_k 3, depth 8 (`render` takes about 9 s and
+330 MiB on a 2-vCPU VM) and 945,977 at depth 9."""
+
+
+def circle_count(
+    p: EmbeddingPair, max_k: int, max_depth: int, stop: int | float = math.inf
+) -> int:
+    """Circles the walk of circle_specs_report visits, pruned ones included:
+    the unit circle plus one per path of length <= max_depth that ends in
+    its j-th spare edge (1 <= j <= max_k) at a vertex with an all-image
+    tail.  A transfer recurrence over (vertex, spare edges so far), which
+    drops paths that can reach no further spare edge within max_depth (as
+    the walk does) and returns early, with a partial count, at the first
+    length where the count exceeds `stop`.
+    """
+    g = p.g
+    has_tail = {v for v in g.vertices if p.completion[v].xi_tail is not None}
+    to_spare = _steps_to_spare(p)
+    # live[(v, j)]: paths ending at v with j < max_k spare edges
+    live = {(v, 0): 1 for v in g.vertices if to_spare[v] <= max_depth} if max_k > 0 else {}
+    total = 1
+    for length in range(1, max_depth + 1):
+        if not live or total > stop:
+            break
+        room = max_depth - length
+        nxt: dict[tuple[str, int], int] = {}
+        for (v, j), c in live.items():
+            for e in g.out_edges(v):
+                w = g.target(e)
+                if p.in_image(e):
+                    key = (w, j)
+                else:
+                    if w in has_tail:
+                        total += c
+                    if j + 1 == max_k:
+                        continue
+                    key = (w, j + 1)
+                if to_spare[w] <= room:
+                    nxt[key] = nxt.get(key, 0) + c
+        live = nxt
+    return total
+
+
 def circle_specs_report(
     p: EmbeddingPair,
     max_k: int,
@@ -158,25 +207,44 @@ def circle_specs_report(
 ) -> tuple[list[CircleSpec], Fraction]:
     """circle_specs plus the total radius of pruned circles.
 
+    Raises EmbeddingError, before walking, if the walk would visit more
+    than CIRCLE_BUDGET circles (circle_count, pruned circles included).
+
     The walk carries dyadic integers only: the digit sum of the current gap
     as a numerator N over 2^gap, and each radius as its exponent e (radius
     2^-e).  A level is the tuple (count, e, levels, center terms, gap chain,
-    numerator chain); its exact angle and center coefficient are built once,
-    when it is pushed, and only if circles of its size are kept.  Circles
-    with equal gap chains have equal angle denominators, so (stratum, gap
-    chain, numerator chain) sorts exactly like the angle chain, and the
-    stable sort keeps ties in walk order.  Edges from which no spare edge
-    is reachable within the depth are skipped: they emit nothing.
+    numerator chain); its exact angle and center coefficient are taken when
+    it is pushed, and only if circles of its size are kept.  Tables that
+    live for this call build each distinct value once: the angle keyed by
+    (gap, N), the center coefficient by (gap, e of the enclosing level) and
+    the radius by e, so emitted specs share them.  Circles with equal gap
+    chains have equal angle denominators, so (stratum, gap chain, numerator
+    chain) sorts exactly like the angle chain, and the stable sort keeps
+    ties in walk order.  Edges from which no spare edge is reachable within
+    the depth are skipped: they emit nothing.
+
+    render_svg walks again rather than take the specs its caller already
+    holds, so `render` walks twice: the benchmark's smoke test pins two
+    walks per render job, and one walk waits for a change to the benchmark.
     """
     tables = p.completion
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
     has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
     if not has_tail:
         raise EmbeddingError("no all-image tails exist (the small graph has no cycle)")
+    count = circle_count(p, max_k, max_depth, stop=CIRCLE_BUDGET)
+    if count > CIRCLE_BUDGET:
+        raise EmbeddingError(
+            f"the circle walk would visit at least {count:,} circles, more than "
+            f"the budget of {CIRCLE_BUDGET:,}: lower the depth or max_k"
+        )
     # radius 2^-e is kept iff 2^-e >= min_r, i.e. iff e <= e_max
     e_max = math.inf if min_r <= 0 else (min_r.denominator // min_r.numerator).bit_length() - 1
     found: list[tuple[tuple, CircleSpec]] = []
     pruned: dict[int, int] = {}  # exponent -> number of pruned circles
+    angles: dict[tuple[int, int], Angle] = {}
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    radii: dict[int, Fraction] = {}
 
     # stratum zero: the unit circle itself
     if e_max >= 0:
@@ -216,13 +284,23 @@ def circle_specs_report(
             gaps += (n,)
             nums += (num,)
             if radius_exp <= e_max:
-                angle = Angle(Fraction(num, 1 << gap))
+                # N / 2^gap in lowest terms, so that equal angles are one object
+                shift = (num & -num).bit_length() - 1 if num else gap
+                key = (gap - shift, num >> shift)
+                angle = angles.get(key)
+                if angle is None:
+                    angle = angles[key] = Angle(Fraction(key[1], 1 << key[0]))
                 levels += ((n, angle),)
                 if n > 1:
-                    terms += ((Fraction((1 << gap) - 1, 1 << (gap + e0)), angle),)
+                    coeff = coeffs.get((gap, e0))
+                    if coeff is None:
+                        coeff = coeffs[gap, e0] = Fraction((1 << gap) - 1, 1 << (gap + e0))
+                    terms += ((coeff, angle),)
                 if at in has_tail:
-                    spec = CircleSpec(tuple(prefix), levels, terms, Fraction(1, 1 << radius_exp))
-                    found.append(((k + 1, gaps, nums), spec))
+                    radius = radii.get(radius_exp)
+                    if radius is None:
+                        radius = radii[radius_exp] = Fraction(1, 1 << radius_exp)
+                    found.append(((k + 1, gaps, nums), CircleSpec(tuple(prefix), levels, terms, radius)))
             elif at in has_tail:
                 pruned[radius_exp] = pruned.get(radius_exp, 0) + 1
             if k + 1 == max_k:
@@ -303,7 +381,13 @@ def render_svg(
     min_radius: Fraction | float,
     scale: float,
 ) -> str:
-    """Deterministic SVG of the circle specifications (byte-reproducible)."""
+    """Deterministic SVG of the circle specifications (byte-reproducible).
+
+    Specs with equal levels are one circle, and their sort puts them next
+    to each other, so each run of them is drawn from one formatted line;
+    each distinct coefficient and angle becomes a float once.  The center
+    sums its terms as CircleSpec.center_value does, so the bytes match it.
+    """
     specs = circle_specs(p, max_k, max_depth, min_radius)
     margin = 1.1
     size = 2 * margin * scale
@@ -316,15 +400,28 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(size)}" height="{fmt(size)}" '
         f'viewBox="0 0 {fmt(size)} {fmt(size)}">',
     ]
+    # keyed by id: the walk builds each distinct value once, and specs
+    # holds every key alive until the loop ends
+    floats: dict[int, float] = {}
+    units: dict[int, complex] = {}
+    last: CircleSpec | None = None
     for spec in specs:
-        c = spec.center_value()
-        cx = margin * scale + scale * c.real
-        cy = margin * scale - scale * c.imag
-        r = scale * float(spec.radius)
-        lines.append(
-            f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
-            'fill="none" stroke="black" stroke-width="0.5"/>'
-        )
+        if last is None or spec.levels != last.levels:
+            last = spec
+            for coeff, a in spec.center_terms:
+                if id(coeff) not in floats:
+                    floats[id(coeff)] = float(coeff)
+                if id(a) not in units:
+                    units[id(a)] = _angle_complex(a)
+            c = sum((floats[id(coeff)] * units[id(a)] for coeff, a in spec.center_terms), 0j)
+            cx = margin * scale + scale * c.real
+            cy = margin * scale - scale * c.imag
+            r = scale * float(spec.radius)
+            line = (
+                f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
+                'fill="none" stroke="black" stroke-width="0.5"/>'
+            )
+        lines.append(line)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

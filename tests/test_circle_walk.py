@@ -1,16 +1,30 @@
 """Differential test of the circle enumeration: the integer walk in
 circle_specs_report against a reference walk that carries every digit sum,
-angle and radius as an exact Fraction and sorts by CircleSpec.sort_key."""
+angle and radius as an exact Fraction and sorts by CircleSpec.sort_key, and
+render_svg against a reference that formats every circle on its own.  The
+circle budget's pre-count is checked against the reference walk, and
+counting wrappers check that each distinct value is built once."""
 
 from fractions import Fraction
 
 import pytest
 
+from shiftquot import geometry
 from shiftquot.algebra import FgAbelianGroup, synthesize_seed
-from shiftquot.embedding import EmbeddingPair, epsilon
-from shiftquot.geometry import CircleSpec, _spec_from_levels, circle_specs_report
+from shiftquot.cli import main
+from shiftquot.embedding import EmbeddingError, EmbeddingPair, epsilon
+from shiftquot.geometry import (
+    CIRCLE_BUDGET,
+    CircleSpec,
+    _spec_from_levels,
+    circle_count,
+    circle_specs_report,
+    render_svg,
+)
 from shiftquot.graphs import Graph
 from shiftquot.rays import Angle
+
+from conftest import bundle_path
 
 
 def reference_specs_report(p, max_k, max_depth, min_radius=0):
@@ -56,6 +70,33 @@ def reference_specs_report(p, max_k, max_depth, min_radius=0):
     return out, pruned
 
 
+def reference_svg(specs, scale):
+    """SVG of the specs, each circle's center evaluated and its line
+    formatted on its own."""
+    margin = 1.1
+    size = 2 * margin * scale
+
+    def fmt(v: float) -> str:
+        return f"{v:.9f}"
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(size)}" height="{fmt(size)}" '
+        f'viewBox="0 0 {fmt(size)} {fmt(size)}">',
+    ]
+    for spec in specs:
+        c = spec.center_value()
+        cx = margin * scale + scale * c.real
+        cy = margin * scale - scale * c.imag
+        r = scale * float(spec.radius)
+        lines.append(
+            f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
+            'fill="none" stroke="black" stroke-width="0.5"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
 def split_pair():
     """Two image loops at u, two at z and one spare edge u -> z: no spare
     edge is reachable from z, so every walk through z is skipped."""
@@ -66,18 +107,34 @@ def split_pair():
     return EmbeddingPair(g, h, vm, {"la": "p0", "lb": "s0"}, vm, {"la": "p1", "lb": "s1"})
 
 
-def assert_same(p, max_k, depth):
+def tailless_pair():
+    """Two image loops at u and spare edges u -> w -> u: w has no all-image
+    tail, so circles ending there are neither drawn nor pruned."""
+    g = Graph(["u", "w"], [("p0", "u", "u"), ("p1", "u", "u"), ("c", "u", "w"), ("d", "w", "u")])
+    h = Graph(["a"], [("la", "a", "a")])
+    vm = {"a": "u"}
+    return EmbeddingPair(g, h, vm, {"la": "p0"}, vm, {"la": "p1"})
+
+
+def assert_same(p, max_k, depth, svg=False):
     """The walk equals the reference at min radius 0, and at a Fraction and
-    a float threshold equals the reference list split at that radius."""
+    a float threshold equals the reference list split at that radius.  The
+    pre-count equals the reference's circles, kept plus pruned; with
+    svg=True, render_svg's bytes equal the reference's at every threshold
+    and at two scales."""
     every, none_pruned = reference_specs_report(p, max_k, depth)
     assert none_pruned == 0
+    assert circle_count(p, max_k, depth) == len(every), (max_k, depth)
     assert circle_specs_report(p, max_k, depth) == (every, 0), (max_k, depth)
-    for min_radius in (Fraction(1, 300), 0.001):
+    for min_radius in (0, Fraction(1, 300), 0.001):
         min_r = Fraction(min_radius).limit_denominator(10**12)
         kept = [spec for spec in every if spec.radius >= min_r]
         pruned = sum((spec.radius for spec in every if spec.radius < min_r), Fraction(0))
         got = circle_specs_report(p, max_k, depth, min_radius)
         assert got == (kept, pruned), (max_k, depth, min_radius)
+        for scale in (400.0, 37.5) if svg else ():
+            assert render_svg(p, max_k, depth, min_radius, scale) == reference_svg(kept, scale), (
+                max_k, depth, min_radius, scale)
 
 
 @pytest.mark.parametrize("name", ["full3", "full2", "twovertex"])
@@ -85,7 +142,7 @@ def test_walk_matches_reference_on_bundles(name, request):
     p = request.getfixturevalue(name)
     for max_k in range(4):
         for depth in range(1, 7):
-            assert_same(p, max_k, depth)
+            assert_same(p, max_k, depth, svg=True)
 
 
 def test_walk_matches_reference_where_branches_are_skipped():
@@ -97,6 +154,13 @@ def test_walk_matches_reference_where_branches_are_skipped():
     assert len(specs) > 1 and all(spec.prefix.count("c") == 1 for spec in specs[1:])
 
 
+def test_walk_matches_reference_with_a_tailless_vertex():
+    p = tailless_pair()
+    for max_k in range(4):
+        for depth in range(1, 7):
+            assert_same(p, max_k, depth, svg=True)
+
+
 @pytest.mark.parametrize("k0, k1", [
     (FgAbelianGroup(0, ()), FgAbelianGroup(0, ())),
     (FgAbelianGroup(0, (2,)), FgAbelianGroup(1)),
@@ -106,7 +170,7 @@ def test_walk_matches_reference_on_synthesized_seeds(k0, k1):
     p = synthesize_seed(k0, k1)
     for max_k in range(4):
         for depth in range(1, 4):
-            assert_same(p, max_k, depth)
+            assert_same(p, max_k, depth, svg=True)
 
 
 def test_pruned_sum_is_exact_at_every_threshold(full3):
@@ -114,3 +178,49 @@ def test_pruned_sum_is_exact_at_every_threshold(full3):
     for min_radius in (Fraction(1, 16), Fraction(1, 17), Fraction(1, 15), 2, Fraction(-1), 1 / 64):
         got = circle_specs_report(full3, 2, 5, min_radius)
         assert got == reference_specs_report(full3, 2, 5, min_radius)
+
+
+@pytest.mark.parametrize("name, max_k, depth", [("twovertex", 2, 6), ("full3", 3, 7)])
+def test_each_distinct_value_is_built_once(name, max_k, depth, request, monkeypatch):
+    p = request.getfixturevalue(name)
+    built = []
+
+    def counting_angle(turns):
+        built.append(turns)
+        return Angle(turns)
+
+    monkeypatch.setattr(geometry, "Angle", counting_angle)
+    specs, _ = circle_specs_report(p, max_k, depth)
+    monkeypatch.undo()
+    # every vertex of these seeds has a tail, so every level built is emitted
+    keys = {(n - 1, a.turns * 2 ** (n - 1)) for spec in specs for n, a in spec.levels}
+    assert len(built) <= len(keys) < len(specs)
+    assert len(set(built)) == len(built)
+
+    units = []
+
+    def counting_unit(a):
+        units.append(a)
+        return complex(1, len(units))
+
+    monkeypatch.setattr(geometry, "_angle_complex", counting_unit)
+    render_svg(p, max_k, depth, 0, 400.0)
+    assert len(units) <= len({a for spec in specs for _, a in spec.center_terms})
+
+
+def test_budget_admits_the_largest_render_below_it(twovertex):
+    assert circle_count(twovertex, 2, 6) == 7_225  # the bench's largest render
+    assert circle_count(twovertex, 3, 8) == 233_785 <= CIRCLE_BUDGET
+    assert circle_count(twovertex, 3, 9) == 945_977
+
+
+def test_render_over_budget_is_refused_before_the_walk(twovertex, tmp_path, capsys):
+    with pytest.raises(EmbeddingError, match="945,977 circles.*250,000"):
+        circle_specs_report(twovertex, 3, 9)
+    out = tmp_path / "big.svg"
+    argv = ["render", bundle_path("twovertex.bundle"), "--max-k", "3", "--depth", "9", "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the circle walk would visit at least 945,977 circles")
+    assert not out.exists()

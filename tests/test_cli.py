@@ -209,13 +209,33 @@ def test_render_without_reachable_spare_edge_is_immediate(tmp_path, capsys, dept
     ["render", "--depth", "-3"],
     ["render", "--max-k", "-2"],
     ["render", "--depth", "x"],
+    ["render", "--min-radius", "1/0"],
+    ["render", "--min-radius", "x"],
+    ["render", "--min-radius", "1e-99999"],
+    ["render", "--scale", "nan"],
+    ["render", "--scale", "inf"],
+    ["render", "--scale", "-5"],
+    ["render", "--scale", "0"],
+    ["render", "--scale", "1e308"],
 ])
 def test_render_out_of_range_is_usage_error(capsys, tmp_path, argv):
     out = tmp_path / "r.svg"
-    code, _, err = run(capsys, argv[0], bundle_path("full3.bundle"), *argv[1:], "-o", str(out))
+    code, text, err = run(capsys, argv[0], bundle_path("full3.bundle"), *argv[1:], "-o", str(out))
     assert code == 2
+    assert text == ""
     assert "--" in err
     assert not out.exists()
+
+
+def test_render_min_radius_is_read_exactly(capsys, tmp_path):
+    outputs = []
+    for i, literal in enumerate(["1/1000", "0.001", "1e-3", "1_000e-6"]):
+        out = tmp_path / f"{i}.svg"
+        code, text, _ = run(capsys, "render", bundle_path("full3.bundle"), "--max-k", "3",
+                            "--depth", "7", "--min-radius", literal, "-o", str(out))
+        assert code == 0
+        outputs.append((text.splitlines()[:2], out.read_bytes()))
+    assert all(o == outputs[0] for o in outputs)
 
 
 @pytest.mark.parametrize("argv", [

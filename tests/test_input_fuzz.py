@@ -1,9 +1,11 @@
-"""Bundle text and group literals fuzzed through their parsers.
+"""Bundle text, group literals and render options fuzzed through their
+parsers.
 
 Every input gives an answer or a documented error: `check` on any bundle
-text exits 0, 1 or 2 with no escaping exception, and `parse_group`
-raises nothing but `BundleError`.  `synthesize` is left out, because a
-large rank or factor builds a large seed.
+text exits 0, 1 or 2 with no escaping exception, `parse_group` raises
+nothing but `BundleError`, and `render` exits 0 with a finite picture or
+1 or 2 with no output file.  `synthesize` is left out, because a large
+rank or factor builds a large seed.
 """
 
 import contextlib
@@ -107,3 +109,47 @@ def test_parse_group_raises_only_bundle_errors(text):
 def test_group_term_past_the_digit_limit_is_a_parse_error(literal):
     with pytest.raises(BundleError, match="too many digits"):
         parse_group(literal)
+
+
+def _render_argv():
+    small_int = st.integers(-1, 4).map(str)
+    junk = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    radius = st.one_of(
+        st.sampled_from(["0", "1/300", "0.001", "1e-3", "-1", "2", "1/0", "1e99999", "nan", "1_0/3"]),
+        st.fractions(max_denominator=10**6).map(str),
+        st.floats().map(repr),
+        junk,
+    )
+    scale = st.one_of(
+        st.sampled_from(["400", "1e-300", "1e308", "0", "-5", "nan", "inf", "-inf", "1_0"]),
+        st.floats().map(repr),
+        junk,
+    )
+    options = st.fixed_dictionaries({}, optional={
+        "--max-k": st.one_of(small_int, junk),
+        "--depth": st.one_of(small_int, junk),
+        "--min-radius": radius,
+        "--scale": scale,
+    })
+    bundle = st.sampled_from(["full3.bundle", "twovertex.bundle", "full2.bundle", "missing.bundle"])
+    return st.tuples(bundle, options).map(
+        lambda t: ["render", bundle_path(t[0]), *(f"{k}={v}" for k, v in t[1].items())]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_render_argv())
+def test_render_on_fuzzed_options_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.svg")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "-o", path])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == "" and not os.path.exists(path)
+            return
+        with open(path, encoding="utf-8") as fh:
+            svg = fh.read()
+    assert out.getvalue().startswith("circles = ")
+    assert "nan" not in svg and "inf" not in svg and 'width="-' not in svg
