@@ -542,20 +542,42 @@ def realize_group_matrix(target: FgAbelianGroup, d0: int, m0: int) -> IntMatrix:
     return b + IntMatrix.identity(d)
 
 
+SYNTH_EDGE_BUDGET = 250_000
+"""Most G-edges a synthesized seed may have.  The entries of A and B grow
+with the torsion orders: K1 = Z/10000 (K0 torsion Z/4) gives 80,032
+G-edges, 100,040 edges with H's (about 0.7 s on a 2-vCPU VM); Z/100000
+gives 800,032 and 1,000,040 (about 11 s)."""
+
+
+def _check_edge_budget(edges: int, at_least: str = "") -> None:
+    if edges > SYNTH_EDGE_BUDGET:
+        raise AlgebraError(
+            f"the synthesized seed would have {at_least}{edges:,} G-edges, more than "
+            f"the budget of {SYNTH_EDGE_BUDGET:,}: lower the torsion orders or the rank"
+        )
+
+
 def synthesize_seed(k0_torsion: FgAbelianGroup, k1: FgAbelianGroup) -> EmbeddingPair:
     """Build a seed bundle whose crossed-product K-groups realize the
     prescribed pair (K0 torsion part, K1).
 
     The small graph presents K1 through I - A; the big graph presents the
     K0 torsion through I - B with entries large enough to embed the small
-    graph twice disjointly and leave spare parallel edges.
+    graph twice disjointly and leave spare parallel edges.  G's edge count
+    is the entry sum of B; above SYNTH_EDGE_BUDGET the seed is refused
+    before any edge is built.
     """
     if k0_torsion.rank != 0:
         raise AlgebraError("the K0 target must be torsion-only (rank 0)")
+    # B has at least this many rows, and its entries are at least 3, so a
+    # long target is refused before A and B are built
+    rows = max(k1.rank + len(k1.torsion) + 1, len(k0_torsion.torsion) + 1, 2)
+    _check_edge_budget(3 * rows * rows, "at least ")
     a = realize_group_matrix(k1, 1, 1)
     d = a.rows
     m0 = max(2 * x + 1 for row in a.entries for x in row)
     b = realize_group_matrix(k0_torsion, d, m0)
+    _check_edge_budget(sum(map(sum, b.entries)))
     dprime = b.rows
 
     h_vertices = [f"w{i}" for i in range(d)]

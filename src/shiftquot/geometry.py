@@ -71,7 +71,7 @@ def zeta_approx(
     value by at most 8 * 3 * 2^-N via the Lipschitz bound), and the exact
     term sum is evaluated in floating point (tiny rounding slack added).
     """
-    j = sum(1 for i in range(1, depth + 1) if not p.in_image(x.edge_at(i)))
+    j = sum(1 for e in x.head(depth) if not p.in_image(e))
     xa = stratum_approximant(p, x, depth, j)
     terms = zeta_exact_terms(p, xa)
     value = _eval_terms(terms)

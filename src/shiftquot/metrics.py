@@ -20,9 +20,9 @@ from .rays import (
     ClassPoint,
     LassoRay,
     RayError,
+    _raw_levels,
     first_difference,
     kappa,
-    levels,
     stratum_approximant,
 )
 
@@ -91,12 +91,14 @@ def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     to mixed finite strata exactly.
     """
     exponent = 0
-    # a finite level's digit sum lies in [0, 1), so equal sums are equal
-    # angles; the loop stops at the first tail, which needs the reduction
-    for (nx, tx), (ny, ty) in zip(levels(p, x), levels(p, y)):
-        if nx != ny or tx != ty or nx == math.inf:
+    # a finite level's digit sum lies in [0, 1) over 2^(gap - 1), so at equal
+    # gaps equal numerators are equal angles; the loop stops at the first
+    # tail, which needs the reduction
+    for (nx, ax, dx), (ny, ay, dy) in zip(_raw_levels(p, x), _raw_levels(p, y)):
+        if nx != ny or ax != ay or nx == math.inf:
             break
         exponent += 2 + nx
+    tx, ty = Fraction(ax, dx), Fraction(ay, dy)
     wx = Fraction(0) if nx == math.inf else Fraction(1, 2**nx)
     wy = Fraction(0) if ny == math.inf else Fraction(1, 2**ny)
     return (abs(wx - wy) + Angle.of(tx).distance(Angle.of(ty))) / 2**exponent
@@ -130,8 +132,8 @@ def d_extended(p: EmbeddingPair, x: LassoRay, y: LassoRay, depth: int = 12) -> M
     if kx != math.inf and ky != math.inf:
         return MetricInterval.point(_d_finite(p, x, y))
     inner = depth + 1
-    jx = sum(1 for i in range(1, inner + 1) if not p.in_image(x.edge_at(i)))
-    jy = sum(1 for i in range(1, inner + 1) if not p.in_image(y.edge_at(i)))
+    jx = sum(1 for e in x.head(inner) if not p.in_image(e))
+    jy = sum(1 for e in y.head(inner) if not p.in_image(e))
     K = max(jx, jy)
     xa = x if kx == K else stratum_approximant(p, x, inner, K)
     ya = y if ky == K else stratum_approximant(p, y, inner, K)

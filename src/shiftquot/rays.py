@@ -91,7 +91,13 @@ class LassoRay:
         return self.cycle[(n - 1 - len(self.prefix)) % len(self.cycle)]
 
     def head(self, n: int) -> tuple[str, ...]:
-        return tuple(self.edge_at(i) for i in range(1, n + 1))
+        """Edges at positions 1..n."""
+        return tuple(itertools.islice(_edges(self), max(n, 0)))
+
+
+def _edges(x: LassoRay) -> Iterator[str]:
+    """The edges of x at positions 1, 2, ..., without end."""
+    return itertools.chain(x.prefix, itertools.cycle(x.cycle))
 
 
 def parse_ray(g: Graph, text: str) -> LassoRay:
@@ -171,14 +177,20 @@ def levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, Fractio
     many spare edges the walk ends with (math.inf, full series of the
     all-image tail), a value in [0, 1]; otherwise it never ends.
     """
+    for gap, num, den in _raw_levels(p, x):
+        yield gap, Fraction(num, den)
+
+
+def _raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int, int]]:
+    """levels, each digit sum as a numerator and a denominator (unreduced)."""
     edges: Iterable[str] = x.prefix
     if any(not p.in_image(e) for e in x.cycle):
-        edges = itertools.chain(x.prefix, itertools.cycle(x.cycle))
+        edges = _edges(x)
     gap = digits = 0
     for e in edges:
         gap += 1
         if not p.in_image(e):
-            yield gap, Fraction(digits, 2 ** (gap - 1))
+            yield gap, digits, 1 << (gap - 1)
             gap = digits = 0
         else:
             digits = digits << 1 | epsilon(p, e)
@@ -187,7 +199,7 @@ def levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, Fractio
     for e in x.cycle:
         lap = lap << 1 | epsilon(p, e)
     period = 2 ** len(x.cycle) - 1
-    yield math.inf, Fraction(digits * period + lap, 2**gap * period)
+    yield math.inf, digits * period + lap, period << gap
 
 
 def level(p: EmbeddingPair, x: LassoRay) -> tuple[int | float, Fraction]:
@@ -266,9 +278,16 @@ def first_difference(x: LassoRay, y: LassoRay) -> int | None:
     they are equal."""
     if x == y:
         return None
+    # the prefixes side by side, then both edge streams past the shorter one
+    n = 0
+    for a, b in zip(x.prefix, y.prefix):
+        n += 1
+        if a != b:
+            return n
     bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle)) + 1
-    for n in range(1, bound + 1):
-        if x.edge_at(n) != y.edge_at(n):
+    for a, b in itertools.islice(zip(_edges(x), _edges(y)), n, bound):
+        n += 1
+        if a != b:
             return n
     return None
 
@@ -276,11 +295,17 @@ def first_difference(x: LassoRay, y: LassoRay) -> int | None:
 def canonical(p: EmbeddingPair, x: LassoRay) -> ClassPoint:
     """Canonical class representative: the positionwise lexicographically
     smaller of x and its flip (by global edge index)."""
+    return _canonical_and_partner(p, x)[0]
+
+
+def _canonical_and_partner(p: EmbeddingPair, x: LassoRay) -> tuple[ClassPoint, LassoRay | None]:
+    """canonical(p, x) and the flip of its representative.  flip is an
+    involution, so that flip is the one just computed or x itself."""
     other = flip(p, x)
     n = None if other is None else first_difference(x, other)
     if n is None or p.g.edge_index[x.edge_at(n)] < p.g.edge_index[other.edge_at(n)]:
-        return ClassPoint(x)
-    return ClassPoint(other)
+        return ClassPoint(x), other
+    return ClassPoint(other), x
 
 
 def class_equal(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> bool:
@@ -352,46 +377,58 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> LassoRay:
     y's is chosen; this is what makes the contraction bound
     d(z, y) <= d(x, shift(y)) / 2 hold through binary carries.
     """
+    return _lift(p, x, y)
+
+
+_FLIP = object()  # _lift's default: compute the carry partner itself
+
+
+def _lift(p: EmbeddingPair, x: LassoRay, y: LassoRay, other: object = _FLIP) -> LassoRay:
+    """lift_preimage, given x's flip as `other` when the caller has it."""
+    g = p.g
     y1 = y.edge_at(1)
     x1 = x.edge_at(1)
-    if p.g.target(y1) != p.g.source(x1):
+    if g.target(y1) != g.source(x1):
         raise RayError("first edge of x is not composable after the first edge of y")
 
-    reps = [x]
-    other = flip(p, x)
-    if other is not None and other != x:
-        reps.append(other)
+    if other is _FLIP:
+        other = flip(p, x)
+    reps = [x] if other is None or other == x else [x, other]
     if p.in_image(y1):
         firsts = [y1, p.partner(y1)]
     else:
         firsts = [y1]
 
-    target_n, target_t = level(p, y)
-    target_angle = Angle.of(target_t)
-
     # a candidate e.rep is scored from rep's first level: a spare e puts a
     # spare edge at position 1, an image e adds one leading digit; only its
     # new junction needs a check, unless rep itself is not a lasso of G
-    g = p.g
-    scored = [(rep, level(p, rep), _lasso_fault(g, rep.prefix + rep.cycle, len(rep.prefix)))
-              for rep in reps]
-    best: tuple[tuple[int, Fraction, int], str, LassoRay] | None = None
-    for pref_idx, (e, (rep, (n, t), rep_fault)) in enumerate(
-        (e, r) for e in firsts for r in scored
-    ):
-        if rep_fault is not None:
+    target_n, t_num, t_den = next(_raw_levels(p, y))
+    scored = [
+        (rep, next(_raw_levels(p, rep)), _lasso_fault(g, rep.prefix + rep.cycle, len(rep.prefix)))
+        for rep in reps
+    ]
+    candidates = [(e, rep, lv, fault) for e in firsts for rep, lv, fault in scored]
+    for e, rep, _, fault in candidates:
+        if fault is not None:
             raise RayError(_lasso_fault(g, (e,) + rep.prefix + rep.cycle, 1 + len(rep.prefix)))
         head = rep.edge_at(1)
         if g.target(e) != g.source(head):
             raise RayError(f"edges {e!r},{head!r} are not composable")
+
+    # the first candidate landing on y's level and angle has the best score
+    # (0, 0, index); without one, the nearest angle wins, the first on ties.
+    # An angle is a numerator and a denominator reduced mod 1 (sums lie in [0, 1])
+    t_num %= t_den
+    angles = []
+    for e, rep, (n, num, den), _ in candidates:
         if p.in_image(e):
-            nz, az = n + 1, Angle.of((epsilon(p, e) + t) / 2)
+            n, num, den = n + 1, (epsilon(p, e) * den + num) % (2 * den), 2 * den
         else:
-            nz, az = 1, Angle.of(0)
-        matched = 0 if (nz == target_n and az == target_angle) else 1
-        score = (matched, az.distance(target_angle), pref_idx)
-        if best is None or score < best[0]:
-            best = (score, e, rep)
-    assert best is not None
-    _, e, rep = best
+            n, num, den = 1, 0, 1
+        if n == target_n and num * t_den == t_num * den:
+            break
+        angles.append(Angle(Fraction(num, den)))
+    else:
+        target = Angle(Fraction(t_num, t_den))
+        e, rep, _, _ = candidates[min(range(len(angles)), key=lambda i: angles[i].distance(target))]
     return LassoRay.make(g, (e,) + rep.prefix, rep.cycle)

@@ -9,14 +9,25 @@ quotient space has diameter at most 3).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterator
 
 from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph, GraphError, paths_of_length
 from .metrics import MetricInterval, d_class
-from .rays import ClassPoint, LassoRay, canonical, lift_preimage, normal_form, shift
+from .rays import (
+    _FLIP,
+    ClassPoint,
+    LassoRay,
+    _canonical_and_partner,
+    _lift,
+    canonical,
+    normal_form,
+    shift,
+)
 
 
 class SmaleError(ValueError):
@@ -81,7 +92,16 @@ class BiLasso:
         return self.origin + len(self.core) - 1
 
     def window(self, a: int, b: int) -> tuple[str, ...]:
-        return tuple(self.edge_at(n) for n in range(a, b + 1))
+        """Edges at positions a..b (empty when a > b), read as one slice of
+        the past cycle, the core and the future cycle each."""
+        lo = self.origin
+        hi = self.origin + len(self.core)  # first future position
+        start = max(a, hi)
+        return (
+            *_laps(self.past, a - lo, min(b + 1, lo) - a),
+            *self.core[max(a, lo) - lo : max(0, min(b + 1, hi) - lo)],
+            *_laps(self.future, start - hi, b + 1 - start),
+        )
 
     def ray_from(self, n: int) -> LassoRay:
         """The one-sided ray read from position n onward."""
@@ -90,6 +110,13 @@ class BiLasso:
             k = (n - first_future) % len(self.future)
             return normal_form((), self.future[k:] + self.future[:k])
         return normal_form(self.window(n, first_future - 1), self.future)
+
+
+def _laps(cycle: tuple[str, ...], k: int, count: int) -> Iterator[str]:
+    """`count` edges (none when count <= 0) of the cycle repeating from its
+    index k, taken mod its length."""
+    k %= len(cycle)
+    return itertools.islice(itertools.cycle(cycle[k:] + cycle[:k]), max(count, 0))
 
 
 def shift_bilasso(x: BiLasso) -> BiLasso:
@@ -172,18 +199,33 @@ def inv_shift_tower(t: Tower) -> Tower:
 def tower_distance(
     p: EmbeddingPair, x: Tower, y: Tower, depth: int | None = None, ray_depth: int = 16
 ) -> MetricInterval:
-    """Certified sup-metric enclosure over the truncated levels, with the
-    3 * 2^-M tail bound for everything beyond the truncation."""
+    """Certified sup-metric enclosure over the truncated levels 0..M, with
+    the 3 * 2^-M tail bound for everything beyond the truncation.
+
+    Level n enters as 2^-n times a class distance whose upper end is at
+    most the diameter 3 plus the approximant slack 3 * 2^-ray_depth, so it
+    adds at most (3 + 3 * 2^-ray_depth) * 2^-n to either end.  At the first
+    n where that bound is at most the running lower end, no later level can
+    raise the lower end or the upper end (which is never below it), and
+    the levels from n on are not read; an error such a level would raise
+    does not surface.
+    """
     if x.depth != y.depth:
         raise SmaleError("towers must share their depth")
+    if depth is not None and depth < 0:
+        raise SmaleError(f"depth must be at least 0, got {depth}")
     m = x.depth if depth is None else min(depth, x.depth)
+    reach = 3 + 3 * Fraction(2) ** -ray_depth
     lo = Fraction(0)
     hi = Fraction(3, 2**m)
     for n in range(m + 1):
+        if reach <= lo:
+            break
         d = d_class(p, x.level(n), y.level(n), ray_depth)
         w = Fraction(1, 2**n)
         lo = max(lo, w * d.lo)
         hi = max(hi, w * d.hi)
+        reach /= 2
     return MetricInterval(lo, hi)
 
 
@@ -208,10 +250,14 @@ def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
         hi = max(hi, d_class(p, x.level(n), y.level(n), ray_depth).hi / 2**n)
     if hi > Fraction(1, 2):
         raise SmaleError(f"bracket undefined: tower distance {hi} > 1/2")
+    # canonical(p, z) has just flipped z, so each lift after the first is
+    # handed its rep's carry partner instead of flipping the rep again
     levels = [x.level(0)]
+    partner = _FLIP  # the first lift flips its rep itself
     for n in range(1, x.depth + 1):
-        z = lift_preimage(p, levels[-1].rep, y.level(n).rep)
-        levels.append(canonical(p, z))
+        z = _lift(p, levels[-1].rep, y.level(n).rep, partner)
+        point, partner = _canonical_and_partner(p, z)
+        levels.append(point)
     return Tower(tuple(levels))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftquot.algebra import (
+    SYNTH_EDGE_BUDGET,
     AlgebraError,
     FgAbelianGroup,
     SmithDecomposition,
@@ -313,3 +314,14 @@ def test_synthesize_trivial():
 def test_synthesize_rejects_free_k0():
     with pytest.raises(AlgebraError):
         synthesize_seed(FgAbelianGroup(1), FgAbelianGroup(0))
+
+
+def test_synthesize_refuses_more_g_edges_than_the_budget():
+    # G-edges are the entry sum of B: 800,032 for K1 = Z/100000
+    with pytest.raises(AlgebraError, match=r"would have 800,032 G-edges, more than the budget of 250,000"):
+        synthesize_seed(FgAbelianGroup(0, (4,)), FgAbelianGroup(0, (100000,)))
+    # a long target is refused from its size alone, before A and B are built
+    for k0, k1 in [(FgAbelianGroup(0), FgAbelianGroup(400)), (FgAbelianGroup(0, (2,) * 300), FgAbelianGroup(0))]:
+        with pytest.raises(AlgebraError, match=r"would have at least [\d,]+ G-edges"):
+            synthesize_seed(k0, k1)
+    assert SYNTH_EDGE_BUDGET == 250_000

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -260,6 +263,46 @@ def test_synthesize_roundtrip_cli(tmp_path, capsys):
     assert "roundtrip = ok" in text
     code, _, _ = run(capsys, "check", str(out))
     assert code == 0
+
+
+def test_synthesize_over_the_edge_budget_exits_1_without_a_file(tmp_path, capsys):
+    out = tmp_path / "big.bundle"
+    code, text, err = run(capsys, "synthesize", "--k1", "Z/100000", "--k0tor", "Z/4", "-o", str(out))
+    assert (code, text) == (1, "")
+    assert "800,032 G-edges, more than the budget of 250,000" in err
+    assert not out.exists()
+
+
+def test_synthesize_within_the_edge_budget_answers(tmp_path, capsys):
+    out = tmp_path / "z10000.bundle"
+    code, text, _ = run(capsys, "synthesize", "--k1", "Z/10000", "--k0tor", "Z/4", "-o", str(out))
+    assert code == 0 and "roundtrip = ok" in text
+    assert len(load_bundle(str(out)).g.edges) == 80_032
+
+
+RENDER_FIGURE = os.path.join(os.path.dirname(__file__), "..", "scripts", "render_figure.py")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--min-radius", "1/0"], 2),
+    (["--min-radius", "x"], 2),
+    (["--scale", "nan"], 2),
+    (["--scale", "-1"], 2),
+    (["--depth", "0"], 2),
+    (["--max-k", "-1"], 2),
+    (["--max-k", "3", "--depth", "30"], 1),  # over the circle budget
+    (["--max-k", "1", "--depth", "3", "--min-radius", "1/100", "--scale", "50"], 0),
+])
+def test_render_figure_script_options(tmp_path, argv, code):
+    out = tmp_path / "fig.svg"
+    proc = subprocess.run(
+        [sys.executable, RENDER_FIGURE, *argv, "-o", str(out)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert "nan" not in out.read_text() and proc.stdout.endswith(f"-> {out}\n")
 
 
 def test_complex_cli(capsys):
