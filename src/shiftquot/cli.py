@@ -27,6 +27,12 @@ from .embedding import EmbeddingPair
 from .graphs import Graph
 
 
+# `distance` and `zeta` print exact bounds with 2^-depth terms; far past this
+# depth the digits outgrow Python's limit on integer-to-text conversion
+# (15,000 fails), and a depth of 10^6 runs for minutes
+QUERY_DEPTH_MAX = 4096
+
+
 class BundleError(ValueError):
     pass
 
@@ -250,8 +256,10 @@ def cmd_zeta(args) -> int:
     p = bundle.pair()
     x = _parse_ray(p.g, args.ray)
     value, bound = geometry.zeta_approx(p, x, args.depth)
-    print(f"zeta = {value.real:.12f} + {value.imag:.12f}i")
-    print(f"error <= {bound} ~= {float(bound):.3e}")
+    # both lines are formatted before either is printed, so a failure
+    # leaves no partial answer
+    text = f"zeta = {value.real:.12f} + {value.imag:.12f}i\nerror <= {bound} ~= {float(bound):.3e}"
+    print(text)
     return 0
 
 
@@ -327,6 +335,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _query_depth(text: str) -> int:
+    """argparse type: a `distance` or `zeta` depth, 1 .. QUERY_DEPTH_MAX."""
+    value = _int_at_least(1)(text)
+    if value > QUERY_DEPTH_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {QUERY_DEPTH_MAX}, got {value}")
+    return value
+
+
 def _min_radius(text: str) -> Fraction:
     """argparse type: an exact rational such as 1/300, 0.001 or 1e-3."""
     # Fraction builds 10**exponent, so a long exponent would hang the parse
@@ -354,7 +370,6 @@ def _scale(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use (parsing
     does not change it)."""
-    depth = _int_at_least(1)
     ap = argparse.ArgumentParser(prog="shiftquot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -370,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("bundle")
     c.add_argument("ray1")
     c.add_argument("ray2")
-    c.add_argument("--depth", type=depth, default=12)
+    c.add_argument("--depth", type=_query_depth, default=12)
     c.set_defaults(fn=cmd_distance)
 
     c = sub.add_parser("zeta", help="complex coordinate of a ray")
     c.add_argument("bundle")
     c.add_argument("ray")
-    c.add_argument("--depth", type=depth, default=12)
+    c.add_argument("--depth", type=_query_depth, default=12)
     c.set_defaults(fn=cmd_zeta)
 
     c = sub.add_parser("fibers", help="classify the fiber over a quotient-graph ray")
@@ -387,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("render", help="SVG of the nested-circle picture")
     c.add_argument("bundle")
     c.add_argument("--max-k", type=_int_at_least(0), default=2)
-    c.add_argument("--depth", type=depth, default=5)
+    c.add_argument("--depth", type=_int_at_least(1), default=5)
     c.add_argument("--min-radius", type=_min_radius, default=Fraction(0))
     c.add_argument("--scale", type=_scale, default=400.0)
     c.add_argument("-o", "--output", required=True)

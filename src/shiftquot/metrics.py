@@ -20,9 +20,9 @@ from .rays import (
     ClassPoint,
     LassoRay,
     RayError,
-    _raw_levels,
     first_difference,
     kappa,
+    raw_levels,
     stratum_approximant,
 )
 
@@ -61,10 +61,6 @@ def circle_distance(s: Angle, t: Angle) -> Fraction:
     return s.distance(t)
 
 
-def _quotient(p: EmbeddingPair):
-    return p.quotient
-
-
 def tau_ray(p: EmbeddingPair, x: LassoRay) -> LassoRay:
     """Image of a ray in the quotient graph's shift space."""
     q = p.quotient
@@ -94,7 +90,7 @@ def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     # a finite level's digit sum lies in [0, 1) over 2^(gap - 1), so at equal
     # gaps equal numerators are equal angles; the loop stops at the first
     # tail, which needs the reduction
-    for (nx, ax, dx), (ny, ay, dy) in zip(_raw_levels(p, x), _raw_levels(p, y)):
+    for (nx, ax, dx), (ny, ay, dy) in zip(raw_levels(p, x), raw_levels(p, y)):
         if nx != ny or ax != ay or nx == math.inf:
             break
         exponent += 2 + nx

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -133,9 +133,13 @@ class Angle:
 
 @dataclass(frozen=True)
 class ClassPoint:
-    """A point of the quotient space, held by its canonical representative."""
+    """A point of the quotient space, held by its canonical representative
+    and that representative's carry partner (its flip, or None), as
+    canonical builds it.  The partner follows from the rep, so equality,
+    hashing and the repr read the rep only."""
 
     rep: LassoRay
+    partner: LassoRay | None = field(compare=False, repr=False)
 
 
 # -- basic quantities ---------------------------------------------------------
@@ -177,11 +181,11 @@ def levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, Fractio
     many spare edges the walk ends with (math.inf, full series of the
     all-image tail), a value in [0, 1]; otherwise it never ends.
     """
-    for gap, num, den in _raw_levels(p, x):
+    for gap, num, den in raw_levels(p, x):
         yield gap, Fraction(num, den)
 
 
-def _raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int, int]]:
+def raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int, int]]:
     """levels, each digit sum as a numerator and a denominator (unreduced)."""
     edges: Iterable[str] = x.prefix
     if any(not p.in_image(e) for e in x.cycle):
@@ -294,18 +298,13 @@ def first_difference(x: LassoRay, y: LassoRay) -> int | None:
 
 def canonical(p: EmbeddingPair, x: LassoRay) -> ClassPoint:
     """Canonical class representative: the positionwise lexicographically
-    smaller of x and its flip (by global edge index)."""
-    return _canonical_and_partner(p, x)[0]
-
-
-def _canonical_and_partner(p: EmbeddingPair, x: LassoRay) -> tuple[ClassPoint, LassoRay | None]:
-    """canonical(p, x) and the flip of its representative.  flip is an
-    involution, so that flip is the one just computed or x itself."""
+    smaller of x and its flip (by global edge index).  flip is an
+    involution, so the other of the two is the representative's partner."""
     other = flip(p, x)
     n = None if other is None else first_difference(x, other)
     if n is None or p.g.edge_index[x.edge_at(n)] < p.g.edge_index[other.edge_at(n)]:
-        return ClassPoint(x), other
-    return ClassPoint(other), x
+        return ClassPoint(x, other)
+    return ClassPoint(other, x)
 
 
 def class_equal(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> bool:
@@ -367,7 +366,7 @@ def stratum_approximant(p: EmbeddingPair, x: LassoRay, depth: int, k: int) -> La
 # -- preimage lifting -----------------------------------------------------------
 
 
-def lift_preimage(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> LassoRay:
+def lift_preimage(p: EmbeddingPair, x: LassoRay | ClassPoint, y: LassoRay) -> LassoRay:
     """A shift-preimage of x starting like y.
 
     Returns z with shift(z) in the class of x and the first edge of z glued
@@ -375,25 +374,17 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> LassoRay:
     candidates - both class representatives of x, prepended with either
     copy of y's first edge - the one whose binary angle lands closest to
     y's is chosen; this is what makes the contraction bound
-    d(z, y) <= d(x, shift(y)) / 2 hold through binary carries.
+    d(z, y) <= d(x, shift(y)) / 2 hold through binary carries.  A class
+    point x gives its rep and the partner it holds; a ray is flipped.
     """
-    return _lift(p, x, y)
-
-
-_FLIP = object()  # _lift's default: compute the carry partner itself
-
-
-def _lift(p: EmbeddingPair, x: LassoRay, y: LassoRay, other: object = _FLIP) -> LassoRay:
-    """lift_preimage, given x's flip as `other` when the caller has it."""
+    ray = x.rep if isinstance(x, ClassPoint) else x
     g = p.g
     y1 = y.edge_at(1)
-    x1 = x.edge_at(1)
-    if g.target(y1) != g.source(x1):
+    if g.target(y1) != g.source(ray.edge_at(1)):
         raise RayError("first edge of x is not composable after the first edge of y")
 
-    if other is _FLIP:
-        other = flip(p, x)
-    reps = [x] if other is None or other == x else [x, other]
+    other = x.partner if isinstance(x, ClassPoint) else flip(p, ray)
+    reps = [ray] if other is None or other == ray else [ray, other]
     if p.in_image(y1):
         firsts = [y1, p.partner(y1)]
     else:
@@ -402,9 +393,9 @@ def _lift(p: EmbeddingPair, x: LassoRay, y: LassoRay, other: object = _FLIP) -> 
     # a candidate e.rep is scored from rep's first level: a spare e puts a
     # spare edge at position 1, an image e adds one leading digit; only its
     # new junction needs a check, unless rep itself is not a lasso of G
-    target_n, t_num, t_den = next(_raw_levels(p, y))
+    target_n, t_num, t_den = next(raw_levels(p, y))
     scored = [
-        (rep, next(_raw_levels(p, rep)), _lasso_fault(g, rep.prefix + rep.cycle, len(rep.prefix)))
+        (rep, next(raw_levels(p, rep)), _lasso_fault(g, rep.prefix + rep.cycle, len(rep.prefix)))
         for rep in reps
     ]
     candidates = [(e, rep, lv, fault) for e in firsts for rep, lv, fault in scored]

@@ -9,25 +9,14 @@ quotient space has diameter at most 3).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
 
 from .embedding import EmbeddingPair, epsilon
-from .graphs import Graph, GraphError, paths_of_length
+from .graphs import Graph, paths_of_length
 from .metrics import MetricInterval, d_class
-from .rays import (
-    _FLIP,
-    ClassPoint,
-    LassoRay,
-    _canonical_and_partner,
-    _lift,
-    canonical,
-    normal_form,
-    shift,
-)
+from .rays import ClassPoint, LassoRay, RayError, canonical, lift_preimage, normal_form, shift
 
 
 class SmaleError(ValueError):
@@ -60,22 +49,11 @@ class BiLasso:
         past, core, future = tuple(past), tuple(core), tuple(future)
         if not past or not future:
             raise SmaleError("past and future cycles must be nonempty")
+        # the path from the past cycle on is a lasso, and so is the past cycle
         try:
-            for seq in (past, core, future):
-                for e in seq:
-                    if not g.has_edge(e):
-                        raise GraphError(f"unknown edge {e!r}")
-            for cyc in (past, future):
-                for a, b in zip(cyc, cyc[1:]):
-                    if g.target(a) != g.source(b):
-                        raise GraphError("cycle edges not composable")
-                if g.target(cyc[-1]) != g.source(cyc[0]):
-                    raise GraphError("cycle does not close up")
-            seam = past[-1:] + core + future[:1]
-            for a, b in zip(seam, seam[1:]):
-                if g.target(a) != g.source(b):
-                    raise GraphError("junction edges not composable")
-        except GraphError as exc:
+            LassoRay.make(g, past + core, future)
+            LassoRay.make(g, (), past)
+        except RayError as exc:
             raise SmaleError(str(exc)) from None
         return BiLasso(past, core, future, origin)
 
@@ -98,9 +76,9 @@ class BiLasso:
         hi = self.origin + len(self.core)  # first future position
         start = max(a, hi)
         return (
-            *_laps(self.past, a - lo, min(b + 1, lo) - a),
-            *self.core[max(a, lo) - lo : max(0, min(b + 1, hi) - lo)],
-            *_laps(self.future, start - hi, b + 1 - start),
+            _laps(self.past, a - lo, min(b + 1, lo) - a)
+            + self.core[max(a, lo) - lo : max(0, min(b + 1, hi) - lo)]
+            + _laps(self.future, start - hi, b + 1 - start)
         )
 
     def ray_from(self, n: int) -> LassoRay:
@@ -112,11 +90,13 @@ class BiLasso:
         return normal_form(self.window(n, first_future - 1), self.future)
 
 
-def _laps(cycle: tuple[str, ...], k: int, count: int) -> Iterator[str]:
+def _laps(cycle: tuple[str, ...], k: int, count: int) -> tuple[str, ...]:
     """`count` edges (none when count <= 0) of the cycle repeating from its
     index k, taken mod its length."""
+    if count <= 0:
+        return ()
     k %= len(cycle)
-    return itertools.islice(itertools.cycle(cycle[k:] + cycle[:k]), max(count, 0))
+    return (cycle * ((k + count - 1) // len(cycle) + 1))[k : k + count]
 
 
 def shift_bilasso(x: BiLasso) -> BiLasso:
@@ -131,7 +111,7 @@ def bilasso_equal(x: BiLasso, y: BiLasso) -> bool:
     lf = math.lcm(len(x.future), len(y.future))
     a = min(x.origin, y.origin) - lp
     b = max(x.core_end(), y.core_end()) + lf
-    return all(x.edge_at(n) == y.edge_at(n) for n in range(a, b + 1))
+    return x.window(a, b) == y.window(a, b)
 
 
 def parse_bilasso(g: Graph, text: str) -> BiLasso:
@@ -250,14 +230,10 @@ def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
         hi = max(hi, d_class(p, x.level(n), y.level(n), ray_depth).hi / 2**n)
     if hi > Fraction(1, 2):
         raise SmaleError(f"bracket undefined: tower distance {hi} > 1/2")
-    # canonical(p, z) has just flipped z, so each lift after the first is
-    # handed its rep's carry partner instead of flipping the rep again
+    # each lift takes the carry partner its class point already holds
     levels = [x.level(0)]
-    partner = _FLIP  # the first lift flips its rep itself
     for n in range(1, x.depth + 1):
-        z = _lift(p, levels[-1].rep, y.level(n).rep, partner)
-        point, partner = _canonical_and_partner(p, z)
-        levels.append(point)
+        levels.append(canonical(p, lift_preimage(p, levels[-1], y.level(n).rep)))
     return Tower(tuple(levels))
 
 
@@ -280,12 +256,9 @@ class PairWitness:
     m: int | None = None
 
 
-def _swapped_at(p: EmbeddingPair, x: BiLasso, y: BiLasso, n: int) -> int | None:
-    """Superscript i when (x_n, y_n) = (xi^i(z), xi^{1-i}(z)); None otherwise."""
-    a, b = x.edge_at(n), y.edge_at(n)
-    if a == b or not p.in_image(a) or not p.in_image(b):
-        return None
-    if p.partner(a) != b:
+def _swapped(p: EmbeddingPair, a: str, b: str) -> int | None:
+    """Superscript i when (a, b) = (xi^i(z), xi^{1-i}(z)); None otherwise."""
+    if a == b or not p.in_image(a) or not p.in_image(b) or p.partner(a) != b:
         return None
     return epsilon(p, a)
 
@@ -293,49 +266,38 @@ def _swapped_at(p: EmbeddingPair, x: BiLasso, y: BiLasso, n: int) -> int | None:
 def pair_related(p: EmbeddingPair, x: BiLasso, y: BiLasso) -> PairWitness | None:
     """Decide whether two bi-infinite paths are identified in the invertible
     quotient, with a witness."""
-    if bilasso_equal(x, y):
-        return PairWitness("a")
     lp = math.lcm(len(x.past), len(y.past))
     lf = math.lcm(len(x.future), len(y.future))
-    lo = min(x.origin, y.origin) - lp - 1
+    # below both cores both paths repeat with period lp, and above both
+    # with period lf, so positions lo .. hi + lf - 1 decide everything: two
+    # past periods and one position more (a pivot in the periodic past is
+    # found in its upper period, a whole period above lo), the cores, and
+    # two future periods.  Position lo + k is index k
+    lo = min(x.origin, y.origin) - 2 * lp - 1
     hi = max(x.core_end(), y.core_end()) + lf
+    xs, ys = x.window(lo, hi + lf - 1), y.window(lo, hi + lf - 1)
+    if xs == ys:
+        return PairWitness("a")
+    top = hi - lo
 
-    # constant-superscript swap on the far future, else unrelated
-    tail_i = _swapped_at(p, x, y, hi)
-    if tail_i is None:
+    # constant-superscript swap on the far future period, else unrelated;
+    # only here can a swap test fail for want of a partner map (H1)
+    tail_i = _swapped(p, xs[top], ys[top])
+    if tail_i is None or any(_swapped(p, a, b) != tail_i for a, b in zip(xs[top:], ys[top:])):
         return None
-    for n in range(hi, hi + lf):
-        if _swapped_at(p, x, y, n) != tail_i:
-            return None
 
-    # case b: swapped everywhere, including one full period of the far past
-    fully_swapped = all(_swapped_at(p, x, y, n) == tail_i for n in range(lo - lp, hi))
-    if fully_swapped:
-        return PairWitness("b", i=tail_i)
-
-    # case c: find the pivot = the largest position where the plain swap fails
-    m = None
-    for n in range(hi - 1, lo - lp - 1, -1):
-        if _swapped_at(p, x, y, n) != tail_i:
-            m = n
-            break
+    # case c: the pivot is the last position where the plain swap fails;
+    # case b: there is none
+    m = next((k for k in range(top - 1, -1, -1) if _swapped(p, xs[k], ys[k]) != tail_i), None)
     if m is None:
+        return PairWitness("b", i=tail_i)
+    # a shared spare edge or an oppositely swapped pair, and equality
+    # strictly below it
+    xm, ym = xs[m], ys[m]
+    pivot_ok = (xm == ym and not p.in_image(xm)) or _swapped(p, xm, ym) == 1 - tail_i
+    if not pivot_ok or xs[:m] != ys[:m]:
         return None
-    xm, ym = x.edge_at(m), y.edge_at(m)
-    pivot_ok = (xm == ym and not p.in_image(xm)) or (
-        p.in_image(xm)
-        and p.in_image(ym)
-        and xm != ym
-        and p.partner(xm) == ym
-        and epsilon(p, xm) == 1 - tail_i
-    )
-    if not pivot_ok:
-        return None
-    # equality strictly below the pivot, certified through one past period
-    for n in range(m - 1, lo - lp - 1, -1):
-        if x.edge_at(n) != y.edge_at(n):
-            return None
-    return PairWitness("c", i=tail_i, m=m)
+    return PairWitness("c", i=tail_i, m=lo + m)
 
 
 def apply_witness(p: EmbeddingPair, w: PairWitness, x: BiLasso) -> BiLasso:
@@ -348,7 +310,10 @@ def apply_witness(p: EmbeddingPair, w: PairWitness, x: BiLasso) -> BiLasso:
 
     if w.case == "b":
         return BiLasso(swap_seq(x.past), swap_seq(x.core), swap_seq(x.future), x.origin)
-    assert w.case == "c" and w.m is not None
+    if w.case != "c":
+        raise SmaleError(f"unknown witness case {w.case!r}")
+    if w.m is None:
+        raise SmaleError("a case 'c' witness needs its pivot position m")
     # widen the core so the pivot sits inside it, keeping both cycle phases
     lpast, lfut = len(x.past), len(x.future)
     k_lo = max(1, -(-(x.origin - min(x.origin, w.m) + 1) // lpast))
@@ -397,17 +362,13 @@ def transversal_spec(p: EmbeddingPair) -> TransversalSpec:
 def membership_yu(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
     """Whether the whole past of x (positions <= 0) repeats the transversal
     cycle."""
-    for q in spec.points:
-        span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
-        if all(x.edge_at(n) == q.edge_at(n) for n in range(-span, 1)):
-            return True
-    return False
+    span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
+    seen = x.window(-span, 0)
+    return any(q.window(-span, 0) == seen for q in spec.points)
 
 
 def membership_ys(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
     """Whether x agrees with a transversal point on all positions >= -1."""
-    for q in spec.points:
-        span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
-        if all(x.edge_at(n) == q.edge_at(n) for n in range(-1, span + 1)):
-            return True
-    return False
+    span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
+    seen = x.window(-1, span)
+    return any(q.window(-1, span) == seen for q in spec.points)

@@ -29,7 +29,6 @@ from shiftquot.geometry import (
 )
 from shiftquot.graphs import Graph, IntMatrix
 from shiftquot.metrics import (
-    _quotient,
     circle_distance,
     d_class,
     d_extended,
@@ -513,7 +512,7 @@ def _oracle_fiber(p, base):
     """Independent classification: direct scans for the doubled/spare counts
     and a float-geometry clustering of sampled coordinates for the circle
     count."""
-    q = _quotient(p)
+    q = p.quotient
     doubled = {q.tau[p.xi0_edges[y]] for y in p.h.edges}
     cyc_doubled = sum(1 for e in base.cycle if e in doubled)
     cyc_spare = len(base.cycle) - cyc_doubled
@@ -587,7 +586,7 @@ def _oracle_fiber(p, base):
 
 
 def test_criterion_11_fiber_oracle(full3):
-    q = _quotient(full3)
+    q = full3.quotient
     qg = q.graph
     with timed(120.0) as t:
         bases = []

@@ -246,12 +246,25 @@ def test_render_min_radius_is_read_exactly(capsys, tmp_path):
     ["distance", ";a", ";b", "--depth", "-1"],
     ["zeta", ";a", "--depth", "0"],
     ["zeta", ";a", "--depth", "-1"],
+    ["distance", ";a", ";b", "--depth", "4097"],
+    ["distance", ";a", ";b", "--depth", "15000"],
+    ["zeta", ";a", "--depth", "4097"],
+    ["zeta", ";a", "--depth", "15000"],
 ])
-def test_query_depth_below_one_is_usage_error(capsys, argv):
+def test_query_depth_out_of_range_is_usage_error(capsys, argv):
     code, out, err = run(capsys, argv[0], bundle_path("full3.bundle"), *argv[1:])
     assert code == 2
     assert out == ""
-    assert "must be at least 1" in err
+    bound = "at most 4096" if int(argv[-1]) > 0 else "at least 1"
+    assert f"must be {bound}, got {argv[-1]}" in err
+
+
+def test_query_depth_at_the_ceiling_answers(capsys):
+    code, out, _ = run(capsys, "distance", bundle_path("full3.bundle"), ";c", "a;c", "--depth", "4096")
+    assert code == 0 and out.startswith("[")
+    code, out, _ = run(capsys, "zeta", bundle_path("full3.bundle"), "a;c", "--depth", "4096")
+    assert code == 0
+    assert out.startswith("zeta = ") and "\nerror <= " in out
 
 
 def test_synthesize_roundtrip_cli(tmp_path, capsys):

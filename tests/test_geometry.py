@@ -13,7 +13,7 @@ from shiftquot.geometry import (
     zeta_approx,
     zeta_exact_terms,
 )
-from shiftquot.metrics import d_extended, _quotient
+from shiftquot.metrics import d_extended
 from shiftquot.rays import kappa, parse_ray, shift_by, first_nonxi, theta
 
 
@@ -22,7 +22,7 @@ def ray(p, text):
 
 
 def qray(p, text):
-    return parse_ray(_quotient(p).graph, text)
+    return parse_ray(p.quotient.graph, text)
 
 
 def test_zeta_constant_ray(full3):

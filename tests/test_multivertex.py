@@ -115,10 +115,9 @@ def test_lift_contract_two_vertex(twovertex):
 
 def test_fiber_counts_two_vertex(twovertex):
     from shiftquot.geometry import fiber_classify
-    from shiftquot.metrics import _quotient
     from shiftquot.rays import LassoRay
 
-    q = _quotient(twovertex)
+    q = twovertex.quotient
     qg = q.graph
     doubled = {q.tau[twovertex.xi0_edges[y]] for y in twovertex.h.edges}
 

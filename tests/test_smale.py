@@ -7,6 +7,7 @@ from shiftquot.metrics import d_class
 from shiftquot.rays import canonical, parse_ray
 from shiftquot.smale import (
     BiLasso,
+    PairWitness,
     SmaleError,
     apply_witness,
     bilasso_equal,
@@ -139,6 +140,14 @@ def test_pair_related_carry_pivot(full3):
     w = pair_related(full3, x, y)
     assert w is not None and w.case == "c" and w.m == 1
     assert bilasso_equal(apply_witness(full3, w, x), y)
+
+
+def test_apply_witness_rejects_a_malformed_witness(full3):
+    x = bl(full3, "a;c;b")
+    with pytest.raises(SmaleError, match="unknown witness case 'z'"):
+        apply_witness(full3, PairWitness("z"), x)
+    with pytest.raises(SmaleError, match="needs its pivot position m"):
+        apply_witness(full3, PairWitness("c", i=0), x)
 
 
 def test_pair_related_rejects_same_superscript_pivot(full3):

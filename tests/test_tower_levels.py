@@ -40,7 +40,6 @@ from shiftquot.rays import (
     ClassPoint,
     LassoRay,
     RayError,
-    _canonical_and_partner,
     _lasso_fault,
     canonical,
     first_difference,
@@ -95,8 +94,8 @@ def ref_canonical(p, x):
     other = flip(p, x)
     n = None if other is None else ref_first_difference(x, other)
     if n is None or p.g.edge_index[x.edge_at(n)] < p.g.edge_index[other.edge_at(n)]:
-        return ClassPoint(x)
-    return ClassPoint(other)
+        return ClassPoint(x, other)
+    return ClassPoint(other, x)
 
 
 def ref_pi_xi_tower(p, x, depth):
@@ -427,18 +426,21 @@ def test_the_partner_handed_on_is_the_flip_of_the_rep(name, request):
         if other is not None:
             assert flip(p, other) == x
             flipped += 1
-        point, partner = _canonical_and_partner(p, x)
-        assert point == canonical(p, x) == ref_canonical(p, x)
-        assert partner == flip(p, point.rep)
+        point = canonical(p, x)
+        assert point == ref_canonical(p, x)
+        assert point.partner == flip(p, point.rep)
     assert flipped > 5
 
 
 def compare_lifts(p, rays_, rng, count=300):
+    """Lifts of rays and of their class points against the reference."""
     g = p.g
     pool = rays_ + [o for o in (flip(p, x) for x in rays_) if o is not None]
     pairs = [(x, y) for x in pool for y in pool if g.target(y.edge_at(1)) == g.source(x.edge_at(1))]
     for x, y in rng.sample(pairs, min(count, len(pairs))):
         assert outcome(lift_preimage, p, x, y) == outcome(ref_lift_preimage, p, x, y)
+        point = canonical(p, x)
+        assert outcome(lift_preimage, p, point, y) == outcome(lift_preimage, p, point.rep, y)
     return len(pairs)
 
 
