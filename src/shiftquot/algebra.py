@@ -93,92 +93,60 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
 
 
 def _tracked_elimination(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(U, D, V) by Euclidean elimination over Z recording every operation."""
+    """(U, D, V) by Euclidean elimination over Z on A bordered by identity
+    blocks, [[A, I], [I, 0]]: row operations on the top rows build U on the
+    right, column operations on the left columns build V below."""
     rows, cols = a.rows, a.cols
-    m = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    m = [list(r) + [int(i == k) for k in range(rows)] for i, r in enumerate(a.entries)]
+    m += [[int(i == k) for k in range(cols)] + [0] * rows for i in range(cols)]
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
+    def add_row(dst, src, c):  # row_dst += c * row_src
         m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
-    def add_col(dst, src, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    for t in range(n):
+    for t in range(min(rows, cols)):
         # deterministic pivot: smallest nonzero |entry|, ties by (row, col)
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        live = [(abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]]
+        if not live:
             break
-        while True:
+        pivot = min(live)[1:]
+        while pivot:
             i, j = pivot
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            # clear column t then row t; remainders become new pivots
-            dirty = False
+            m[t], m[i] = m[i], m[t]
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            # clear column t then row t; a remainder becomes the new pivot
+            pivot = None
             for i in range(rows):
-                if i != t and m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, -q)
-                    if m[i][t] != 0:
+                if i != t and m[i][t]:
+                    add_row(i, t, -(m[i][t] // m[t][t]))
+                    if m[i][t]:
                         pivot = (i, t)
-                        dirty = True
                         break
-            if dirty:
-                continue
-            for j in range(cols):
-                if j != t and m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
-                    if m[t][j] != 0:
-                        pivot = (t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # divisibility sweep: pull any non-multiple into column t
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = (i, j)
-                        break
-                if offender:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender[0], 1)
-            pivot = (t, t)
+            else:
+                for j in range(cols):
+                    if j != t and m[t][j]:
+                        c = m[t][j] // m[t][t]
+                        for row in m:
+                            row[j] -= c * row[t]
+                        if m[t][j]:
+                            pivot = (t, j)
+                            break
+            if not pivot:
+                # divisibility sweep: pull the first non-multiple into row t
+                offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                                 if m[i][j] % m[t][t]), None)
+                if offender is not None:
+                    add_row(t, offender, 1)
+                    pivot = (t, t)
         if m[t][t] < 0:
-            negate_row(t)
+            m[t] = [-x for x in m[t]]
 
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)
+    top = m[:rows]
+    return (
+        IntMatrix.from_rows([r[cols:] for r in top]),
+        IntMatrix.from_rows([r[:cols] for r in top]),
+        IntMatrix.from_rows([r[:cols] for r in m[rows:]]),
+    )
 
 
 @dataclass(frozen=True)
@@ -272,17 +240,6 @@ class MarkedGroupPresentation:
 
     def render(self) -> str:
         return f"lim(Z^{self.size}, {self.automorphism})"
-
-
-def dimension_group(g: Graph, variant: str) -> MarkedGroupPresentation:
-    """The stationary limit presentation of the forward ('s') or backward
-    ('u') tail-equivalence invariant of a graph."""
-    a = adjacency_matrix(g)
-    if variant == "s":
-        return MarkedGroupPresentation(len(g.vertices), a, "A")
-    if variant == "u":
-        return MarkedGroupPresentation(len(g.vertices), a.transpose(), "A^T")
-    raise AlgebraError("variant must be 's' or 'u'")
 
 
 def bowen_franks(g: Graph) -> FgAbelianGroup:

@@ -212,8 +212,9 @@ def cmd_invariants(args) -> int:
     kt = algebra.ruelle_k_theory(p)
     for warning in kt.warnings:
         print(f"warning = {warning}")
+    table = algebra.homology_table(p)  # raises before any header without the standing hypotheses
     print("homology:")
-    for row in algebra.homology_table(p):
+    for row in table:
         grp = row.group.render() if row.group else "0"
         deg = row.degree if row.degree < 2 else "k>=2"
         print(f"H_{row.invariant}[{deg}] = {grp}  aut = {row.automorphism}")

@@ -266,46 +266,27 @@ class CompletionTables:
 
 def _h_tail_witness(h: Graph) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
     """For each H-vertex that can reach an H-cycle: (path-to-cycle, cycle)."""
-    # vertices on a cycle, by BFS back to self
-    on_cycle: dict[str, tuple[str, ...]] = {}
+    result: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     for v in h.vertices:
-        # BFS for shortest closed path v -> v
-        parent: dict[str, tuple[str, str] | None] = {}
-        q = deque()
-        for e in h.out_edges(v):
-            w = h.target(e)
-            if w == v:
-                on_cycle[v] = (e,)
-                break
-            if w not in parent:
-                parent[w] = (v, e)
-                q.append(w)
-        if v in on_cycle:
-            continue
-        found: tuple[str, ...] | None = None
-        while q and found is None:
+        # BFS from v: the first edge back to v closes a shortest cycle through v
+        parent: dict[str, tuple[str, str]] = {}
+        q = deque([v])
+        while q and v not in result:
             u = q.popleft()
             for e in h.out_edges(u):
                 w = h.target(e)
                 if w == v:
                     path = [e]
-                    node = u
-                    while node != v:
-                        prev, edge = parent[node]  # type: ignore[misc]
+                    while u != v:
+                        u, edge = parent[u]
                         path.append(edge)
-                        node = prev
-                    found = tuple(reversed(path))
+                    result[v] = ((), tuple(reversed(path)))
                     break
                 if w not in parent:
                     parent[w] = (u, e)
                     q.append(w)
-        if found:
-            on_cycle[v] = found
     # backward closure: shortest path to any cycle vertex
-    result: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    for v, cyc in on_cycle.items():
-        result[v] = ((), cyc)
-    frontier = deque(on_cycle)
+    frontier = deque(result)
     while frontier:
         w = frontier.popleft()
         for e in h.in_edges(w):

@@ -223,11 +223,7 @@ def theta(p: EmbeddingPair, x: LassoRay) -> Angle:
 
 def shift(x: LassoRay) -> LassoRay:
     """Drop the first edge (rotate the cycle when the prefix is empty)."""
-    if x.prefix:
-        return LassoRay(x.prefix[1:], x.cycle)
-    rotated = x.cycle[1:] + x.cycle[:1]
-    # rotation of a primitive cycle stays primitive and prefix-free
-    return LassoRay((), rotated)
+    return shift_by(x, 1)
 
 
 def shift_by(x: LassoRay, n: int) -> LassoRay:

@@ -12,7 +12,6 @@ from shiftquot.algebra import (
     bowen_franks,
     build_pair_complex,
     cokernel,
-    dimension_group,
     homology_table,
     realize_group_matrix,
     ruelle_k_theory,
@@ -156,18 +155,6 @@ def test_rank_nullity():
         diag = smith_normal_form(a).diagonal()
         rank = sum(1 for d in diag if d)
         assert rank == a.rank_and_minor()[0]
-
-
-def test_dimension_groups():
-    g = loops(3)
-    ds = dimension_group(g, "s")
-    assert (ds.size, ds.matrix.entries) == (1, ((3,),))
-    du = dimension_group(loops(2), "u")
-    assert (du.size, du.matrix.entries) == (1, ((2,),))
-    g2 = Graph(["u", "w"], [("e", "u", "w"), ("f", "w", "u"), ("l", "u", "u")])
-    assert dimension_group(g2, "u").matrix.entries == (
-        dimension_group(g2, "s").matrix.transpose().entries
-    )
 
 
 def test_bowen_franks():

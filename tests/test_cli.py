@@ -100,6 +100,13 @@ def test_invariants_output(capsys):
     assert "K1(Rs) = Z" in out
 
 
+def test_invariants_without_the_standing_hypotheses_prints_no_homology(capsys):
+    code, out, err = run(capsys, "invariants", bundle_path("full2.bundle"))
+    assert code == 1
+    assert out == "warning = h2 fails (edge h)\n"  # no "homology:" header
+    assert "standing hypotheses" in err
+
+
 def test_distance_output(capsys):
     code, out, _ = run(capsys, "distance", bundle_path("full3.bundle"), "c;a", "c,b;a")
     assert code == 0
