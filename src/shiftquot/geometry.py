@@ -6,20 +6,22 @@ a point determined by the binary angle accumulated so far.  Circle centers
 and radii are kept symbolically (rational coefficients times roots of
 unity); floats appear only at render time, with certified error bounds.
 Every center, radius and angle is dyadic, so the circle enumeration walks
-on integers (digit-sum numerators and radius exponents) and builds the
-exact Fraction and Angle values only for the circles it emits, each
-distinct value once per call: the emitted specs share them.  Rendering
-likewise turns each distinct coefficient and angle into a float once and
-formats each distinct circle once.  A walk that would visit more than
-CIRCLE_BUDGET circles is refused before it starts.
+on integers (digit-sum numerators and radius exponents).  Most circles
+are given by many paths, so the walk merges paths into states with a path
+count and builds each distinct circle, and each distinct exact value,
+once; the per-path specs are built only when read.  Rendering formats
+each distinct circle once and writes it once per path.  A walk that would
+count more than CIRCLE_BUDGET circles is refused before it starts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .embedding import EmbeddingPair, EmbeddingError, epsilon
 from .graphs import paths_of_length
@@ -127,11 +129,14 @@ def circle_specs(
     max_k: int,
     max_depth: int,
     min_radius: Fraction | float = 0,
-) -> list[CircleSpec]:
+) -> CircleSpecs:
     """All circles arising from prefixes with at most max_k spare edges,
-    the last one no deeper than max_depth, larger than min_radius.
+    the last one no deeper than max_depth, larger than min_radius: one
+    spec per prefix.
 
-    Deterministic order: by stratum, then gap chain, then angle chain.
+    Deterministic order: by stratum, then gap chain, then angle chain;
+    prefixes giving the same circle keep the order of a depth-first walk
+    over prefixes (start vertex, then out-edges in the graph's order).
     """
     specs, _ = circle_specs_report(p, max_k, max_depth, min_radius)
     return specs
@@ -155,21 +160,23 @@ def _steps_to_spare(p: EmbeddingPair) -> dict[str, int | float]:
 
 
 CIRCLE_BUDGET = 250_000
-"""Most circles, kept or pruned, that one circle enumeration may visit.
-twovertex has 233,785 at max_k 3, depth 8 (`render` takes about 9 s and
-330 MiB on a 2-vCPU VM) and 945,977 at depth 9."""
+"""Most circles, kept or pruned, that one circle enumeration may count,
+each as often as paths give it.  twovertex has 233,785 at max_k 3, depth
+8, from 2,048 distinct circles (`render` takes about 0.2 s and 73 MiB peak
+RSS in-process on a 2-vCPU VM, most of it the SVG text), and 945,977 at
+depth 9."""
 
 
 def circle_count(
     p: EmbeddingPair, max_k: int, max_depth: int, stop: int | float = math.inf
 ) -> int:
-    """Circles the walk of circle_specs_report visits, pruned ones included:
-    the unit circle plus one per path of length <= max_depth that ends in
-    its j-th spare edge (1 <= j <= max_k) at a vertex with an all-image
-    tail.  A transfer recurrence over (vertex, spare edges so far), which
-    drops paths that can reach no further spare edge within max_depth (as
-    the walk does) and returns early, with a partial count, at the first
-    length where the count exceeds `stop`.
+    """Circles that circle_specs_report counts, pruned ones included, each
+    as often as paths give it: the unit circle plus one per path of length
+    <= max_depth that ends in its j-th spare edge (1 <= j <= max_k) at a
+    vertex with an all-image tail.  A transfer recurrence over (vertex,
+    spare edges so far), which drops paths that can reach no further spare
+    edge within max_depth (as the walk does) and returns early, with a
+    partial count, at the first length where the count exceeds `stop`.
     """
     g = p.g
     has_tail = {v for v in g.vertices if p.completion[v].xi_tail is not None}
@@ -204,28 +211,33 @@ def circle_specs_report(
     max_k: int,
     max_depth: int,
     min_radius: Fraction | float = 0,
-) -> tuple[list[CircleSpec], Fraction]:
+) -> tuple[CircleSpecs, Fraction]:
     """circle_specs plus the total radius of pruned circles.
 
-    Raises EmbeddingError, before walking, if the walk would visit more
+    Raises EmbeddingError, before walking, if the walk would count more
     than CIRCLE_BUDGET circles (circle_count, pruned circles included).
 
-    The walk carries dyadic integers only: the digit sum of the current gap
-    as a numerator N over 2^gap, and each radius as its exponent e (radius
-    2^-e).  A level is the tuple (count, e, levels, center terms, gap chain,
-    numerator chain); its exact angle and center coefficient are taken when
-    it is pushed, and only if circles of its size are kept.  Tables that
-    live for this call build each distinct value once: the angle keyed by
-    (gap, N), the center coefficient by (gap, e of the enclosing level) and
-    the radius by e, so emitted specs share them.  Circles with equal gap
-    chains have equal angle denominators, so (stratum, gap chain, numerator
-    chain) sorts exactly like the angle chain, and the stable sort keeps
-    ties in walk order.  Edges from which no spare edge is reachable within
-    the depth are skipped: they emit nothing.
+    The walk goes length by length over states (vertex, gap, numerator,
+    chain id), each with the number of paths that reach it: the transfer
+    recurrence of circle_count, refined by the level chain.  The gap's
+    digit sum is a numerator N over 2^gap, and a radius is its exponent e
+    (radius 2^-e).  Each level chain is interned as an integer id keyed on
+    (parent id, gap, N), so a distinct circle is one id, built once with
+    the number of paths that give it.  Its angle, center coefficient and
+    radius come from tables keyed by (gap, N), (gap, e of the enclosing
+    level) and e, and only if circles of its size are kept; the chains of
+    pruned circles are keyed on (stratum, e) alone, and the pruned radius
+    is summed from the counts.  Circles with equal gap chains have equal
+    angle denominators, so (stratum, gap chain, numerator chain) sorts the
+    distinct circles exactly like their angle chains.  Edges from which no
+    spare edge is reachable within the depth are skipped.
 
+    Each state keeps back-pointers to the states its paths came from, and
+    CircleSpecs builds the per-path specs from them only when read.
     render_svg walks again rather than take the specs its caller already
-    holds, so `render` walks twice: the benchmark's smoke test pins two
-    walks per render job, and one walk waits for a change to the benchmark.
+    holds, so `render` makes two state walks and builds no per-path spec:
+    the benchmark's smoke test pins two walks per render job, and one walk
+    waits for a change to the benchmark.
     """
     tables = p.completion
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
@@ -240,81 +252,151 @@ def circle_specs_report(
         )
     # radius 2^-e is kept iff 2^-e >= min_r, i.e. iff e <= e_max
     e_max = math.inf if min_r <= 0 else (min_r.denominator // min_r.numerator).bit_length() - 1
-    found: list[tuple[tuple, CircleSpec]] = []
     pruned: dict[int, int] = {}  # exponent -> number of pruned circles
     angles: dict[tuple[int, int], Angle] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
-    radii: dict[int, Fraction] = {}
-
-    # stratum zero: the unit circle itself
-    if e_max >= 0:
-        found.append(((0, (), ()), _spec_from_levels((), [])))
-    else:
-        pruned[0] = 1
 
     g = p.g
-    # per vertex, in reverse out-edge order (the stack pops them in order):
-    # (edge, target, superscript or None for a spare edge, fewest further
-    # edges before a spare one can be taken)
+    # edges by rank: by source vertex, then out-edge position, so ranks
+    # compare paths of one length as a depth-first walk meets them
+    edges = [e for v in g.vertices for e in g.out_edges(v)]
     to_spare = _steps_to_spare(p)
-    steps = {
-        v: tuple(
-            (e, g.target(e), epsilon(p, e), to_spare[g.target(e)])
-            if p.in_image(e) else (e, g.target(e), None, 0)
-            for e in reversed(g.out_edges(v))
-        )
-        for v in g.vertices
-    }
-    top = (0, 0, (), (), (), ())
-    # (step, position of its edge, gap and numerator before it, level)
-    roots = reversed(g.vertices) if max_k > 0 else ()
-    stack = [(s, 1, 0, 0, top) for v in roots for s in steps[v] if s[3] < max_depth]
-    prefix: list[str] = []
-    while stack:
-        (edge, at, eps, _), pos, gap, num, lev = stack.pop()
-        del prefix[pos - 1:]
-        prefix.append(edge)
-        if eps is not None:
-            gap += 1
-            num = 2 * num + eps
-        else:
-            k, e0, levels, terms, gaps, nums = lev
-            n = gap + 1
-            radius_exp = e0 + 3 + n
-            gaps += (n,)
-            nums += (num,)
-            if radius_exp <= e_max:
-                # N / 2^gap in lowest terms, so that equal angles are one object
-                shift = (num & -num).bit_length() - 1 if num else gap
-                key = (gap - shift, num >> shift)
-                angle = angles.get(key)
-                if angle is None:
-                    angle = angles[key] = Angle(Fraction(key[1], 1 << key[0]))
-                levels += ((n, angle),)
-                if n > 1:
-                    coeff = coeffs.get((gap, e0))
-                    if coeff is None:
-                        coeff = coeffs[gap, e0] = Fraction((1 << gap) - 1, 1 << (gap + e0))
-                    terms += ((coeff, angle),)
-                if at in has_tail:
-                    radius = radii.get(radius_exp)
-                    if radius is None:
-                        radius = radii[radius_exp] = Fraction(1, 1 << radius_exp)
-                    found.append(((k + 1, gaps, nums), CircleSpec(tuple(prefix), levels, terms, radius)))
-            elif at in has_tail:
-                pruned[radius_exp] = pruned.get(radius_exp, 0) + 1
-            if k + 1 == max_k:
-                continue
-            lev = (k + 1, radius_exp, levels, terms, gaps, nums)
-            gap = num = 0
-        room = max_depth - pos
-        for s in steps[at]:
-            if s[3] < room:
-                stack.append((s, pos + 1, gap, num, lev))
+    # per vertex, in out-edge order: (edge rank, target, superscript or None
+    # for a spare edge, fewest further edges before a spare one can be taken)
+    steps: dict[str, list[tuple]] = {v: [] for v in g.vertices}
+    for rank, e in enumerate(edges):
+        w = g.target(e)
+        steps[g.source(e)].append((rank, w, epsilon(p, e), to_spare[w]) if p.in_image(e) else (rank, w, None, 0))
+    # chains[id]: (stratum, e, levels, center terms, gap chain, numerator
+    # chain), levels and the rest None for the chain of a pruned circle
+    chains: list[tuple] = [(0, 0, (), (), (), ())]
+    chain_ids: dict[tuple[int, int, int], int] = {}
+    # a record is [path count, record, edge rank, record, edge rank, ...]:
+    # the paths into a state, from the records of the states before their
+    # last edge ([1] is the empty path); found maps the chain id of each
+    # kept circle to the record of the paths that give it
+    found: dict[int, list] = {}
+    if e_max >= 0:
+        found[0] = [1]  # stratum zero: the unit circle itself
+    else:
+        pruned[0] = 1
+    live = {(v, 0, 0, 0): [1] for v in g.vertices} if max_k > 0 else {}
+    for length in range(max_depth):
+        room = max_depth - length
+        nxt: dict[tuple, list] = {}
+        for (v, gap, num, chain), rec in live.items():
+            c = rec[0]
+            for rank, w, eps, further in steps[v]:
+                if further >= room:
+                    continue
+                if eps is not None:
+                    key = (w, gap + 1, 2 * num + eps, chain)
+                else:
+                    k, e0, levels, terms, gaps, nums = chains[chain]
+                    n = gap + 1
+                    e = e0 + 3 + n
+                    kept = e <= e_max
+                    chain_key = (chain, n, num) if kept else (-1, k + 1, e)
+                    new = chain_ids.get(chain_key)
+                    if new is None:
+                        new = chain_ids[chain_key] = len(chains)
+                        if kept:
+                            # N / 2^gap in lowest terms, so that equal angles are one object
+                            shift = (num & -num).bit_length() - 1 if num else gap
+                            akey = (gap - shift, num >> shift)
+                            angle = angles.get(akey)
+                            if angle is None:
+                                angle = angles[akey] = Angle(Fraction(akey[1], 1 << akey[0]))
+                            if n > 1:
+                                coeff = coeffs.get((gap, e0))
+                                if coeff is None:
+                                    coeff = coeffs[gap, e0] = Fraction((1 << gap) - 1, 1 << (gap + e0))
+                                terms += ((coeff, angle),)
+                            chains.append((k + 1, e, levels + ((n, angle),), terms, gaps + (n,), nums + (num,)))
+                        else:
+                            chains.append((k + 1, e, None, None, None, None))
+                    if w in has_tail:
+                        if not kept:
+                            pruned[e] = pruned.get(e, 0) + c
+                        elif new in found:
+                            found[new][0] += c
+                            found[new] += rec, rank
+                        else:
+                            found[new] = [c, rec, rank]
+                    if k + 1 == max_k:
+                        continue
+                    key = (w, 0, 0, new)
+                state = nxt.get(key)
+                if state is None:
+                    nxt[key] = [c, rec, rank]
+                else:
+                    state[0] += c
+                    state += rec, rank
+        live = nxt
 
-    found.sort(key=lambda item: item[0])
+    order = sorted(found, key=lambda i: (chains[i][0], chains[i][4], chains[i][5]))
+    radii: dict[int, Fraction] = {}
+    circles = []
+    for i in order:
+        _, e, levels, terms, _, _ = chains[i]
+        radius = radii.get(e)
+        if radius is None:
+            radius = radii[e] = Fraction(1, 1 << e)
+        circles.append((levels, terms, radius, found[i][0]))
     total = sum((Fraction(c, 1 << e) for e, c in pruned.items()), Fraction(0))
-    return [spec for _, spec in found], total
+    return CircleSpecs(tuple(circles), [found[i] for i in order], edges), total
+
+
+class CircleSpecs(Sequence):
+    """The circles of one walk, one CircleSpec per path that gives one, in
+    circle_specs order; read-only.
+
+    The walk keeps each distinct circle once, in `circles` as (levels,
+    center terms, radius, path count), with the record of the paths that
+    give it.  len sums the counts; indexing, iteration and == build every
+    per-path spec on first read, following the back-pointers from each
+    record to the empty path.  Paths of one circle have one length, and
+    sorting their edge ranks puts them in depth-first walk order.
+    """
+
+    def __init__(self, circles: tuple[tuple, ...], records: list[list], edges: list[str]):
+        self.circles = circles
+        self._records = records
+        self._edges = edges
+        self._len = sum(c[3] for c in circles)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._specs[i]
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, CircleSpecs)):
+            return self._specs == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    @cached_property
+    def _specs(self) -> list[CircleSpec]:
+        edges = self._edges
+        specs = []
+        for (levels, terms, radius, _), record in zip(self.circles, self._records):
+            paths = []
+            stack = [(record, ())]
+            while stack:
+                rec, tail = stack.pop()
+                if len(rec) == 1:
+                    paths.append(tail)
+                else:
+                    stack.extend((rec[i], (rec[i + 1],) + tail) for i in range(1, len(rec), 2))
+            paths.sort()
+            specs.extend(CircleSpec(tuple(edges[r] for r in path), levels, terms, radius) for path in paths)
+        return specs
 
 
 # -- fiber classification --------------------------------------------------------
@@ -383,10 +465,11 @@ def render_svg(
 ) -> str:
     """Deterministic SVG of the circle specifications (byte-reproducible).
 
-    Specs with equal levels are one circle, and their sort puts them next
-    to each other, so each run of them is drawn from one formatted line;
-    each distinct coefficient and angle becomes a float once.  The center
-    sums its terms as CircleSpec.center_value does, so the bytes match it.
+    Each distinct circle is formatted once and its line written once per
+    path that gives it, in circle_specs order, so no per-path spec is
+    built; each distinct coefficient and angle becomes a float once.  The
+    center sums its terms as CircleSpec.center_value does, so the bytes
+    match it.
     """
     specs = circle_specs(p, max_k, max_depth, min_radius)
     margin = 1.1
@@ -404,24 +487,21 @@ def render_svg(
     # holds every key alive until the loop ends
     floats: dict[int, float] = {}
     units: dict[int, complex] = {}
-    last: CircleSpec | None = None
-    for spec in specs:
-        if last is None or spec.levels != last.levels:
-            last = spec
-            for coeff, a in spec.center_terms:
-                if id(coeff) not in floats:
-                    floats[id(coeff)] = float(coeff)
-                if id(a) not in units:
-                    units[id(a)] = _angle_complex(a)
-            c = sum((floats[id(coeff)] * units[id(a)] for coeff, a in spec.center_terms), 0j)
-            cx = margin * scale + scale * c.real
-            cy = margin * scale - scale * c.imag
-            r = scale * float(spec.radius)
-            line = (
-                f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
-                'fill="none" stroke="black" stroke-width="0.5"/>'
-            )
-        lines.append(line)
+    for _, terms, radius, count in specs.circles:
+        for coeff, a in terms:
+            if id(coeff) not in floats:
+                floats[id(coeff)] = float(coeff)
+            if id(a) not in units:
+                units[id(a)] = _angle_complex(a)
+        c = sum((floats[id(coeff)] * units[id(a)] for coeff, a in terms), 0j)
+        cx = margin * scale + scale * c.real
+        cy = margin * scale - scale * c.imag
+        r = scale * float(radius)
+        line = (
+            f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
+            'fill="none" stroke="black" stroke-width="0.5"/>'
+        )
+        lines += [line] * count
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

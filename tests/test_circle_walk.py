@@ -1,13 +1,19 @@
-"""Differential test of the circle enumeration: the integer walk in
-circle_specs_report against a reference walk that carries every digit sum,
-angle and radius as an exact Fraction and sorts by CircleSpec.sort_key, and
-render_svg against a reference that formats every circle on its own.  The
-circle budget's pre-count is checked against the reference walk, and
-counting wrappers check that each distinct value is built once."""
+"""Differential test of the circle enumeration: the state walk in
+circle_specs_report, expanded into one spec per path, against a reference
+walk over paths that carries every digit sum, angle and radius as an exact
+Fraction and sorts by CircleSpec.sort_key, and render_svg against a
+reference that formats every circle on its own.  The circle budget's
+pre-count is checked against the reference walk, and counting wrappers
+check that each distinct value is built once and that `render` builds no
+per-path spec."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftquot import geometry
 from shiftquot.algebra import FgAbelianGroup, synthesize_seed
@@ -25,6 +31,7 @@ from shiftquot.graphs import Graph
 from shiftquot.rays import Angle
 
 from conftest import bundle_path
+from test_seed_walks import seeds
 
 
 def reference_specs_report(p, max_k, max_depth, min_radius=0):
@@ -171,6 +178,85 @@ def test_walk_matches_reference_on_synthesized_seeds(k0, k1):
     for max_k in range(4):
         for depth in range(1, 4):
             assert_same(p, max_k, depth, svg=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds())
+def test_walk_matches_reference_on_drawn_seeds(p):
+    # parallel image and spare edges on up to three vertices, some of them
+    # without an all-image tail; a seed whose H has no cycle has none at all
+    if all(p.completion[v].xi_tail is None for v in p.g.vertices):
+        with pytest.raises(EmbeddingError, match="no all-image tails"):
+            circle_specs_report(p, 1, 1)
+        return
+    for max_k in range(4):
+        for depth in range(1, 5):
+            for min_radius in (0, Fraction(1, 300)):
+                expected = reference_specs_report(p, max_k, depth, min_radius)
+                specs, pruned = circle_specs_report(p, max_k, depth, min_radius)
+                assert len(specs) == len(expected[0])
+                if min_radius == 0:
+                    assert len(specs) == circle_count(p, max_k, depth)
+                assert (specs, pruned) == expected, (max_k, depth, min_radius)
+                assert render_svg(p, max_k, depth, min_radius, 400.0) == reference_svg(expected[0], 400.0)
+
+
+def test_walk_by_multiplicity_at_depth_7(twovertex):
+    # 56,313 circles, 800 of them distinct
+    every, _ = reference_specs_report(twovertex, 3, 7)
+    specs, pruned = circle_specs_report(twovertex, 3, 7)
+    assert len(specs) == len(every) == circle_count(twovertex, 3, 7) == 56_313
+    assert len(specs.circles) == 800 and pruned == 0
+    for min_radius in (0, Fraction(1, 300)):
+        kept = [spec for spec in every if spec.radius >= min_radius]
+        specs, pruned = circle_specs_report(twovertex, 3, 7, min_radius)
+        assert len(specs) == len(kept)
+        assert pruned == sum((spec.radius for spec in every if spec.radius < min_radius), Fraction(0))
+        assert render_svg(twovertex, 3, 7, min_radius, 400.0) == reference_svg(kept, 400.0)
+
+
+def test_render_builds_no_per_path_spec(twovertex, tmp_path, capsys, monkeypatch):
+    every, _ = reference_specs_report(twovertex, 2, 6)
+    built = []
+
+    def counting_spec(*args):
+        built.append(args)
+        return CircleSpec(*args)
+
+    monkeypatch.setattr(geometry, "CircleSpec", counting_spec)
+    out = tmp_path / "twovertex.svg"
+    argv = ["render", bundle_path("twovertex.bundle"), "--max-k", "2", "--depth", "6", "-o", str(out)]
+    assert main(argv) == 0
+    assert "circles = 7225\n" in capsys.readouterr().out
+    assert len(built) <= 193  # at most one per distinct circle
+    specs, _ = circle_specs_report(twovertex, 2, 6)
+    assert len(specs.circles) == 193
+    built.clear()
+    assert len(specs) == 7_225
+    assert built == []
+    assert specs[-1].prefix == every[-1].prefix
+    assert len(built) == 7_225
+
+
+def test_render_ignores_hash_seed(twovertex, tmp_path):
+    # the walk and the expansion iterate dicts in insertion order, never sets
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = tmp_path / "twovertex.svg"
+    code = (
+        "import sys\nfrom shiftquot.cli import main\n"
+        f"sys.exit(main(['render', {bundle_path('twovertex.bundle')!r}, '--max-k', '2', '--depth', '5', "
+        f"'-o', {str(out)!r}]))"
+    )
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, out.read_bytes()))
+        out.unlink()
+    assert runs[0] == runs[1]
+    every, _ = reference_specs_report(twovertex, 2, 5)
+    assert runs[0][1] == reference_svg(every, 400.0).encode()
 
 
 def test_pruned_sum_is_exact_at_every_threshold(full3):
