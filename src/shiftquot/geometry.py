@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .embedding import EmbeddingPair, EmbeddingError, epsilon
 from .graphs import paths_of_length
-from .metrics import tau_ray
 from .rays import (
     Angle,
     LassoRay,
@@ -34,6 +33,8 @@ from .rays import (
     format_ray,
     kappa,
     levels,
+    normal_form,
+    raw_levels,
     stratum_approximant,
 )
 
@@ -97,13 +98,6 @@ class CircleSpec:
 
     def center_value(self) -> complex:
         return _eval_terms(list(self.center_terms))
-
-    def sort_key(self):
-        return (
-            len(self.levels),
-            tuple(n for n, _ in self.levels),
-            tuple(a.turns for _, a in self.levels),
-        )
 
 
 def _spec_from_levels(
@@ -520,10 +514,54 @@ class InjectivityReport:
 
 
 def _discrete_invariant(p: EmbeddingPair, x: LassoRay):
-    """(quotient image, chain of (gap, angle) level data, tail angle): a
-    complete invariant of the identification class for finite strata."""
-    *chain, (_, tail) = levels(p, x)
-    return (tau_ray(p, x), tuple(chain), Angle.of(tail).turns)
+    """(quotient image, chain of (gap, digit-sum numerator) level data, tail
+    angle): a complete invariant of the identification class for finite
+    strata.  A level's digit sum has denominator 2^(gap - 1), so levels of
+    equal gap compare by numerator alone."""
+    *chain, (_, num, den) = raw_levels(p, x)
+    tau = p.quotient.tau
+    image = normal_form([tau[e] for e in x.prefix], tuple(tau[e] for e in x.cycle))
+    return (image, tuple((gap, n) for gap, n, _ in chain), Fraction(num % den, den))
+
+
+def _normal_spellings(
+    p: EmbeddingPair, depth: int, tail_length: int
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The (prefix, cycle) of every lasso in normal form with prefix length
+    <= depth, cycle length <= tail_length and finite spare count, each
+    once, depth-first over composable prefixes (each prefix before its
+    extensions; the empty prefix takes every cycle and extends by every
+    edge); at one prefix, cycles by length, then start vertex, then the
+    order of paths_of_length."""
+    g = p.g
+    # a cycle carrying a spare edge gives kappa = infinity whatever the prefix
+    cycles = [
+        w.edges
+        for L in range(1, tail_length + 1)
+        for v in g.vertices
+        for w in paths_of_length(g, L, src=v, dst=v)
+        if all(p.in_image(e) for e in w.edges) and normal_form((), w.edges).cycle == w.edges
+    ]
+    cycles_at: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.vertices}
+    for cyc in cycles:
+        cycles_at[g.source(cyc[0])].append(cyc)
+
+    stack: list[tuple[str, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        if prefix:
+            last = prefix[-1]
+            at = g.target(last)
+            for cyc in cycles_at[at]:
+                if cyc[-1] != last:
+                    yield prefix, cyc
+            onward = g.out_edges(at)
+        else:
+            for cyc in cycles:
+                yield prefix, cyc
+            onward = g.edges
+        if len(prefix) < depth:
+            stack.extend(prefix + (e,) for e in reversed(onward))
 
 
 def embedding_injectivity_check(
@@ -536,48 +574,36 @@ def embedding_injectivity_check(
     lassos have distinct discrete invariants.
 
     Enumerates all lassos with prefix length <= depth and cycle length
-    <= tail_length whose spare count is finite.
+    <= tail_length whose spare count is finite, depth-first (see
+    _normal_spellings), and counts each class when its first member is
+    met; a collision pairs the first class with that invariant and the
+    later one.  Spellings not in normal form are skipped, and that is
+    exact: each spells a lasso met earlier in the same order.  A cycle
+    r^k (k > 1) at a prefix is met first as r at that prefix, since r is
+    shorter; a prefix P + (e,) with a cycle c ending in e is met first at
+    P with the cycle (e,) + c[:-1], of the same length at the same vertex.
+    So the classes and their first-met order are those of the walk over
+    every spelling.  Each new class runs canonical once and records its
+    rep and partner, so the class's other member is skipped by a set
+    lookup.
     """
-    g = p.g
-    # a cycle carrying a spare edge gives kappa = infinity whatever the prefix
-    cycles = [
-        w.edges
-        for L in range(1, tail_length + 1)
-        for v in g.vertices
-        for w in paths_of_length(g, L, src=v, dst=v)
-        if all(p.in_image(e) for e in w.edges)
-    ]
-    cycles_at: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.vertices}
-    for cyc in cycles:
-        cycles_at[g.source(cyc[0])].append(cyc)
-
-    reps: dict[object, LassoRay] = {}
-    invariants: dict[object, object] = {}
+    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+    classes = 0
+    invariants: dict[object, LassoRay] = {}
     collisions: list[tuple[str, str]] = []
-    # depth-first over composable prefixes, each prefix before its extensions;
-    # the empty prefix takes every cycle and extends by every edge
-    stack: list[tuple[str, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        if prefix:
-            at = g.target(prefix[-1])
-            here, onward = cycles_at[at], g.out_edges(at)
-        else:
-            here, onward = cycles, g.edges
-        for cyc in here:
-            c = canonical(p, LassoRay.make(g, prefix, cyc))
-            key = (c.rep.prefix, c.rep.cycle)
-            if key in reps:
-                continue
-            if len(reps) >= class_cap:
-                raise RayError("class cap exceeded")
-            reps[key] = c.rep
-            inv = _discrete_invariant(p, c.rep)
-            other = invariants.get(inv)
-            if other is not None:
-                collisions.append((format_ray(other), format_ray(c.rep)))
-            else:
-                invariants[inv] = c.rep
-        if len(prefix) < depth:
-            stack.extend(prefix + (e,) for e in reversed(onward))
-    return InjectivityReport(len(reps), tuple(collisions))
+    for key in _normal_spellings(p, depth, tail_length):
+        if key in seen:
+            continue
+        if classes >= class_cap:
+            raise RayError(
+                f"class cap exceeded: more than {class_cap} identification classes at depth {depth}"
+            )
+        classes += 1
+        c = canonical(p, LassoRay(*key))
+        for x in (c.rep, c.partner):
+            if x is not None:
+                seen.add((x.prefix, x.cycle))
+        other = invariants.setdefault(_discrete_invariant(p, c.rep), c.rep)
+        if other is not c.rep:
+            collisions.append((format_ray(other), format_ray(c.rep)))
+    return InjectivityReport(classes, tuple(collisions))

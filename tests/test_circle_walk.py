@@ -1,7 +1,7 @@
 """Differential test of the circle enumeration: the state walk in
 circle_specs_report, expanded into one spec per path, against a reference
 walk over paths that carries every digit sum, angle and radius as an exact
-Fraction and sorts by CircleSpec.sort_key, and render_svg against a
+Fraction and sorts by spec_sort_key, and render_svg against a
 reference that formats every circle on its own.  The circle budget's
 pre-count is checked against the reference walk, and counting wrappers
 check that each distinct value is built once and that `render` builds no
@@ -32,6 +32,16 @@ from shiftquot.rays import Angle
 
 from conftest import bundle_path
 from test_seed_walks import seeds
+
+
+def spec_sort_key(spec: CircleSpec):
+    """The order circle_specs documents: stratum, then gap chain, then
+    angle chain (a stable sort keeps the walk's prefix order in ties)."""
+    return (
+        len(spec.levels),
+        tuple(n for n, _ in spec.levels),
+        tuple(a.turns for _, a in spec.levels),
+    )
 
 
 def reference_specs_report(p, max_k, max_depth, min_radius=0):
@@ -73,7 +83,7 @@ def reference_specs_report(p, max_k, max_depth, min_radius=0):
 
     for v in p.g.vertices:
         walk(v, [], [], 0, Fraction(0), 0)
-    out.sort(key=CircleSpec.sort_key)
+    out.sort(key=spec_sort_key)
     return out, pruned
 
 

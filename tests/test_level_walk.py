@@ -158,7 +158,10 @@ def assert_walk_matches(p, rays_):
         assert n == math.inf and Angle.of(tail) == ref_tail
         assert [(g, Angle.of(t)) for g, t in chain_] == ref_chain
         assert zeta_exact_terms(p, x) == ref_zeta_exact_terms(p, x)
-        assert _discrete_invariant(p, x) == ref_discrete_invariant(p, x)
+        # the walk keys each level by its digit-sum numerator over 2^(gap - 1)
+        image, chain_keys, tail_turns = _discrete_invariant(p, x)
+        chain_values = tuple((g, Fraction(k, 2 ** (g - 1))) for g, k in chain_keys)
+        assert (image, chain_values, tail_turns) == ref_discrete_invariant(p, x)
     finite = [x for x in rays_ if kappa(p, x) != math.inf]
     for x in finite:
         for y in finite:
