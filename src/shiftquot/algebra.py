@@ -400,7 +400,7 @@ class PairComplex:
     @cached_property
     def h6(self) -> tuple[tuple[str, ...], ...]:
         self._check_cap()
-        return _h_words(self.pair.h, 6)
+        return tuple(paths_of_length(self.pair.h, 6))
 
     def terminal_boundary_vanishes(self, p: EmbeddingPair) -> bool:
         """The terminal-vertex image of every generator boundary
@@ -414,10 +414,6 @@ class PairComplex:
         )
 
 
-def _h_words(h: Graph, n: int) -> tuple[tuple[str, ...], ...]:
-    return tuple(w.edges for w in paths_of_length(h, n))
-
-
 def _pair_cells(p: EmbeddingPair, length: int) -> tuple[frozenset[Pair], ...]:
     """Cells V_0..V_length over words of the given length (6 or 7).
 
@@ -429,13 +425,13 @@ def _pair_cells(p: EmbeddingPair, length: int) -> tuple[frozenset[Pair], ...]:
     g, h = p.g, p.h
     cells: list[set[Pair]] = [set() for _ in range(length + 1)]
     for w in paths_of_length(g, length):
-        cells[0].add((w.edges, w.edges))
+        cells[0].add((w, w))
     for k in range(1, length + 1):
-        for y in _h_words(h, k):
+        for y in paths_of_length(h, k):
             head = p.xi0_vertices[h.source(y[0])]
             y0 = tuple(p.xi0_edges[e] for e in y)
             y1 = tuple(p.xi1_edges[e] for e in y)
-            xs = [x.edges for x in paths_of_length(g, length - k, dst=head)] if k < length else [()]
+            xs = paths_of_length(g, length - k, dst=head) if k < length else [()]
             for x in xs:
                 cells[k].add((x + y0, x + y1))
                 cells[k].add((x + y1, x + y0))

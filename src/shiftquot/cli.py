@@ -39,7 +39,6 @@ class BundleError(ValueError):
 
 @dataclass(frozen=True)
 class SeedBundle:
-    name: str
     g: Graph
     h: Graph
     vertex_map: dict[str, str]
@@ -136,7 +135,7 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
         for what, emap in (("xi0", xi0), ("xi1", xi1)):
             if y not in emap:
                 raise BundleError(f"{name}: H-edge {y!r} has no 'map {what}' line")
-    return SeedBundle(name, Graph(gv, ge.values()), Graph(hv, he.values()), vmap, xi0, xi1)
+    return SeedBundle(Graph(gv, ge.values()), Graph(hv, he.values()), vmap, xi0, xi1)
 
 
 def load_bundle(path: str) -> SeedBundle:

@@ -124,7 +124,7 @@ class EmbeddingPair:
         return quotient_graph(self)
 
     @cached_property
-    def completion(self) -> CompletionTables:
+    def completion(self) -> dict[str, VertexCompletion]:
         return completion_tables(self)
 
     def in_image(self, edge: str) -> bool:
@@ -250,18 +250,9 @@ class VertexCompletion:
         min_forced is that count.
     """
 
-    vertex: str
     xi_tail: tuple[tuple[str, ...], tuple[str, ...]] | None
     min_forced_path: tuple[str, ...] | None
     min_forced: int | None
-
-
-@dataclass(frozen=True)
-class CompletionTables:
-    per_vertex: dict[str, VertexCompletion]
-
-    def __getitem__(self, vertex: str) -> VertexCompletion:
-        return self.per_vertex[vertex]
 
 
 def _h_tail_witness(h: Graph) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -298,8 +289,9 @@ def _h_tail_witness(h: Graph) -> dict[str, tuple[tuple[str, ...], tuple[str, ...
     return result
 
 
-def completion_tables(p: EmbeddingPair) -> CompletionTables:
-    """Completion data per vertex; errors on a vertex with no outgoing edge."""
+def completion_tables(p: EmbeddingPair) -> dict[str, VertexCompletion]:
+    """Completion data by vertex, in G's vertex order; errors on a vertex
+    with no outgoing edge."""
     g = p.g
     for v in g.vertices:
         if not g.out_edges(v):
@@ -338,5 +330,5 @@ def completion_tables(p: EmbeddingPair) -> CompletionTables:
         for u in tail_vertices:
             if u in forced and (mf is None or forced[u][0] < mf):
                 mf, mf_path = forced[u]
-        per[v] = VertexCompletion(v, xi_tail[v], mf_path, mf)
-    return CompletionTables(per)
+        per[v] = VertexCompletion(xi_tail[v], mf_path, mf)
+    return per

@@ -536,11 +536,11 @@ def _normal_spellings(
     g = p.g
     # a cycle carrying a spare edge gives kappa = infinity whatever the prefix
     cycles = [
-        w.edges
+        w
         for L in range(1, tail_length + 1)
         for v in g.vertices
         for w in paths_of_length(g, L, src=v, dst=v)
-        if all(p.in_image(e) for e in w.edges) and normal_form((), w.edges).cycle == w.edges
+        if all(p.in_image(e) for e in w) and normal_form((), w).cycle == w
     ]
     cycles_at: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.vertices}
     for cyc in cycles:

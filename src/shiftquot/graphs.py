@@ -191,16 +191,6 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class PathWord:
-    """Nonempty edge sequence with matching endpoints."""
-
-    edges: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 def adjacency_matrix(g: Graph) -> IntMatrix:
     """Adjacency matrix in the (target, source) convention.
 
@@ -262,15 +252,16 @@ def paths_of_length(
     n: int,
     src: str | None = None,
     dst: str | None = None,
-) -> list[PathWord]:
-    """All paths of length n, in lexicographic order by edge index.
+) -> list[tuple[str, ...]]:
+    """All paths of length n as edge tuples, in lexicographic order by edge
+    index.
 
     Optional endpoint filters restrict the initial and terminal vertex.
     """
     if n < 1:
         raise GraphError("path length must be >= 1")
     starts = [src] if src is not None else list(g.vertices)
-    out: list[PathWord] = []
+    out: list[tuple[str, ...]] = []
     for v in starts:
         if v not in g.vertex_index:
             raise GraphError(f"unknown vertex {v!r}")
@@ -288,5 +279,5 @@ def paths_of_length(
                 prefix.append(e)
                 stack.append(iter(g.out_edges(g.target(e))))
             elif dst is None or g.target(e) == dst:
-                out.append(PathWord((*prefix, e)))
+                out.append((*prefix, e))
     return out

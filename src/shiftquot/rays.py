@@ -418,4 +418,5 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay | ClassPoint, y: LassoRay) -> La
     else:
         target = Angle(Fraction(t_num, t_den))
         e, rep, _, _ = candidates[min(range(len(angles)), key=lambda i: angles[i].distance(target))]
-    return LassoRay.make(g, (e,) + rep.prefix, rep.cycle)
+    # every candidate passed the checks above, so no second validation
+    return normal_form((e,) + rep.prefix, rep.cycle)

@@ -57,15 +57,6 @@ class BiLasso:
             raise SmaleError(str(exc)) from None
         return BiLasso(past, core, future, origin)
 
-    def edge_at(self, n: int) -> str:
-        lo = self.origin
-        hi = self.origin + len(self.core)  # first future position
-        if n < lo:
-            return self.past[(n - lo) % len(self.past)]
-        if n < hi:
-            return self.core[n - lo]
-        return self.future[(n - hi) % len(self.future)]
-
     def core_end(self) -> int:
         return self.origin + len(self.core) - 1
 
@@ -189,6 +180,10 @@ def tower_distance(
     raise the lower end or the upper end (which is never below it), and
     the levels from n on are not read; an error such a level would raise
     does not surface.
+
+    A pair at distance 0, such as a point and its carry partner, keeps `lo`
+    at 0 and so reads every level 0..M.  No stop rule is known for it: a
+    level at exactly 0 proves nothing about the deeper levels.
     """
     if x.depth != y.depth:
         raise SmaleError("towers must share their depth")
@@ -346,7 +341,7 @@ def transversal_spec(p: EmbeddingPair) -> TransversalSpec:
     spare = Graph(g.vertices, [(e, g.source(e), g.target(e)) for e in g.edges if not p.in_image(e)])
     best: tuple[str, ...] | None = None
     for L in range(1, len(g.vertices) + 1):
-        candidates = [w.edges for v in g.vertices for w in paths_of_length(spare, L, src=v, dst=v)]
+        candidates = [w for v in g.vertices for w in paths_of_length(spare, L, src=v, dst=v)]
         if candidates:
             best = min(candidates)
             break

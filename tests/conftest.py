@@ -32,6 +32,18 @@ def twovertex():
     return load_bundle(bundle_path("twovertex.bundle")).pair()
 
 
+def ref_edge_at(x, n):
+    """The edge of the bi-lasso x at position n, read one position at a
+    time: the reference for `BiLasso.window`."""
+    lo = x.origin
+    hi = x.origin + len(x.core)  # first future position
+    if n < lo:
+        return x.past[(n - lo) % len(x.past)]
+    if n < hi:
+        return x.core[n - lo]
+    return x.future[(n - hi) % len(x.future)]
+
+
 def random_lasso(p, rng: random.Random, max_prefix=8, max_cycle=3, finite=True) -> LassoRay:
     """Random lasso over a one-vertex seed graph; finite=True keeps the
     cycle inside the embedded image."""

@@ -2,10 +2,11 @@
 
 The references below are copies of the earlier implementations of
 `bilasso_equal`, `pair_related`, `membership_yu` and `membership_ys`,
-which read one `edge_at` per position.  The new code reads each bi-lasso
-once as a window; it must give the same witnesses and booleans, and raise
-the same error type where the earlier code raised (a seed whose images
-overlap has no partner map, so reading a swap there fails).
+which read one edge per position (`ref_edge_at`).  The new code reads
+each bi-lasso once as a window; it must give the same witnesses and
+booleans, and raise the same error type where the earlier code raised (a
+seed whose images overlap has no partner map, so reading a swap there
+fails).
 """
 
 import math
@@ -14,6 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ref_edge_at
 from test_bracket_path import closed_walk, end_of, outcome, walk
 from test_seed_walks import seeds
 from test_tower_levels import tower_pairs
@@ -39,11 +41,11 @@ def ref_bilasso_equal(x, y):
     lf = math.lcm(len(x.future), len(y.future))
     a = min(x.origin, y.origin) - lp
     b = max(x.core_end(), y.core_end()) + lf
-    return all(x.edge_at(n) == y.edge_at(n) for n in range(a, b + 1))
+    return all(ref_edge_at(x, n) == ref_edge_at(y, n) for n in range(a, b + 1))
 
 
 def ref_swapped_at(p, x, y, n):
-    a, b = x.edge_at(n), y.edge_at(n)
+    a, b = ref_edge_at(x, n), ref_edge_at(y, n)
     if a == b or not p.in_image(a) or not p.in_image(b):
         return None
     if p.partner(a) != b:
@@ -73,7 +75,7 @@ def ref_pair_related(p, x, y):
             break
     if m is None:
         return None
-    xm, ym = x.edge_at(m), y.edge_at(m)
+    xm, ym = ref_edge_at(x, m), ref_edge_at(y, m)
     pivot_ok = (xm == ym and not p.in_image(xm)) or (
         p.in_image(xm)
         and p.in_image(ym)
@@ -84,7 +86,7 @@ def ref_pair_related(p, x, y):
     if not pivot_ok:
         return None
     for n in range(m - 1, lo - lp - 1, -1):
-        if x.edge_at(n) != y.edge_at(n):
+        if ref_edge_at(x, n) != ref_edge_at(y, n):
             return None
     return PairWitness("c", i=tail_i, m=m)
 
@@ -92,7 +94,7 @@ def ref_pair_related(p, x, y):
 def ref_membership_yu(p, spec, x):
     for q in spec.points:
         span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
-        if all(x.edge_at(n) == q.edge_at(n) for n in range(-span, 1)):
+        if all(ref_edge_at(x, n) == ref_edge_at(q, n) for n in range(-span, 1)):
             return True
     return False
 
@@ -100,7 +102,7 @@ def ref_membership_yu(p, spec, x):
 def ref_membership_ys(p, spec, x):
     for q in spec.points:
         span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
-        if all(x.edge_at(n) == q.edge_at(n) for n in range(-1, span + 1)):
+        if all(ref_edge_at(x, n) == ref_edge_at(q, n) for n in range(-1, span + 1)):
             return True
     return False
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -322,7 +323,20 @@ def test_render_figure_script_options(tmp_path, argv, code):
     assert "Traceback" not in proc.stderr
     assert out.exists() == (code == 0)
     if code == 0:
-        assert "nan" not in out.read_text() and proc.stdout.endswith(f"-> {out}\n")
+        assert "nan" not in out.read_text() and proc.stdout.endswith(f"wrote = {out}\n")
+
+
+def test_render_figure_default_figure_is_unchanged(tmp_path):
+    # the script's defaults (full3, depth 6, min radius 1/4096, scale 420)
+    # draw the same figure, byte for byte, as before it became one `render`
+    out = tmp_path / "fig.svg"
+    proc = subprocess.run(
+        [sys.executable, RENDER_FIGURE, "-o", str(out)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"circles = 193\npruned_radius_sum = 0\nwrote = {out}\n"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "6b5e262b1e2cc35273ee8cf41a91fb00608adb67e9c1d3535c39a6c3711e345e"
 
 
 def test_complex_cli(capsys):

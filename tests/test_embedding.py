@@ -137,6 +137,9 @@ def test_completion_rejects_dead_vertex():
 
 def test_twovertex_completion(twovertex):
     tables = completion_tables(twovertex)
+    # a plain dict keyed in G's vertex order, as the seed holds it
+    assert type(tables) is dict and list(tables) == list(twovertex.g.vertices)
+    assert twovertex.completion == tables
     for v in twovertex.g.vertices:
         comp = tables[v]
         assert comp.xi_tail is not None

@@ -109,7 +109,7 @@ def walk_lasso(g, rng):
         e = rng.choice(g.out_edges(at))
         prefix.append(e)
         at = g.target(e)
-    cycles = [w.edges for L in (1, 2, 3) for w in paths_of_length(g, L, src=at, dst=at)]
+    cycles = [w for L in (1, 2, 3) for w in paths_of_length(g, L, src=at, dst=at)]
     return LassoRay.make(g, prefix, rng.choice(cycles)) if cycles else None
 
 

@@ -82,7 +82,7 @@ def recursive_injectivity(
     cycles = []
     for L in range(1, tail_length + 1):
         for v in g.vertices:
-            cycles.extend(w.edges for w in paths_of_length(g, L, src=v, dst=v))
+            cycles.extend(paths_of_length(g, L, src=v, dst=v))
     reps, invariants, collisions = {}, {}, []
 
     def consider(x: LassoRay) -> None:

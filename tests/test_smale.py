@@ -34,8 +34,8 @@ def bl(p, text):
 def test_bilasso_literal_roundtrip(full3):
     x = bl(full3, "c;a,b;a")
     assert format_bilasso(x) == "c;a,b;a"
-    assert x.edge_at(1) == "a" and x.edge_at(2) == "b" and x.edge_at(3) == "a"
-    assert x.edge_at(0) == "c" and x.edge_at(-5) == "c"
+    assert x.window(1, 1)[0] == "a" and x.window(2, 2)[0] == "b" and x.window(3, 3)[0] == "a"
+    assert x.window(0, 0)[0] == "c" and x.window(-5, -5)[0] == "c"
 
 
 def test_bilasso_validation(full3):
@@ -45,14 +45,14 @@ def test_bilasso_validation(full3):
     with pytest.raises(SmaleError):
         BiLasso.make(g, ("f",), (), ("f", "g"))  # past does not close
     x = BiLasso.make(g, ("f", "g"), (), ("f", "g"))
-    assert x.edge_at(1) == "f"
+    assert x.window(1, 1)[0] == "f"
 
 
 def test_bilasso_equality_and_shift(full3):
     x = bl(full3, "c;a,b;a")
     assert bilasso_equal(x, x)
     y = shift_bilasso(x)
-    assert y.edge_at(0) == "a" and y.edge_at(1) == "b"
+    assert y.window(0, 0)[0] == "a" and y.window(1, 1)[0] == "b"
     assert not bilasso_equal(x, y)
     # same path written with different cores
     a = BiLasso(("c",), ("a",), ("a",), 1)
@@ -153,7 +153,7 @@ def test_apply_witness_rejects_a_malformed_witness(full3):
 def test_pair_related_rejects_same_superscript_pivot(full3):
     # equal doubled edge at the pivot does not glue the paths
     x, y = bl(full3, "c;a,a;a"), bl(full3, "c;a,b;b")
-    assert x.edge_at(1) == y.edge_at(1) == "a"
+    assert x.window(1, 1)[0] == y.window(1, 1)[0] == "a"
     assert pair_related(full3, x, y) is None
 
 

@@ -2,7 +2,7 @@
 
 The references below are copies of the earlier implementations:
 `LassoRay.head`, `first_difference` and `BiLasso.window` reading one
-`edge_at` per position, `ray_from` through that window, `lift_preimage`
+edge per position, `ray_from` through that window, `lift_preimage`
 scoring every candidate with exact fractions, `tower_distance` reading
 every level 0..M, and `bracket` flipping each lift's representative again
 although `canonical` had just flipped it.  The new code must give the same
@@ -21,6 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ref_edge_at
 from test_bracket_path import (
     RAY_DEPTHS,
     bilasso_pairs,
@@ -79,7 +80,7 @@ def ref_first_difference(x, y):
 
 
 def ref_window(x, a, b):
-    return tuple(x.edge_at(n) for n in range(a, b + 1))
+    return tuple(ref_edge_at(x, n) for n in range(a, b + 1))
 
 
 def ref_ray_from(x, n):
