@@ -278,7 +278,7 @@ def cmd_render(args) -> int:
     svg = geometry.render_svg(p, args.max_k, args.depth, args.min_radius, args.scale)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    print(f"circles = {len(specs)}")
+    print(f"circles = {sum(s.paths for s in specs)}")
     print(f"pruned_radius_sum = {pruned}")
     print(f"wrote = {args.output}")
     return 0

@@ -9,19 +9,20 @@ Every center, radius and angle is dyadic, so the circle enumeration walks
 on integers (digit-sum numerators and radius exponents).  Most circles
 are given by many paths, so the walk merges paths into states with a path
 count and builds each distinct circle, and each distinct exact value,
-once; the per-path specs are built only when read.  Rendering formats
-each distinct circle once and writes it once per path.  A walk that would
-count more than CIRCLE_BUDGET circles is refused before it starts.
+once: one spec per circle, holding the number of paths that give it.
+Rendering formats each circle once and writes it once per path.  A walk
+that would count more than CIRCLE_BUDGET circles is refused before it
+starts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .embedding import EmbeddingPair, EmbeddingError, epsilon
 from .graphs import paths_of_length
@@ -57,7 +58,7 @@ def zeta_exact_terms(
     if kappa(p, x) == math.inf:
         raise RayError("exact coordinate needs finitely many spare edges")
     *chain, (_, tail) = levels(p, x)
-    spec = _spec_from_levels((), [(n, Angle.of(t)) for n, t in chain])
+    spec = _spec_from_levels([(n, Angle.of(t)) for n, t in chain])
     return [*spec.center_terms, (spec.radius, Angle.of(tail))]
 
 
@@ -86,23 +87,21 @@ def zeta_approx(
 # -- circle specifications -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CircleSpec:
+class CircleSpec(NamedTuple):
     """One circle of the image: the full coordinate set of the rays that
-    extend a fixed prefix ending at its last spare edge."""
+    extend a prefix ending at its last spare edge, and the number of such
+    prefixes that give this circle."""
 
-    prefix: tuple[str, ...]
     levels: tuple[tuple[int, Angle], ...]  # (gap to the i-th spare edge, angle)
     center_terms: tuple[tuple[Fraction, Angle], ...]
     radius: Fraction
+    paths: int = 1
 
     def center_value(self) -> complex:
         return _eval_terms(list(self.center_terms))
 
 
-def _spec_from_levels(
-    prefix: tuple[str, ...], levels: list[tuple[int, Angle]]
-) -> CircleSpec:
+def _spec_from_levels(levels: list[tuple[int, Angle]]) -> CircleSpec:
     """Level i contributes (prod_{j<i} 2^(-3-n_j)) * (1 - 2^(1-n_i)) *
     e^(2 pi i theta_i) to the center; the radius is the full product."""
     terms: list[tuple[Fraction, Angle]] = []
@@ -115,7 +114,7 @@ def _spec_from_levels(
         scale *= Fraction(1, 2 ** (3 + n))
         total_gap += n
     radius = Fraction(1, 2 ** (3 * len(levels) + total_gap))
-    return CircleSpec(prefix, tuple(levels), tuple(terms), radius)
+    return CircleSpec(tuple(levels), tuple(terms), radius)
 
 
 def circle_specs(
@@ -123,14 +122,12 @@ def circle_specs(
     max_k: int,
     max_depth: int,
     min_radius: Fraction | float = 0,
-) -> CircleSpecs:
+) -> list[CircleSpec]:
     """All circles arising from prefixes with at most max_k spare edges,
     the last one no deeper than max_depth, larger than min_radius: one
-    spec per prefix.
+    spec per distinct circle, with the number of prefixes that give it.
 
-    Deterministic order: by stratum, then gap chain, then angle chain;
-    prefixes giving the same circle keep the order of a depth-first walk
-    over prefixes (start vertex, then out-edges in the graph's order).
+    Deterministic order: by stratum, then gap chain, then angle chain.
     """
     specs, _ = circle_specs_report(p, max_k, max_depth, min_radius)
     return specs
@@ -159,6 +156,10 @@ each as often as paths give it.  twovertex has 233,785 at max_k 3, depth
 8, from 2,048 distinct circles (`render` takes about 0.2 s and 73 MiB peak
 RSS in-process on a 2-vCPU VM, most of it the SVG text), and 945,977 at
 depth 9."""
+
+INJECTIVITY_CLASS_CAP = 200_000
+"""Most identification classes that one embedding_injectivity_check may
+count before it is refused."""
 
 
 def circle_count(
@@ -205,7 +206,7 @@ def circle_specs_report(
     max_k: int,
     max_depth: int,
     min_radius: Fraction | float = 0,
-) -> tuple[CircleSpecs, Fraction]:
+) -> tuple[list[CircleSpec], Fraction]:
     """circle_specs plus the total radius of pruned circles.
 
     Raises EmbeddingError, before walking, if the walk would count more
@@ -224,14 +225,13 @@ def circle_specs_report(
     is summed from the counts.  Circles with equal gap chains have equal
     angle denominators, so (stratum, gap chain, numerator chain) sorts the
     distinct circles exactly like their angle chains.  Edges from which no
-    spare edge is reachable within the depth are skipped.
+    spare edge is reachable within the depth are skipped, and the walk
+    stops at the first length with no live state.
 
-    Each state keeps back-pointers to the states its paths came from, and
-    CircleSpecs builds the per-path specs from them only when read.
     render_svg walks again rather than take the specs its caller already
-    holds, so `render` makes two state walks and builds no per-path spec:
-    the benchmark's smoke test pins two walks per render job, and one walk
-    waits for a change to the benchmark.
+    holds, so `render` makes two state walks: the benchmark's smoke test
+    pins two walks per render job, and one walk waits for a change to the
+    benchmark.
     """
     tables = p.completion
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
@@ -251,36 +251,32 @@ def circle_specs_report(
     coeffs: dict[tuple[int, int], Fraction] = {}
 
     g = p.g
-    # edges by rank: by source vertex, then out-edge position, so ranks
-    # compare paths of one length as a depth-first walk meets them
-    edges = [e for v in g.vertices for e in g.out_edges(v)]
     to_spare = _steps_to_spare(p)
-    # per vertex, in out-edge order: (edge rank, target, superscript or None
-    # for a spare edge, fewest further edges before a spare one can be taken)
+    # per vertex, in out-edge order: (target, superscript or None for a
+    # spare edge, fewest further edges before a spare one can be taken)
     steps: dict[str, list[tuple]] = {v: [] for v in g.vertices}
-    for rank, e in enumerate(edges):
+    for e in g.edges:
         w = g.target(e)
-        steps[g.source(e)].append((rank, w, epsilon(p, e), to_spare[w]) if p.in_image(e) else (rank, w, None, 0))
+        steps[g.source(e)].append((w, epsilon(p, e), to_spare[w]) if p.in_image(e) else (w, None, 0))
     # chains[id]: (stratum, e, levels, center terms, gap chain, numerator
     # chain), levels and the rest None for the chain of a pruned circle
     chains: list[tuple] = [(0, 0, (), (), (), ())]
     chain_ids: dict[tuple[int, int, int], int] = {}
-    # a record is [path count, record, edge rank, record, edge rank, ...]:
-    # the paths into a state, from the records of the states before their
-    # last edge ([1] is the empty path); found maps the chain id of each
-    # kept circle to the record of the paths that give it
-    found: dict[int, list] = {}
+    # live and nxt map a state to the number of paths into it; found maps
+    # the chain id of each kept circle to the number of paths that give it
+    found: dict[int, int] = {}
     if e_max >= 0:
-        found[0] = [1]  # stratum zero: the unit circle itself
+        found[0] = 1  # stratum zero: the unit circle itself
     else:
         pruned[0] = 1
-    live = {(v, 0, 0, 0): [1] for v in g.vertices} if max_k > 0 else {}
+    live = {(v, 0, 0, 0): 1 for v in g.vertices} if max_k > 0 else {}
     for length in range(max_depth):
+        if not live:
+            break
         room = max_depth - length
-        nxt: dict[tuple, list] = {}
-        for (v, gap, num, chain), rec in live.items():
-            c = rec[0]
-            for rank, w, eps, further in steps[v]:
+        nxt: dict[tuple, int] = {}
+        for (v, gap, num, chain), c in live.items():
+            for w, eps, further in steps[v]:
                 if further >= room:
                     continue
                 if eps is not None:
@@ -310,87 +306,27 @@ def circle_specs_report(
                         else:
                             chains.append((k + 1, e, None, None, None, None))
                     if w in has_tail:
-                        if not kept:
-                            pruned[e] = pruned.get(e, 0) + c
-                        elif new in found:
-                            found[new][0] += c
-                            found[new] += rec, rank
+                        if kept:
+                            found[new] = found.get(new, 0) + c
                         else:
-                            found[new] = [c, rec, rank]
+                            pruned[e] = pruned.get(e, 0) + c
                     if k + 1 == max_k:
                         continue
                     key = (w, 0, 0, new)
-                state = nxt.get(key)
-                if state is None:
-                    nxt[key] = [c, rec, rank]
-                else:
-                    state[0] += c
-                    state += rec, rank
+                nxt[key] = nxt.get(key, 0) + c
         live = nxt
 
     order = sorted(found, key=lambda i: (chains[i][0], chains[i][4], chains[i][5]))
     radii: dict[int, Fraction] = {}
-    circles = []
+    specs = []
     for i in order:
         _, e, levels, terms, _, _ = chains[i]
         radius = radii.get(e)
         if radius is None:
             radius = radii[e] = Fraction(1, 1 << e)
-        circles.append((levels, terms, radius, found[i][0]))
+        specs.append(CircleSpec(levels, terms, radius, found[i]))
     total = sum((Fraction(c, 1 << e) for e, c in pruned.items()), Fraction(0))
-    return CircleSpecs(tuple(circles), [found[i] for i in order], edges), total
-
-
-class CircleSpecs(Sequence):
-    """The circles of one walk, one CircleSpec per path that gives one, in
-    circle_specs order; read-only.
-
-    The walk keeps each distinct circle once, in `circles` as (levels,
-    center terms, radius, path count), with the record of the paths that
-    give it.  len sums the counts; indexing, iteration and == build every
-    per-path spec on first read, following the back-pointers from each
-    record to the empty path.  Paths of one circle have one length, and
-    sorting their edge ranks puts them in depth-first walk order.
-    """
-
-    def __init__(self, circles: tuple[tuple, ...], records: list[list], edges: list[str]):
-        self.circles = circles
-        self._records = records
-        self._edges = edges
-        self._len = sum(c[3] for c in circles)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        return self._specs[i]
-
-    def __iter__(self):
-        return iter(self._specs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, CircleSpecs)):
-            return self._specs == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    @cached_property
-    def _specs(self) -> list[CircleSpec]:
-        edges = self._edges
-        specs = []
-        for (levels, terms, radius, _), record in zip(self.circles, self._records):
-            paths = []
-            stack = [(record, ())]
-            while stack:
-                rec, tail = stack.pop()
-                if len(rec) == 1:
-                    paths.append(tail)
-                else:
-                    stack.extend((rec[i], (rec[i + 1],) + tail) for i in range(1, len(rec), 2))
-            paths.sort()
-            specs.extend(CircleSpec(tuple(edges[r] for r in path), levels, terms, radius) for path in paths)
-        return specs
+    return specs, total
 
 
 # -- fiber classification --------------------------------------------------------
@@ -459,11 +395,10 @@ def render_svg(
 ) -> str:
     """Deterministic SVG of the circle specifications (byte-reproducible).
 
-    Each distinct circle is formatted once and its line written once per
-    path that gives it, in circle_specs order, so no per-path spec is
-    built; each distinct coefficient and angle becomes a float once.  The
-    center sums its terms as CircleSpec.center_value does, so the bytes
-    match it.
+    Each spec's circle is formatted once and its line written spec.paths
+    times, in circle_specs order; each distinct coefficient and angle
+    becomes a float once.  The center sums its terms as
+    CircleSpec.center_value does, so the bytes match it.
     """
     specs = circle_specs(p, max_k, max_depth, min_radius)
     margin = 1.1
@@ -481,7 +416,7 @@ def render_svg(
     # holds every key alive until the loop ends
     floats: dict[int, float] = {}
     units: dict[int, complex] = {}
-    for _, terms, radius, count in specs.circles:
+    for _, terms, radius, paths in specs:
         for coeff, a in terms:
             if id(coeff) not in floats:
                 floats[id(coeff)] = float(coeff)
@@ -495,7 +430,7 @@ def render_svg(
             f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
             'fill="none" stroke="black" stroke-width="0.5"/>'
         )
-        lines += [line] * count
+        lines += [line] * paths
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -568,7 +503,6 @@ def embedding_injectivity_check(
     p: EmbeddingPair,
     depth: int,
     tail_length: int = 1,
-    class_cap: int = 200_000,
 ) -> InjectivityReport:
     """Exhaustively verify that distinct identification classes of bounded
     lassos have distinct discrete invariants.
@@ -585,7 +519,7 @@ def embedding_injectivity_check(
     So the classes and their first-met order are those of the walk over
     every spelling.  Each new class runs canonical once and records its
     rep and partner, so the class's other member is skipped by a set
-    lookup.
+    lookup.  More than INJECTIVITY_CLASS_CAP classes raise RayError.
     """
     seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
     classes = 0
@@ -594,9 +528,9 @@ def embedding_injectivity_check(
     for key in _normal_spellings(p, depth, tail_length):
         if key in seen:
             continue
-        if classes >= class_cap:
+        if classes >= INJECTIVITY_CLASS_CAP:
             raise RayError(
-                f"class cap exceeded: more than {class_cap} identification classes at depth {depth}"
+                f"class cap exceeded: more than {INJECTIVITY_CLASS_CAP} identification classes at depth {depth}"
             )
         classes += 1
         c = canonical(p, LassoRay(*key))

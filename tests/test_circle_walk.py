@@ -1,11 +1,12 @@
 """Differential test of the circle enumeration: the state walk in
-circle_specs_report, expanded into one spec per path, against a reference
-walk over paths that carries every digit sum, angle and radius as an exact
-Fraction and sorts by spec_sort_key, and render_svg against a
-reference that formats every circle on its own.  The circle budget's
-pre-count is checked against the reference walk, and counting wrappers
-check that each distinct value is built once and that `render` builds no
-per-path spec."""
+circle_specs_report against a reference walk over paths that carries
+every digit sum, angle and radius as an exact Fraction, sorts one spec
+per path by spec_sort_key and folds adjacent equal circles into one spec
+with their path count, and render_svg against a reference that formats
+every path's circle on its own.  The circle budget's pre-count is checked
+against the reference walk, and counting wrappers check that each
+distinct value is built once and that `render` builds one spec per
+distinct circle."""
 
 import os
 import subprocess
@@ -53,38 +54,48 @@ def reference_specs_report(p, max_k, max_depth, min_radius=0):
     has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
     out = []
     pruned = Fraction(0)
-    base = _spec_from_levels((), [])
+    base = _spec_from_levels([])
     if base.radius >= min_r:
         out.append(base)
     else:
         pruned += base.radius
 
-    def walk(at, prefix, levels, gap, digits, depth):
+    def walk(at, levels, gap, digits, depth):
         nonlocal pruned
         if depth >= max_depth:
             return
         for e in p.g.out_edges(at):
-            prefix.append(e)
             if p.in_image(e):
                 new_digits = digits + Fraction(epsilon(p, e), 2 ** (gap + 1))
-                walk(p.g.target(e), prefix, levels, gap + 1, new_digits, depth + 1)
+                walk(p.g.target(e), levels, gap + 1, new_digits, depth + 1)
             else:
                 levels.append((gap + 1, Angle.of(digits)))
                 if len(levels) <= max_k and p.g.target(e) in has_tail:
-                    spec = _spec_from_levels(tuple(prefix), levels)
+                    spec = _spec_from_levels(levels)
                     if spec.radius >= min_r:
                         out.append(spec)
                     else:
                         pruned += spec.radius
                 if len(levels) < max_k:
-                    walk(p.g.target(e), prefix, levels, 0, Fraction(0), depth + 1)
+                    walk(p.g.target(e), levels, 0, Fraction(0), depth + 1)
                 levels.pop()
-            prefix.pop()
 
     for v in p.g.vertices:
-        walk(v, [], [], 0, Fraction(0), 0)
+        walk(v, [], 0, Fraction(0), 0)
     out.sort(key=spec_sort_key)
     return out, pruned
+
+
+def fold_paths(specs):
+    """The reference's one spec per path, each run of adjacent equal
+    circles folded into one spec with the run's length as its path count."""
+    out = []
+    for spec in specs:
+        if out and out[-1][:3] == spec[:3]:
+            out[-1] = out[-1]._replace(paths=out[-1].paths + 1)
+        else:
+            out.append(spec)
+    return out
 
 
 def reference_svg(specs, scale):
@@ -134,21 +145,23 @@ def tailless_pair():
 
 
 def assert_same(p, max_k, depth, svg=False):
-    """The walk equals the reference at min radius 0, and at a Fraction and
-    a float threshold equals the reference list split at that radius.  The
-    pre-count equals the reference's circles, kept plus pruned; with
-    svg=True, render_svg's bytes equal the reference's at every threshold
-    and at two scales."""
+    """The walk equals the folded reference at min radius 0, and at a
+    Fraction and a float threshold equals the folded reference list split
+    at that radius.  The pre-count equals the reference's circles, kept
+    plus pruned, and the walk's path counts; with svg=True, render_svg's
+    bytes equal the reference's at every threshold and at two scales."""
     every, none_pruned = reference_specs_report(p, max_k, depth)
     assert none_pruned == 0
     assert circle_count(p, max_k, depth) == len(every), (max_k, depth)
-    assert circle_specs_report(p, max_k, depth) == (every, 0), (max_k, depth)
+    specs, pruned = circle_specs_report(p, max_k, depth)
+    assert (specs, pruned) == (fold_paths(every), 0), (max_k, depth)
+    assert sum(s.paths for s in specs) == circle_count(p, max_k, depth), (max_k, depth)
     for min_radius in (0, Fraction(1, 300), 0.001):
         min_r = Fraction(min_radius).limit_denominator(10**12)
         kept = [spec for spec in every if spec.radius >= min_r]
         pruned = sum((spec.radius for spec in every if spec.radius < min_r), Fraction(0))
         got = circle_specs_report(p, max_k, depth, min_radius)
-        assert got == (kept, pruned), (max_k, depth, min_radius)
+        assert got == (fold_paths(kept), pruned), (max_k, depth, min_radius)
         for scale in (400.0, 37.5) if svg else ():
             assert render_svg(p, max_k, depth, min_radius, scale) == reference_svg(kept, scale), (
                 max_k, depth, min_radius, scale)
@@ -168,7 +181,8 @@ def test_walk_matches_reference_where_branches_are_skipped():
         for depth in range(1, 7):
             assert_same(p, max_k, depth)
     specs, _ = circle_specs_report(p, 3, 6)
-    assert len(specs) > 1 and all(spec.prefix.count("c") == 1 for spec in specs[1:])
+    # every path through the one spare edge c ends there: one level each
+    assert len(specs) > 1 and all(len(spec.levels) == 1 for spec in specs[1:])
 
 
 def test_walk_matches_reference_with_a_tailless_vertex():
@@ -204,10 +218,10 @@ def test_walk_matches_reference_on_drawn_seeds(p):
             for min_radius in (0, Fraction(1, 300)):
                 expected = reference_specs_report(p, max_k, depth, min_radius)
                 specs, pruned = circle_specs_report(p, max_k, depth, min_radius)
-                assert len(specs) == len(expected[0])
+                assert sum(s.paths for s in specs) == len(expected[0])
                 if min_radius == 0:
-                    assert len(specs) == circle_count(p, max_k, depth)
-                assert (specs, pruned) == expected, (max_k, depth, min_radius)
+                    assert sum(s.paths for s in specs) == circle_count(p, max_k, depth)
+                assert (specs, pruned) == (fold_paths(expected[0]), expected[1]), (max_k, depth, min_radius)
                 assert render_svg(p, max_k, depth, min_radius, 400.0) == reference_svg(expected[0], 400.0)
 
 
@@ -215,18 +229,17 @@ def test_walk_by_multiplicity_at_depth_7(twovertex):
     # 56,313 circles, 800 of them distinct
     every, _ = reference_specs_report(twovertex, 3, 7)
     specs, pruned = circle_specs_report(twovertex, 3, 7)
-    assert len(specs) == len(every) == circle_count(twovertex, 3, 7) == 56_313
-    assert len(specs.circles) == 800 and pruned == 0
+    assert sum(s.paths for s in specs) == len(every) == circle_count(twovertex, 3, 7) == 56_313
+    assert len(specs) == 800 and pruned == 0
     for min_radius in (0, Fraction(1, 300)):
         kept = [spec for spec in every if spec.radius >= min_radius]
         specs, pruned = circle_specs_report(twovertex, 3, 7, min_radius)
-        assert len(specs) == len(kept)
+        assert specs == fold_paths(kept)
         assert pruned == sum((spec.radius for spec in every if spec.radius < min_radius), Fraction(0))
         assert render_svg(twovertex, 3, 7, min_radius, 400.0) == reference_svg(kept, 400.0)
 
 
 def test_render_builds_no_per_path_spec(twovertex, tmp_path, capsys, monkeypatch):
-    every, _ = reference_specs_report(twovertex, 2, 6)
     built = []
 
     def counting_spec(*args):
@@ -238,14 +251,10 @@ def test_render_builds_no_per_path_spec(twovertex, tmp_path, capsys, monkeypatch
     argv = ["render", bundle_path("twovertex.bundle"), "--max-k", "2", "--depth", "6", "-o", str(out)]
     assert main(argv) == 0
     assert "circles = 7225\n" in capsys.readouterr().out
-    assert len(built) <= 193  # at most one per distinct circle
+    # one per distinct circle in each of the two walks, none per path
+    assert len(built) == 2 * 193
     specs, _ = circle_specs_report(twovertex, 2, 6)
-    assert len(specs.circles) == 193
-    built.clear()
-    assert len(specs) == 7_225
-    assert built == []
-    assert specs[-1].prefix == every[-1].prefix
-    assert len(built) == 7_225
+    assert len(specs) == 193 and sum(s.paths for s in specs) == 7_225
 
 
 def test_render_ignores_hash_seed(twovertex, tmp_path):
@@ -272,8 +281,8 @@ def test_render_ignores_hash_seed(twovertex, tmp_path):
 def test_pruned_sum_is_exact_at_every_threshold(full3):
     # thresholds on, just above and just below the dyadic radii
     for min_radius in (Fraction(1, 16), Fraction(1, 17), Fraction(1, 15), 2, Fraction(-1), 1 / 64):
-        got = circle_specs_report(full3, 2, 5, min_radius)
-        assert got == reference_specs_report(full3, 2, 5, min_radius)
+        every, pruned = reference_specs_report(full3, 2, 5, min_radius)
+        assert circle_specs_report(full3, 2, 5, min_radius) == (fold_paths(every), pruned)
 
 
 @pytest.mark.parametrize("name, max_k, depth", [("twovertex", 2, 6), ("full3", 3, 7)])
@@ -320,3 +329,19 @@ def test_render_over_budget_is_refused_before_the_walk(twovertex, tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith("error: the circle walk would visit at least 945,977 circles")
     assert not out.exists()
+
+
+def test_render_stops_when_no_state_is_live(tmp_path):
+    # max_k 0 walks no path, so the walk ends at once whatever the depth
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = tmp_path / "unit.svg"
+    code = (
+        "import sys\nfrom shiftquot.cli import main\n"
+        f"sys.exit(main(['render', {bundle_path('full3.bundle')!r}, '--max-k', '0', "
+        f"'--depth', '1000000000000', '-o', {str(out)!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "circles = 1\n" in proc.stdout
+    assert out.read_text(encoding="utf-8").count("<circle ") == 1

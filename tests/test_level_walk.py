@@ -91,7 +91,7 @@ def ref_lambda_hat(p, x, y):
 
 def ref_zeta_exact_terms(p, x):
     chain_, tail = ref_level_chain(p, x)
-    spec = _spec_from_levels((), chain_)
+    spec = _spec_from_levels(chain_)
     return [*spec.center_terms, (spec.radius, tail)]
 
 

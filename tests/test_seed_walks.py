@@ -295,10 +295,12 @@ def test_walk_invariant_splits_lassos_as_the_reference_on_drawn_seeds(p, depth, 
     assert same_partition(p, xs, geometry._discrete_invariant, reference_invariant)
 
 
-def test_injectivity_class_cap(full3):
-    assert embedding_injectivity_check(full3, 4, 2, class_cap=243).classes == 243
+def test_injectivity_class_cap(full3, monkeypatch):
+    monkeypatch.setattr(geometry, "INJECTIVITY_CLASS_CAP", 243)
+    assert embedding_injectivity_check(full3, 4, 2).classes == 243
+    monkeypatch.setattr(geometry, "INJECTIVITY_CLASS_CAP", 242)
     with pytest.raises(RayError, match=r"more than 242 .* at depth 4$"):
-        embedding_injectivity_check(full3, 4, 2, class_cap=242)
+        embedding_injectivity_check(full3, 4, 2)
 
 
 def test_injectivity_ignores_hash_seed(twovertex, monkeypatch):
