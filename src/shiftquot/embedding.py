@@ -209,13 +209,14 @@ class QuotientGraph:
 
 
 def quotient_graph(p: EmbeddingPair) -> QuotientGraph:
-    """Identify xi0(y) with xi1(y) for every H-edge y.
+    """Identify xi0(y) with xi1(y) for every H-edge y.  Checks H0 and H1
+    only, not the full hypothesis report.
 
     Quotient edge ids: merged edges are named after the H-edge, untouched
     edges after themselves, both with a prime suffix.
     """
-    rep = p.hypotheses
-    if not rep.h0.passed or not rep.h1.passed:
+    h0 = all(p.xi0_vertices[w] == p.xi1_vertices[w] for w in p.h.vertices)
+    if not h0 or p._superscript is None:  # the superscript map exists iff H1 holds
         raise EmbeddingError("quotient graph needs H0 and H1")
     tau: dict[str, str] = {}
     edges: list[tuple[str, str, str]] = []

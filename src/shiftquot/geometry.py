@@ -133,21 +133,53 @@ def circle_specs(
     return specs
 
 
-def _steps_to_spare(p: EmbeddingPair) -> dict[str, int | float]:
-    """Fewest edges in a path from each vertex whose last edge is spare
-    (inf where no spare edge is reachable): one backward BFS."""
+def _circle_steps(p: EmbeddingPair, max_k: int) -> tuple[list, set[int]]:
+    """The walk's steps by spare-edge budget, and the vertices with an
+    all-image tail.  Vertices are their indices in G's vertex order.
+
+    steps[r][v] holds, per out-edge of v in out-edge order, (target,
+    superscript or None for a spare edge, fewest further edges before a
+    circle).  A circle ends at a spare edge into a vertex with an
+    all-image tail, so that edge itself has 0 further edges; otherwise the
+    count is over paths that take at most r spare edges from v, this edge
+    included (inf where there is none).  Index r runs from 1 to top =
+    min(max_k, |V| + 1) (index 0 is unused): a fewest-edges path visits no
+    vertex twice before its last edge, so it takes at most |V| spare
+    edges, and a budget above top reads the table at top.
+    """
     g = p.g
-    dist: dict[str, int | float] = dict.fromkeys(g.vertices, math.inf)
-    frontier = [v for v in g.vertices if any(not p.in_image(e) for e in g.out_edges(v))]
-    for v in frontier:
-        dist[v] = 1
-    for v in frontier:  # grows while it is read: breadth-first order
-        for e in g.in_edges(v):
-            u = g.source(e)
-            if dist[u] == math.inf:
-                dist[u] = dist[v] + 1
-                frontier.append(u)
-    return dist
+    index = {v: i for i, v in enumerate(g.vertices)}
+    tailed = {i for v, i in index.items() if p.completion[v].xi_tail is not None}
+    top = min(max_k, len(g.vertices) + 1)
+    ends = [(index[g.source(e)], index[g.target(e)], epsilon(p, e) if p.in_image(e) else None) for e in g.edges]
+    # dist[v, r]: fewest edges in a path from v that ends in a circle and
+    # takes at most r spare edges; one breadth-first pass back from the
+    # circle edges, a spare edge moving to the next budget
+    into: list[list[tuple[int, int | None]]] = [[] for _ in index]
+    dist: dict[tuple[int, int], int] = {}
+    for v, w, eps in ends:
+        into[w].append((v, eps))
+        if eps is None and w in tailed:
+            for r in range(1, top + 1):
+                dist[v, r] = 1
+    frontier = list(dist)
+    for w, r in frontier:  # grows while it is read: breadth-first order
+        for v, eps in into[w]:
+            key = (v, r if eps is not None else r + 1)
+            if key[1] <= top and key not in dist:
+                dist[key] = dist[w, r] + 1
+                frontier.append(key)
+    steps: list = [None]
+    for r in range(1, top + 1):
+        rows: list[list[tuple]] = [[] for _ in index]
+        for v, w, eps in ends:
+            if eps is not None:
+                further = dist.get((w, r), math.inf)
+            else:
+                further = 0 if w in tailed else dist.get((w, r - 1), math.inf)
+            rows[v].append((w, eps, further))
+        steps.append(rows)
+    return steps, tailed
 
 
 CIRCLE_BUDGET = 250_000
@@ -169,34 +201,33 @@ def circle_count(
     as often as paths give it: the unit circle plus one per path of length
     <= max_depth that ends in its j-th spare edge (1 <= j <= max_k) at a
     vertex with an all-image tail.  A transfer recurrence over (vertex,
-    spare edges so far), which drops paths that can reach no further spare
-    edge within max_depth (as the walk does) and returns early, with a
+    spare edges so far), which drops paths that can give no further circle
+    within max_depth and max_k (as the walk does) and returns early, with a
     partial count, at the first length where the count exceeds `stop`.
     """
-    g = p.g
-    has_tail = {v for v in g.vertices if p.completion[v].xi_tail is not None}
-    to_spare = _steps_to_spare(p)
-    # live[(v, j)]: paths ending at v with j < max_k spare edges
-    live = {(v, 0): 1 for v in g.vertices if to_spare[v] <= max_depth} if max_k > 0 else {}
+    by_budget, tailed = _circle_steps(p, max_k)
+    top = len(by_budget) - 1
+    # live[(v, j)]: paths ending at vertex index v with j < max_k spare edges
+    live = {(v, 0): 1 for v in range(len(p.g.vertices))} if max_k > 0 else {}
     total = 1
     for length in range(1, max_depth + 1):
         if not live or total > stop:
             break
         room = max_depth - length
-        nxt: dict[tuple[str, int], int] = {}
+        nxt: dict[tuple[int, int], int] = {}
         for (v, j), c in live.items():
-            for e in g.out_edges(v):
-                w = g.target(e)
-                if p.in_image(e):
+            for w, eps, further in by_budget[min(max_k - j, top)][v]:
+                if further > room:
+                    continue
+                if eps is not None:
                     key = (w, j)
                 else:
-                    if w in has_tail:
+                    if w in tailed:
                         total += c
                     if j + 1 == max_k:
                         continue
                     key = (w, j + 1)
-                if to_spare[w] <= room:
-                    nxt[key] = nxt.get(key, 0) + c
+                nxt[key] = nxt.get(key, 0) + c
         live = nxt
     return total
 
@@ -224,19 +255,19 @@ def circle_specs_report(
     pruned circles are keyed on (stratum, e) alone, and the pruned radius
     is summed from the counts.  Circles with equal gap chains have equal
     angle denominators, so (stratum, gap chain, numerator chain) sorts the
-    distinct circles exactly like their angle chains.  Edges from which no
-    spare edge is reachable within the depth are skipped, and the walk
-    stops at the first length with no live state.
+    distinct circles exactly like their angle chains.  Edges after which
+    no circle can follow within the depth and the chain's remaining spare
+    edges are skipped (each chain holds the steps table of its budget, so
+    a state picks its table once), and the walk stops at the first length
+    with no live state.
 
     render_svg walks again rather than take the specs its caller already
     holds, so `render` makes two state walks: the benchmark's smoke test
     pins two walks per render job, and one walk waits for a change to the
     benchmark.
     """
-    tables = p.completion
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
-    has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
-    if not has_tail:
+    if all(tail.xi_tail is None for tail in p.completion.values()):
         raise EmbeddingError("no all-image tails exist (the small graph has no cycle)")
     count = circle_count(p, max_k, max_depth, stop=CIRCLE_BUDGET)
     if count > CIRCLE_BUDGET:
@@ -250,17 +281,13 @@ def circle_specs_report(
     angles: dict[tuple[int, int], Angle] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
 
-    g = p.g
-    to_spare = _steps_to_spare(p)
-    # per vertex, in out-edge order: (target, superscript or None for a
-    # spare edge, fewest further edges before a spare one can be taken)
-    steps: dict[str, list[tuple]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        w = g.target(e)
-        steps[g.source(e)].append((w, epsilon(p, e), to_spare[w]) if p.in_image(e) else (w, None, 0))
+    by_budget, tailed = _circle_steps(p, max_k)
+    top = len(by_budget) - 1
     # chains[id]: (stratum, e, levels, center terms, gap chain, numerator
-    # chain), levels and the rest None for the chain of a pruned circle
+    # chain), levels and the rest None for the chain of a pruned circle;
+    # steps[id]: the steps table for chain id's remaining spare-edge budget
     chains: list[tuple] = [(0, 0, (), (), (), ())]
+    steps = [by_budget[top]]
     chain_ids: dict[tuple[int, int, int], int] = {}
     # live and nxt map a state to the number of paths into it; found maps
     # the chain id of each kept circle to the number of paths that give it
@@ -269,14 +296,14 @@ def circle_specs_report(
         found[0] = 1  # stratum zero: the unit circle itself
     else:
         pruned[0] = 1
-    live = {(v, 0, 0, 0): 1 for v in g.vertices} if max_k > 0 else {}
+    live = {(v, 0, 0, 0): 1 for v in range(len(p.g.vertices))} if max_k > 0 else {}
     for length in range(max_depth):
         if not live:
             break
         room = max_depth - length
         nxt: dict[tuple, int] = {}
         for (v, gap, num, chain), c in live.items():
-            for w, eps, further in steps[v]:
+            for w, eps, further in steps[chain][v]:
                 if further >= room:
                     continue
                 if eps is not None:
@@ -305,7 +332,9 @@ def circle_specs_report(
                             chains.append((k + 1, e, levels + ((n, angle),), terms, gaps + (n,), nums + (num,)))
                         else:
                             chains.append((k + 1, e, None, None, None, None))
-                    if w in has_tail:
+                        rest = max_k - k - 1
+                        steps.append(by_budget[rest if rest < top else top])
+                    if w in tailed:
                         if kept:
                             found[new] = found.get(new, 0) + c
                         else:

@@ -1,6 +1,9 @@
 """Exact metrics on rays and on the quotient space.
 
-All values are exact rationals.  On rays with finitely many spare edges
+All values are exact rationals, evaluated on integers with one Fraction
+per term: the quotient-graph term from the first position where the
+edges' quotient images differ, the layer term from the digit sums over a
+common denominator.  On rays with finitely many spare edges
 the layered pseudo-metric evaluates in closed form: the recursion consumes
 one spare edge per level and bottoms out in a circle distance of binary
 angles.  Rays whose cycle leaves the embedded image (infinitely many spare
@@ -10,6 +13,7 @@ width at most 6 * 2^-N.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +24,7 @@ from .rays import (
     ClassPoint,
     LassoRay,
     RayError,
+    edge_stream,
     first_difference,
     kappa,
     raw_levels,
@@ -62,7 +67,8 @@ def circle_distance(s: Angle, t: Angle) -> Fraction:
 
 
 def tau_ray(p: EmbeddingPair, x: LassoRay) -> LassoRay:
-    """Image of a ray in the quotient graph's shift space."""
+    """Image of a ray in the quotient graph's shift space (d_quotient_graph
+    reads the images edge by edge without building them)."""
     q = p.quotient
     return LassoRay.make(
         q.graph, [q.tau[e] for e in x.prefix], [q.tau[e] for e in x.cycle]
@@ -70,8 +76,19 @@ def tau_ray(p: EmbeddingPair, x: LassoRay) -> LassoRay:
 
 
 def d_quotient_graph(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
-    """Shift metric between the quotient-graph images of two rays."""
-    return d_shift(tau_ray(p, x), tau_ray(p, y))
+    """Shift metric between the quotient-graph images of two rays.
+
+    tau is a graph homomorphism, so the images need no building: their
+    first difference is the first position where tau differs on the two
+    edge streams.  Both streams are periodic past the longer prefix, so
+    one common period beyond it decides equality."""
+    tau = p.quotient.tau
+    bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle))
+    pairs = zip(map(tau.__getitem__, edge_stream(x)), map(tau.__getitem__, edge_stream(y)))
+    for n, (a, b) in enumerate(itertools.islice(pairs, bound)):
+        if a != b:
+            return Fraction(1, 1 << n)
+    return Fraction(0)
 
 
 def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
@@ -85,6 +102,11 @@ def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     series angle.  This closed form agrees with the limit of the stratum
     values along approximating sequences, so it extends the stratum metric
     to mixed finite strata exactly.
+
+    The value is one Fraction over the common denominator
+    dx * dy * 2^(largest finite n) * 2^exponent, where a digit sum's
+    denominator dx is 2^(n-1) on a finite level and (2^L - 1) * 2^gap on
+    the tail (L the cycle length).
     """
     exponent = 0
     # a finite level's digit sum lies in [0, 1) over 2^(gap - 1), so at equal
@@ -94,10 +116,15 @@ def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
         if nx != ny or ax != ay or nx == math.inf:
             break
         exponent += 2 + nx
-    tx, ty = Fraction(ax, dx), Fraction(ay, dy)
-    wx = Fraction(0) if nx == math.inf else Fraction(1, 2**nx)
-    wy = Fraction(0) if ny == math.inf else Fraction(1, 2**ny)
-    return (abs(wx - wy) + Angle.of(tx).distance(Angle.of(ty))) / 2**exponent
+    # the angles mod 1 (a tail's sum is 1 only for the all-ones tail) and
+    # their circle distance, in units of 1 / (dx * dy)
+    unit = dx * dy
+    diff = abs(ax % dx * dy - ay % dy * dx)
+    arc = min(diff, unit - diff)
+    top = max((n for n in (nx, ny) if n != math.inf), default=0)
+    wx = 0 if nx == math.inf else unit << (top - nx)
+    wy = 0 if ny == math.inf else unit << (top - ny)
+    return Fraction(abs(wx - wy) + (arc << top), unit << (top + exponent))
 
 
 def d_stratum(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:

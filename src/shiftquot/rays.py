@@ -92,10 +92,10 @@ class LassoRay:
 
     def head(self, n: int) -> tuple[str, ...]:
         """Edges at positions 1..n."""
-        return tuple(itertools.islice(_edges(self), max(n, 0)))
+        return tuple(itertools.islice(edge_stream(self), max(n, 0)))
 
 
-def _edges(x: LassoRay) -> Iterator[str]:
+def edge_stream(x: LassoRay) -> Iterator[str]:
     """The edges of x at positions 1, 2, ..., without end."""
     return itertools.chain(x.prefix, itertools.cycle(x.cycle))
 
@@ -186,24 +186,44 @@ def levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, Fractio
 
 
 def raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int, int]]:
-    """levels, each digit sum as a numerator and a denominator (unreduced)."""
+    """levels, each digit sum as a numerator and a denominator (unreduced).
+
+    One superscript lookup per edge, None meaning a spare edge.  When H1
+    fails the levels before the first image edge come out, then epsilon's
+    error."""
+    digit = _digit_lookup(p)
     edges: Iterable[str] = x.prefix
-    if any(not p.in_image(e) for e in x.cycle):
-        edges = _edges(x)
+    if not p.xi_image.issuperset(x.cycle):
+        edges = edge_stream(x)
     gap = digits = 0
     for e in edges:
         gap += 1
-        if not p.in_image(e):
+        d = digit(e)
+        if d is None:
             yield gap, digits, 1 << (gap - 1)
             gap = digits = 0
         else:
-            digits = digits << 1 | epsilon(p, e)
+            digits = digits << 1 | d
     # the tail: the last gap prefix digits, then the spare-free cycle repeating
     lap = 0
     for e in x.cycle:
-        lap = lap << 1 | epsilon(p, e)
+        lap = lap << 1 | digit(e)
     period = 2 ** len(x.cycle) - 1
     yield math.inf, digits * period + lap, period << gap
+
+
+def _digit_lookup(p: EmbeddingPair):
+    """edge -> its superscript, or None for an edge outside the image.
+    Without a superscript map (H1 fails) an image edge raises epsilon's
+    error."""
+    sup = p._superscript
+    if sup is not None:
+        return sup.get
+
+    def digit(e: str) -> int | None:
+        return epsilon(p, e) if p.in_image(e) else None
+
+    return digit
 
 
 def level(p: EmbeddingPair, x: LassoRay) -> tuple[int | float, Fraction]:
@@ -243,23 +263,30 @@ def flip(p: EmbeddingPair, x: LassoRay) -> LassoRay | None:
     0.1000...); a spare edge followed by a constant-superscript tail; and
     the total swap when every edge lies in one embedding (0.000... = 1).
     """
-    if any(not p.in_image(e) for e in x.cycle):
+    found = _flip_at(p, x)
+    return None if found is None else found[0]
+
+
+def _flip_at(p: EmbeddingPair, x: LassoRay) -> tuple[LassoRay, int] | None:
+    """flip(x) and the first position where it differs from x, or None:
+    the pivot position m - 1 for an image pivot (its digit carries), m for
+    a spare pivot (the tail after it swaps), 1 for the total swap.  At that
+    position flip(x) carries the partner of x's edge."""
+    if not p.xi_image.issuperset(x.cycle):
         return None
-    digits_cycle = {epsilon(p, e) for e in x.cycle}
+    digit = _digit_lookup(p)
+    digits_cycle = set(map(digit, x.cycle))
     if len(digits_cycle) != 1:
         return None
     i = digits_cycle.pop()
-    # m = first position of the maximal constant-superscript streak ending the ray
+    # m = first position of the maximal constant-superscript streak ending
+    # the ray (a spare edge's digit is None)
     m = len(x.prefix) + 1
-    while m >= 2:
-        e = x.prefix[m - 2]
-        if p.in_image(e) and epsilon(p, e) == i:
-            m -= 1
-        else:
-            break
+    while m >= 2 and digit(x.prefix[m - 2]) == i:
+        m -= 1
     swap = p.partner
     if m == 1:
-        return LassoRay(tuple(swap(e) for e in x.prefix), tuple(swap(e) for e in x.cycle))
+        return LassoRay(tuple(swap(e) for e in x.prefix), tuple(swap(e) for e in x.cycle)), 1
     pivot = x.prefix[m - 2]
     new_prefix = list(x.prefix)
     for j in range(m - 1, len(x.prefix)):
@@ -268,9 +295,12 @@ def flip(p: EmbeddingPair, x: LassoRay) -> LassoRay | None:
     if p.in_image(pivot):
         # carry: the pivot digit is 1-i; swap it too
         new_prefix[m - 2] = swap(pivot)
-    # else: spare pivot, tail swap only
+        at = m - 1
+    else:
+        # spare pivot, tail swap only
+        at = m
     # renormalize: the prefix may now end in cycle edges
-    return normal_form(new_prefix, new_cycle)
+    return normal_form(new_prefix, new_cycle), at
 
 
 def first_difference(x: LassoRay, y: LassoRay) -> int | None:
@@ -285,7 +315,7 @@ def first_difference(x: LassoRay, y: LassoRay) -> int | None:
         if a != b:
             return n
     bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle)) + 1
-    for a, b in itertools.islice(zip(_edges(x), _edges(y)), n, bound):
+    for a, b in itertools.islice(zip(edge_stream(x), edge_stream(y)), n, bound):
         n += 1
         if a != b:
             return n
@@ -295,10 +325,18 @@ def first_difference(x: LassoRay, y: LassoRay) -> int | None:
 def canonical(p: EmbeddingPair, x: LassoRay) -> ClassPoint:
     """Canonical class representative: the positionwise lexicographically
     smaller of x and its flip (by global edge index).  flip is an
-    involution, so the other of the two is the representative's partner."""
-    other = flip(p, x)
-    n = None if other is None else first_difference(x, other)
-    if n is None or p.g.edge_index[x.edge_at(n)] < p.g.edge_index[other.edge_at(n)]:
+    involution, so the other of the two is the representative's partner.
+
+    The two rays first differ where flip pivots, and there the flip
+    carries the partner of x's edge, so one comparison of edge indices
+    decides."""
+    found = _flip_at(p, x)
+    if found is None:
+        return ClassPoint(x, None)
+    other, n = found
+    e = x.edge_at(n)
+    index = p.g.edge_index
+    if index[e] < index[p.partner(e)]:
         return ClassPoint(x, other)
     return ClassPoint(other, x)
 

@@ -345,3 +345,22 @@ def test_render_stops_when_no_state_is_live(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "circles = 1\n" in proc.stdout
     assert out.read_text(encoding="utf-8").count("<circle ") == 1
+
+
+def test_walk_drops_paths_that_can_give_no_circle():
+    # on tailless_pair at max_k 1 the loops at u can only reach the spare
+    # edge into w, which has no all-image tail; only the path d gives a
+    # circle, so no digit-sum state outlives the first step at any depth
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    tests = os.path.dirname(__file__)
+    code = (
+        "from test_circle_walk import tailless_pair\n"
+        "from shiftquot.geometry import circle_count, circle_specs_report\n"
+        "p = tailless_pair()\n"
+        "specs, pruned = circle_specs_report(p, 1, 200)\n"
+        "print(sum(s.paths for s in specs), circle_count(p, 1, 200), pruned)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 2 0\n"
