@@ -4,18 +4,19 @@ The Smith diagonal drives everything: cokernels,
 Bowen-Franks groups, the eight K-groups of the stable/unstable algebras and
 their crossed products, the two-row homology table, and the synthesis
 pipeline that realizes prescribed K-groups by a seed bundle.  The diagonal
-is computed by elimination modulo a maximal nonzero minor, so entries stay
-below that minor; the unimodular certificates U and V are built only when
-they are read.  The block-7 pair complex is counted by path-count
-recurrences over the two graphs, with verdicts from local facts of the
-seed; its cells are enumerated only when they are read.
+is computed in two stages: pivots on +-1 entries over Z, each an invariant
+factor 1, then the leftover block by elimination modulo a gcd of its
+minors, so entries stay below that gcd; the unimodular certificates U and
+V are built only when they are read.  The block-7 pair complex is counted
+by path-count recurrences over the two graphs, with verdicts from local
+facts of the seed; its cells are enumerated only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .embedding import EmbeddingPair
@@ -61,35 +62,97 @@ def _clear_column(m: list[list[int]], t: int, delta: int) -> None:
         m[i][t:] = [(p // x * v - b // x * w) % delta for v, w in zip(row, top)]
 
 
-def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors of A, then zeros up to min(rows, cols).
-
-    With r the rank and delta a nonzero r x r minor, every invariant factor
-    divides delta, and Z^m / (A Z^n + delta Z^m) is the sum of the Z/d_i
-    and (m - r) copies of Z/delta.  Eliminating mod delta keeps the entries
-    below delta; each pivot s gives the order gcd(s, delta)."""
-    rank, delta = a.rank_and_minor()
-    delta, n = abs(delta), min(a.rows, a.cols)
-    if delta == 1:
-        return (1,) * rank + (0,) * (n - rank)
-    m = [[x % delta for x in row] for row in a.entries]
-    orders = [delta] * (a.rows - n)
+def _modular_chain(m: list[list[int]], modulus: int) -> list[int]:
+    """The invariant factors of Z^rows / (M Z^cols + modulus Z^rows), one
+    per row: with d_i the invariant factors of M, gcd(d_i, modulus) for
+    i <= min(rows, cols), then modulus.  Eliminating mod modulus keeps the
+    entries below it; each pivot s gives the order gcd(s, modulus)."""
+    n = min(len(m), len(m[0]) if m else 0)
+    m = [[x % modulus for x in row] for row in m]
+    orders = [modulus] * (len(m) - n)
     for t in range(n):
-        live = [(x, i, j) for i in range(t, len(m)) for j, x in enumerate(m[i][t:], t) if x]
-        if not live:
-            orders += [delta] * (n - t)
-            break
-        _, i, j = min(live)
+        # the smallest entry, ties by (row, col); a 1 is found by a C scan
+        i = next((i for i in range(t, len(m)) if 1 in m[i][t:]), None)
+        if i is not None:
+            j = m[i].index(1, t)
+        else:
+            live = [(x, i, j) for i in range(t, len(m)) for j, x in enumerate(m[i][t:], t) if x]
+            if not live:
+                orders += [modulus] * (n - t)
+                break
+            _, i, j = min(live)
         m[t], m[i] = m[i], m[t]
         for row in m:
             row[t], row[j] = row[j], row[t]
-        _clear_column(m, t, delta)
+        _clear_column(m, t, modulus)
         while any(x % m[t][t] for x in m[t][t + 1:]):
             m = [list(col) for col in zip(*m)]  # the transpose has the same diagonal
-            _clear_column(m, t, delta)
+            _clear_column(m, t, modulus)
         m[t][t + 1:] = [0] * (len(m[t]) - t - 1)
-        orders.append(gcd(m[t][t], delta))
-    return tuple(_chain(orders)[:rank]) + (0,) * (n - rank)
+        orders.append(gcd(m[t][t], modulus))
+    return _chain(orders)
+
+
+def _unit_pivots(a: IntMatrix) -> tuple[int, list[list[int]]]:
+    """(u, S): pivot over Z on a +-1 entry (the first in row-major order)
+    while the remaining block holds one; u is the number of pivots and S the
+    block left over.
+
+    Row operations clear the pivot's column and column operations its row,
+    leaving +-1 (+) S, so each pivot is an invariant factor 1 and the rest
+    of the diagonal is S's.  S is the Schur complement: after t pivots its
+    entries are (t + 1)-minors of A divided by the product of the pivots,
+    +-1, so they grow no faster than Bareiss's."""
+    m = [list(row) for row in a.entries]
+    units = 0
+    while True:
+        for r, row in enumerate(m):
+            if 1 in row:
+                c = row.index(1)
+                break
+            if -1 in row:
+                c = row.index(-1)
+                break
+        else:
+            return units, m
+        top = m.pop(r)
+        p = top[c]
+        for i, row in enumerate(m):
+            x = row[c]
+            if x:
+                f = x * p  # p = +-1 is its own inverse
+                row = m[i] = [v - f * w for v, w in zip(row, top)]
+            del row[c]
+        units += 1
+
+
+def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of A, then zeros up to min(rows, cols).
+
+    Stage 1 (_unit_pivots) gives u factors 1 and a leftover block S; the
+    rest of the diagonal is S's.  Stage 2 runs Bareiss on S for its rank r
+    and a nonzero r x r minor delta.  Every invariant factor of S divides
+    delta, so in general they are the first r orders of _modular_chain(S,
+    delta).
+
+    When S is square (k x k) and nonsingular, the modulus is smaller: g, the
+    gcd of |det S| and the four (k - 1)-minors in Bareiss's trailing 2 x 2
+    block.  D_(k-1) = d_1 ... d_(k-1), the gcd of all (k - 1)-minors,
+    divides each of those minors and det S = D_(k-1) d_k, hence g.  So
+    d_i | g for i < k, gcd(d_i, g) = d_i, and the first k - 1 orders mod g
+    are d_1 .. d_(k-1) (no elimination when g = 1); then
+    d_k = |det S| / (d_1 ... d_(k-1))."""
+    units, m = _unit_pivots(a)
+    s = IntMatrix(a.rows - units, a.cols - units, tuple(map(tuple, m)))
+    rank, minor, near = s.bareiss()
+    n = min(s.rows, s.cols)
+    if rank == s.rows == s.cols > 0:
+        g = gcd(minor, near)
+        head = _modular_chain(m, g)[:n - 1] if g > 1 else [1] * (n - 1)
+        return (1,) * units + (*head, abs(minor) // prod(head))
+    delta = abs(minor)
+    head = _modular_chain(m, delta)[:rank] if delta > 1 else [1] * rank
+    return (1,) * units + tuple(head) + (0,) * (n - rank)
 
 
 def _tracked_elimination(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -9,6 +9,9 @@ Bundle format (one declaration per line, '#' comments):
     map xi0 <h-edge> <g-edge>
     map xi1 <h-edge> <g-edge>
 
+Each H-vertex has exactly one 'map vertex' line, and each H-edge one
+'map xi0' and one 'map xi1' line.
+
 Exit codes: 0 success, 1 domain failure (hypotheses), 2 usage/parse error.
 """
 
@@ -59,7 +62,9 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
         "G": ({}, {}),
         "H": ({}, {}),
     }
-    current: str | None = None
+    hv, he = graphs["H"]
+    gv, ge = graphs["G"]
+    current: tuple[dict[str, None], dict[str, tuple[str, str, str]]] | None = None
     vmap: dict[str, str] = {}
     xi0: dict[str, str] = {}
     xi1: dict[str, str] = {}
@@ -69,32 +74,18 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
         return BundleError(f"{name}:{line_no}: {message}")
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
         saw_any = True
-        tokens = line.split()
         kind = tokens[0]
-        if kind == "graph":
-            if len(tokens) != 2 or tokens[1] not in graphs:
-                raise err(line_no, "expected 'graph G' or 'graph H'")
-            current = tokens[1]
-        elif kind == "vertex":
-            if current is None:
-                raise err(line_no, "vertex before any 'graph' line")
-            if len(tokens) != 2:
-                raise err(line_no, "expected 'vertex <id>'")
-            vs, _ = graphs[current]
-            if tokens[1] in vs:
-                raise err(line_no, f"duplicate vertex {tokens[1]!r}")
-            vs[tokens[1]] = None
-        elif kind == "edge":
+        if kind == "edge":  # the most frequent declaration goes first
             if current is None:
                 raise err(line_no, "edge before any 'graph' line")
             if len(tokens) != 4:
                 raise err(line_no, "expected 'edge <id> <src> <dst>'")
-            vs, es = graphs[current]
-            eid, src, dst = tokens[1:]
+            _, eid, src, dst = tokens
+            vs, es = current
             if eid in es:
                 raise err(line_no, f"duplicate edge {eid!r}")
             if src not in vs:
@@ -102,32 +93,44 @@ def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
             if dst not in vs:
                 raise err(line_no, f"unknown vertex {dst!r}")
             es[eid] = (eid, src, dst)
+        elif kind == "graph":
+            if len(tokens) != 2 or tokens[1] not in graphs:
+                raise err(line_no, "expected 'graph G' or 'graph H'")
+            current = graphs[tokens[1]]
+        elif kind == "vertex":
+            if current is None:
+                raise err(line_no, "vertex before any 'graph' line")
+            if len(tokens) != 2:
+                raise err(line_no, "expected 'vertex <id>'")
+            vs = current[0]
+            if tokens[1] in vs:
+                raise err(line_no, f"duplicate vertex {tokens[1]!r}")
+            vs[tokens[1]] = None
         elif kind == "map":
             if len(tokens) != 4:
                 raise err(line_no, "expected 'map vertex|xi0|xi1 <from> <to>'")
-            what, frm, to = tokens[1:]
-            hv, he = graphs["H"]
-            gv, ge = graphs["G"]
+            _, what, frm, to = tokens
             if what == "vertex":
                 if frm not in hv:
                     raise err(line_no, f"unknown H-vertex {frm!r}")
                 if to not in gv:
                     raise err(line_no, f"unknown G-vertex {to!r}")
-                vmap[frm] = to
+                table, item = vmap, "H-vertex"
             elif what in ("xi0", "xi1"):
                 if frm not in he:
                     raise err(line_no, f"unknown H-edge {frm!r}")
                 if to not in ge:
                     raise err(line_no, f"unknown G-edge {to!r}")
-                (xi0 if what == "xi0" else xi1)[frm] = to
+                table, item = (xi0 if what == "xi0" else xi1), "H-edge"
             else:
                 raise err(line_no, f"unknown map kind {what!r}")
+            if frm in table:
+                raise err(line_no, f"duplicate 'map {what}' line for {item} {frm!r}")
+            table[frm] = to
         else:
             raise err(line_no, f"unknown declaration {kind!r}")
     if not saw_any:
         raise BundleError(f"{name}: empty bundle")
-    gv, ge = graphs["G"]
-    hv, he = graphs["H"]
     for w in hv:
         if w not in vmap:
             raise BundleError(f"{name}: H-vertex {w!r} has no 'map vertex' line")

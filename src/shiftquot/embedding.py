@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .graphs import Graph, is_primitive
 
@@ -90,10 +90,10 @@ class EmbeddingPair:
     def _spare_index(self) -> dict[tuple[str, str], str]:
         """(source, target) -> the first spare edge between them, in G's
         edge order; one pass over the edges."""
-        index: dict[tuple[str, str], str] = {}
-        for x in self.g.edges:
-            if x not in self.xi_image:
-                index.setdefault((self.g.source(x), self.g.target(x)), x)
+        image, index = self.xi_image, {}
+        for x, s, t in self.g.edge_ends():
+            if x not in image:
+                index.setdefault((s, t), x)
         return index
 
     @cached_property
@@ -129,6 +129,11 @@ class EmbeddingPair:
 
     def in_image(self, edge: str) -> bool:
         return edge in self.xi_image
+
+    def spare_count(self, edges: Sequence[str]) -> int:
+        """How many of the given G-edges, counted with repetition, lie
+        outside the embedded image."""
+        return len(edges) - sum(map(self.xi_image.__contains__, edges))
 
     def spare_twin(self, edge: str) -> str | None:
         """The first spare edge parallel to the given G-edge, or None."""

@@ -75,7 +75,7 @@ def zeta_approx(
     value by at most 8 * 3 * 2^-N via the Lipschitz bound), and the exact
     term sum is evaluated in floating point (tiny rounding slack added).
     """
-    j = sum(1 for e in x.head(depth) if not p.in_image(e))
+    j = p.spare_count(x.head(depth))
     xa = stratum_approximant(p, x, depth, j)
     terms = zeta_exact_terms(p, xa)
     value = _eval_terms(terms)

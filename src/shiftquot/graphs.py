@@ -10,7 +10,8 @@ depend on this orientation, so it is pinned by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -97,27 +98,42 @@ class IntMatrix:
         return sum(sum(row) for row in self.entries)
 
     def rank_and_minor(self) -> tuple[int, int]:
-        """Rank r and a nonzero r x r minor (1 when r = 0) by fraction-free
-        (Bareiss) elimination with row and column swaps.  The minor carries
-        the sign of the swaps, so for a nonsingular square matrix it is the
-        determinant."""
+        """Rank r and a nonzero r x r minor (1 when r = 0); see bareiss."""
+        rank, minor, _ = self.bareiss()
+        return rank, minor
+
+    def bareiss(self) -> tuple[int, int, int]:
+        """Rank r, a nonzero r x r minor (1 when r = 0) and a gcd of
+        (n - 1)-minors, by fraction-free (Bareiss) elimination with row and
+        column swaps.
+
+        The minor carries the sign of the swaps, so for a nonsingular square
+        matrix it is the determinant.  Before step k every entry of the
+        trailing block is a (k + 1)-minor, so for a square n x n matrix that
+        reaches step n - 2 the third value is the gcd of the four
+        (n - 1)-minors of its trailing 2 x 2 block; it is 1 when n < 2 (the
+        empty minor) and is not meaningful for a singular or non-square
+        matrix."""
+        rows, cols = self.rows, self.cols
         m = [list(row) for row in self.entries]
-        sign, prev = 1, 1
-        for k in range(min(self.rows, self.cols)):
-            pivot = next(((i, j) for j in range(k, self.cols) for i in range(k, self.rows) if m[i][j]), None)
+        sign, prev, near = 1, 1, 1
+        for k in range(min(rows, cols)):
+            if k == rows - 2 == cols - 2:
+                near = gcd(m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1])
+            pivot = next(((i, j) for j in range(k, cols) for i in range(k, rows) if m[i][j]), None)
             if pivot is None:
-                return k, sign * prev
+                return k, sign * prev, near
             i, j = pivot
             m[k], m[i] = m[i], m[k]
             for row in m:
                 row[k], row[j] = row[j], row[k]
             sign *= (-1) ** ((i != k) + (j != k))
             top, p = m[k], m[k][k]
-            for i in range(k + 1, self.rows):
+            for i in range(k + 1, rows):
                 row, x = m[i], m[i][k]
                 row[k + 1:] = [(v * p - x * w) // prev for v, w in zip(row[k + 1:], top[k + 1:])]
             prev = p
-        return min(self.rows, self.cols), sign * prev
+        return min(rows, cols), sign * prev, near
 
     def determinant(self) -> int:
         """Exact determinant: the Bareiss minor when the rank is full, else 0."""
@@ -152,22 +168,24 @@ class Graph:
         ids = [e[0] for e in edge_list]
         if len(set(ids)) != len(ids):
             raise GraphError("duplicate edge id")
-        self._src: dict[str, str] = {}
-        self._dst: dict[str, str] = {}
-        for eid, s, t in edge_list:
-            if s not in self.vertex_index:
-                raise GraphError(f"edge {eid!r}: unknown source vertex {s!r}")
-            if t not in self.vertex_index:
-                raise GraphError(f"edge {eid!r}: unknown target vertex {t!r}")
-            self._src[eid] = s
-            self._dst[eid] = t
-        self.edges: tuple[str, ...] = tuple(ids)
-        self.edge_index: dict[str, int] = {e: i for i, e in enumerate(self.edges)}
+        # endpoint tables and incidence lists in one pass over the edges
+        index = self.vertex_index
+        src: dict[str, str] = {}
+        dst: dict[str, str] = {}
         out: dict[str, list[str]] = {v: [] for v in self.vertices}
         inc: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for eid in self.edges:
-            out[self._src[eid]].append(eid)
-            inc[self._dst[eid]].append(eid)
+        for eid, s, t in edge_list:
+            if s not in index:
+                raise GraphError(f"edge {eid!r}: unknown source vertex {s!r}")
+            if t not in index:
+                raise GraphError(f"edge {eid!r}: unknown target vertex {t!r}")
+            src[eid] = s
+            dst[eid] = t
+            out[s].append(eid)
+            inc[t].append(eid)
+        self._src, self._dst = src, dst
+        self.edges: tuple[str, ...] = tuple(ids)
+        self.edge_index: dict[str, int] = {e: i for i, e in enumerate(self.edges)}
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
         self._adjacency: IntMatrix | None = None  # built by adjacency_matrix
@@ -187,6 +205,11 @@ class Graph:
     def in_edges(self, vertex: str) -> tuple[str, ...]:
         return self._in[vertex]
 
+    def edge_ends(self) -> Iterator[tuple[str, str, str]]:
+        """(edge, source, target) for every edge, in edge order, read off
+        the endpoint tables in one pass."""
+        return zip(self.edges, self._src.values(), self._dst.values())
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
@@ -198,30 +221,29 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
     graph, on first use.
     """
     if g._adjacency is None:
-        n = len(g.vertices)
+        n, index = len(g.vertices), g.vertex_index
         data = [[0] * n for _ in range(n)]
-        for e in g.edges:
-            data[g.vertex_index[g.target(e)]][g.vertex_index[g.source(e)]] += 1
-        g._adjacency = IntMatrix.from_rows(data)
+        for s, t in zip(g._src.values(), g._dst.values()):
+            data[index[t]][index[s]] += 1
+        g._adjacency = IntMatrix(n, n, tuple(map(tuple, data)))
     return g._adjacency
 
 
 def _bool_rows(m: IntMatrix) -> list[int]:
     # row i as a bitmask over columns
-    return [sum(1 << j for j, x in enumerate(row) if x > 0) for row in m.entries]
+    return [int("".join(["1" if x > 0 else "0" for x in reversed(row)]) or "0", 2) for row in m.entries]
 
 
-def _bool_mul(a: list[int], b: list[int], n: int) -> list[int]:
+def _bool_mul(a: list[int], b: list[int], full: int) -> list[int]:
     out = []
-    for i in range(n):
+    for row in a:
         acc = 0
-        row = a[i]
-        j = 0
-        while row:
+        for col in b:
             if row & 1:
-                acc |= b[j]
+                acc |= col
+                if acc == full:
+                    break
             row >>= 1
-            j += 1
         out.append(acc)
     return out
 
@@ -229,21 +251,55 @@ def _bool_mul(a: list[int], b: list[int], n: int) -> list[int]:
 def is_primitive(g: Graph) -> tuple[bool, int | None]:
     """Test whether some power of the adjacency matrix is entrywise positive.
 
-    Returns (True, k) with the least such exponent, or (False, None).  The
-    search is capped at the Wielandt bound (d-1)^2 + 1; positivity is
-    tracked by boolean powering so entries never blow up.
+    Returns (True, k) with the least such exponent, or (False, None).  A
+    matrix is primitive exactly when its graph is strongly connected with
+    period 1; the period is the gcd, over the edges u -> w, of
+    level(u) + 1 - level(w) for breadth-first levels from one vertex.  Only
+    a primitive graph is then powered, by boolean rows so entries never blow
+    up; the search is capped at the Wielandt bound (d-1)^2 + 1.
     """
     if not g.vertices:
         raise GraphError("empty graph")
     n = len(g.vertices)
     full = (1 << n) - 1
-    a = _bool_rows(adjacency_matrix(g))
-    bound = (n - 1) ** 2 + 1
+    a = _bool_rows(adjacency_matrix(g))  # a[w]: the sources of the edges into w
+    # breadth-first levels from vertex 0, as one bitmask per level
+    levels, level, seen = [1], [0] * n, 1
+    while True:
+        reached = 0
+        for w in range(n):
+            if a[w] & levels[-1] and not seen >> w & 1:
+                reached |= 1 << w
+                level[w] = len(levels)
+        if not reached:
+            break
+        levels.append(reached)
+        seen |= reached
+    # and the vertices that reach vertex 0
+    back = frontier = 1
+    while frontier:
+        sources = 0
+        for w in range(n):
+            if frontier >> w & 1:
+                sources |= a[w]
+        frontier = sources & ~back
+        back |= frontier
+    if seen != full or back != full:
+        return False, None
+    period = 0
+    for w in range(n):
+        for d, mask in enumerate(levels):
+            if a[w] & mask:
+                period = gcd(period, d + 1 - level[w])
+        if period == 1:
+            break
+    else:
+        return False, None
     cur = a
-    for k in range(1, bound + 1):
+    for k in range(1, (n - 1) ** 2 + 2):
         if all(row == full for row in cur):
             return True, k
-        cur = _bool_mul(cur, a, n)
+        cur = _bool_mul(cur, a, full)
     return False, None
 
 

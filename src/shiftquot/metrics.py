@@ -155,9 +155,7 @@ def d_extended(p: EmbeddingPair, x: LassoRay, y: LassoRay, depth: int = 12) -> M
     if kx != math.inf and ky != math.inf:
         return MetricInterval.point(_d_finite(p, x, y))
     inner = depth + 1
-    jx = sum(1 for e in x.head(inner) if not p.in_image(e))
-    jy = sum(1 for e in y.head(inner) if not p.in_image(e))
-    K = max(jx, jy)
+    K = max(p.spare_count(x.head(inner)), p.spare_count(y.head(inner)))
     xa = x if kx == K else stratum_approximant(p, x, inner, K)
     ya = y if ky == K else stratum_approximant(p, y, inner, K)
     value = _d_finite(p, xa, ya)

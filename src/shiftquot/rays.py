@@ -148,9 +148,9 @@ class ClassPoint:
 def kappa(p: EmbeddingPair, x: LassoRay) -> int | float:
     """Number of positions whose edge lies outside the embedded image;
     math.inf when the cycle contains such an edge."""
-    if any(not p.in_image(e) for e in x.cycle):
+    if not p.xi_image.issuperset(x.cycle):
         return math.inf
-    return sum(1 for e in x.prefix if not p.in_image(e))
+    return p.spare_count(x.prefix)
 
 
 def first_nonxi(p: EmbeddingPair, x: LassoRay) -> int:
@@ -358,7 +358,7 @@ def stratum_approximant(p: EmbeddingPair, x: LassoRay, depth: int, k: int) -> La
     if depth < 1:
         raise RayError("depth must be >= 1")
     head = list(x.head(depth))
-    j = sum(1 for e in head if not p.in_image(e))
+    j = p.spare_count(head)
     if k < j:
         raise RayError(f"stratum {k} too small: prefix already has {j} spare edges")
     needed = k - j

@@ -52,6 +52,28 @@ def test_parse_errors_carry_line_numbers():
         )
 
 
+DUPLICATE_MAPS = "graph G\nvertex v\nedge a v v\nedge b v v\ngraph H\nvertex w\nedge y w w\n"
+
+
+@pytest.mark.parametrize(
+    "maps, message",
+    [
+        ("map vertex w v\nmap vertex w v\n", ":9: duplicate 'map vertex' line for H-vertex 'w'"),
+        ("map vertex w v\nmap xi0 y a\nmap xi0 y b\n", ":10: duplicate 'map xi0' line for H-edge 'y'"),
+        ("map xi1 y b\nmap vertex w v\nmap xi1 y a\n", ":10: duplicate 'map xi1' line for H-edge 'y'"),
+    ],
+)
+def test_duplicate_map_lines_are_parse_errors(capsys, tmp_path, maps, message):
+    """A second map line for the same H-item is refused, not silently
+    taken over the first."""
+    with pytest.raises(BundleError, match=message):
+        parse_bundle(DUPLICATE_MAPS + maps)
+    path = tmp_path / "dup.bundle"
+    path.write_text(DUPLICATE_MAPS + maps)
+    assert main(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", bundle_path("full3.bundle"))
     assert code == 0
