@@ -49,10 +49,9 @@ class IntMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        # zip of no rows gives no columns, so a 0 x n matrix needs its n empty rows
+        columns = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix(self.cols, self.rows, columns)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_shape(other)

@@ -397,6 +397,76 @@ def stratum_approximant(p: EmbeddingPair, x: LassoRay, depth: int, k: int) -> La
     return LassoRay.make(p.g, head + route, cyc)
 
 
+# -- growing a class one edge at a time ---------------------------------------------
+#
+# Write e.x for normal_form((e,) + x.prefix, x.cycle).  The class of e.x
+# follows from the class of x in O(1) steps.  e.x has x's cycle, so it has a
+# flip exactly when x has one.  When flip(x) has a pivot, or x is a total
+# swap (every edge has the cycle's superscript) and e is spare (the new
+# pivot), flip(e.x) = e.flip(x): canonical decides one position later than
+# for x, on the same two edges.  When x is a total swap and e an image edge,
+# the flip swaps e too: flip(e.x) = partner(e).flip(x), the first edges
+# decide, and e.x is again a total swap exactly when e has the cycle's
+# superscript.
+
+
+def _prepend(e: str, x: LassoRay) -> LassoRay:
+    """e.x for x in normal form: only an empty prefix can take e into the
+    cycle, as a rotation."""
+    if x.prefix or e != x.cycle[-1]:
+        return LassoRay((e,) + x.prefix, x.cycle)
+    return LassoRay((), (e,) + x.cycle[:-1])
+
+
+def _total_swap(p: EmbeddingPair, point: ClassPoint) -> bool:
+    """Whether the flip of the point's members is a total swap.  Only two
+    flips change position 1: the total swap, and a carry at position 1,
+    whose pivot digit is the opposite of the cycle's superscript."""
+    other = point.partner
+    if other is None:
+        return False
+    a = point.rep.edge_at(1)
+    sup = p._superscript
+    return a != other.edge_at(1) and sup[a] == sup[point.rep.cycle[0]]
+
+
+def _prepend_class(
+    p: EmbeddingPair, point: ClassPoint, total: bool, e: str, k: int
+) -> tuple[ClassPoint, bool, int, str | None]:
+    """The class point of e.x, where x is member k of `point` (0 its rep, 1
+    its partner) and `total` says whether flip(x) is a total swap.  Returns
+    that point, the same flag for e.x, the member e.x is in it, and the
+    edge put in front of the other member (None when there is none)."""
+    x, other = (point.partner, point.rep) if k else (point.rep, point.partner)
+    ex = _prepend(e, x)
+    if other is None:
+        return ClassPoint(ex, None), False, 0, None
+    sup = p._superscript
+    d = sup.get(e)
+    if total and d is not None:
+        f = p._partner[e]
+        index = p.g.edge_index
+        k = 0 if index[e] < index[f] else 1
+        total = d == sup[x.cycle[0]]
+    else:
+        f, total = e, False
+    fx = _prepend(f, other)
+    return (ClassPoint(fx, ex) if k else ClassPoint(ex, fx)), total, k, f
+
+
+def grow_classes(p: EmbeddingPair, x: LassoRay, lead: Sequence[str]) -> list[ClassPoint]:
+    """canonical(p, x), then the class point of each longer ray lead[j:] + x
+    for j = len(lead) - 1 down to 0, each from the one before in O(1)
+    steps.  The edges of `lead` must compose, in order, before x."""
+    point = canonical(p, x)
+    points = [point]
+    total, k = _total_swap(p, point), int(point.rep != x)
+    for e in reversed(lead):
+        point, total, k, _ = _prepend_class(p, point, total, e, k)
+        points.append(point)
+    return points
+
+
 # -- preimage lifting -----------------------------------------------------------
 
 
@@ -412,49 +482,112 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay | ClassPoint, y: LassoRay) -> La
     point x gives its rep and the partner it holds; a ray is flipped.
     """
     ray = x.rep if isinstance(x, ClassPoint) else x
+    y1 = _lift_start(p, ray, y)
+    other = x.partner if isinstance(x, ClassPoint) else flip(p, ray)
+    reps = [ray] if other is None or other == ray else [ray, other]
+    e, k, _ = _lift_choice(p, y1, y, reps, None)
+    # every candidate passed the checks of _lift_choice, so no second validation
+    return _prepend(e, reps[k])
+
+
+def lift_classes(p: EmbeddingPair, point: ClassPoint, targets: Sequence[LassoRay]) -> list[ClassPoint]:
+    """point, then for each target y in turn the class of lift_preimage of
+    the last class point toward y, with the same choice and the same
+    errors.  Each class is grown from the one before (see _prepend_class);
+    of y only the first level is read.  `point` holds its rep's flip as its
+    partner, as canonical builds it.
+
+    Each member's first level (gap, digit sum as an unreduced numerator and
+    denominator) is grown with the edge put in front of it, not read
+    again: an image edge of superscript d makes (n, num, den) into
+    (n + 1, d * den + num, 2 * den), a spare edge into (1, 0, 1).  The sum
+    stays unreduced (the all-image tail of all ones sums to 1, and a digit
+    in front of it gives (d + 1) / 2, not d / 2); it is reduced mod 1 only
+    to compare angles.
+
+    The members of `point` are checked as lassos of G, as lift_preimage
+    checks them.  A later member is e.m for a member m of the class before
+    and an edge e whose junction with m was checked there (each candidate
+    edge is checked before every member), so it is a lasso of G too.
+    """
+    out = [point]
+    member_levels: list[tuple[int | float, int, int]] | None = None  # read at the first lift
+    total = _total_swap(p, point)
+    digit = _digit_lookup(p)
+    for y in targets:
+        members = [point.rep] if point.partner is None else [point.rep, point.partner]
+        y1 = _lift_start(p, point.rep, y)
+        e, k, member_levels = _lift_choice(p, y1, y, members, member_levels)
+        point, total, j, f = _prepend_class(p, point, total, e, k)
+        lifted = _grown_level(member_levels[k], digit(e))
+        if f is None:
+            member_levels = [lifted]
+        else:
+            other = _grown_level(member_levels[1 - k], digit(f))
+            member_levels = [other, lifted] if j else [lifted, other]
+        out.append(point)
+    return out
+
+
+def _grown_level(level: tuple[int | float, int, int], d: int | None) -> tuple[int | float, int, int]:
+    """The first level of e.x from the first level of x, for an edge e of
+    superscript d (None for a spare edge)."""
+    if d is None:
+        return 1, 0, 1
+    n, num, den = level
+    return n + 1, d * den + num, 2 * den
+
+
+def _lift_start(p: EmbeddingPair, ray: LassoRay, y: LassoRay) -> str:
+    """y's first edge, after checking that ray's first edge composes after it."""
     g = p.g
     y1 = y.edge_at(1)
     if g.target(y1) != g.source(ray.edge_at(1)):
         raise RayError("first edge of x is not composable after the first edge of y")
+    return y1
 
-    other = x.partner if isinstance(x, ClassPoint) else flip(p, ray)
-    reps = [ray] if other is None or other == ray else [ray, other]
-    if p.in_image(y1):
-        firsts = [y1, p.partner(y1)]
-    else:
-        firsts = [y1]
 
-    # a candidate e.rep is scored from rep's first level: a spare e puts a
-    # spare edge at position 1, an image e adds one leading digit; only its
-    # new junction needs a check, unless rep itself is not a lasso of G
+def _lift_choice(
+    p: EmbeddingPair,
+    y1: str,
+    y: LassoRay,
+    members: list[LassoRay],
+    member_levels: list[tuple[int | float, int, int]] | None,
+) -> tuple[str, int, list[tuple[int | float, int, int]]]:
+    """The lift e.members[k] toward y that lift_preimage picks, as (e, k,
+    the members' first levels).  The candidates are the members with
+    either copy of y's first edge y1 in front; each one's junction is
+    checked.  Without the members' first levels (None) they are read
+    here, and the members are checked as lassos of G as well."""
+    g = p.g
+    firsts = [y1, p.partner(y1)] if p.in_image(y1) else [y1]
     target_n, t_num, t_den = next(raw_levels(p, y))
-    scored = [
-        (rep, next(raw_levels(p, rep)), _lasso_fault(g, rep.prefix + rep.cycle, len(rep.prefix)))
-        for rep in reps
-    ]
-    candidates = [(e, rep, lv, fault) for e in firsts for rep, lv, fault in scored]
-    for e, rep, _, fault in candidates:
-        if fault is not None:
-            raise RayError(_lasso_fault(g, (e,) + rep.prefix + rep.cycle, 1 + len(rep.prefix)))
-        head = rep.edge_at(1)
+    faults: list[str | None] = [None] * len(members)
+    if member_levels is None:
+        member_levels = [next(raw_levels(p, m)) for m in members]
+        faults = [_lasso_fault(g, m.prefix + m.cycle, len(m.prefix)) for m in members]
+    candidates = [(e, k) for e in firsts for k in range(len(members))]
+    for e, k in candidates:
+        m = members[k]
+        if faults[k] is not None:
+            raise RayError(_lasso_fault(g, (e,) + m.prefix + m.cycle, 1 + len(m.prefix)))
+        head = m.edge_at(1)
         if g.target(e) != g.source(head):
             raise RayError(f"edges {e!r},{head!r} are not composable")
 
     # the first candidate landing on y's level and angle has the best score
     # (0, 0, index); without one, the nearest angle wins, the first on ties.
     # An angle is a numerator and a denominator reduced mod 1 (sums lie in [0, 1])
+    digit = _digit_lookup(p)
     t_num %= t_den
     angles = []
-    for e, rep, (n, num, den), _ in candidates:
-        if p.in_image(e):
-            n, num, den = n + 1, (epsilon(p, e) * den + num) % (2 * den), 2 * den
-        else:
-            n, num, den = 1, 0, 1
+    for e, k in candidates:
+        n, num, den = _grown_level(member_levels[k], digit(e))
+        num %= den
         if n == target_n and num * t_den == t_num * den:
             break
         angles.append(Angle(Fraction(num, den)))
     else:
         target = Angle(Fraction(t_num, t_den))
-        e, rep, _, _ = candidates[min(range(len(angles)), key=lambda i: angles[i].distance(target))]
-    # every candidate passed the checks above, so no second validation
-    return normal_form((e,) + rep.prefix, rep.cycle)
+        e, k = candidates[min(range(len(angles)), key=lambda i: angles[i].distance(target))]
+    return e, k, member_levels

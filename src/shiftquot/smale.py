@@ -16,7 +16,16 @@ from fractions import Fraction
 from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph, paths_of_length
 from .metrics import MetricInterval, d_class
-from .rays import ClassPoint, LassoRay, RayError, canonical, lift_preimage, normal_form, shift
+from .rays import (
+    ClassPoint,
+    LassoRay,
+    RayError,
+    canonical,
+    grow_classes,
+    lift_classes,
+    normal_form,
+    shift,
+)
 
 
 class SmaleError(ValueError):
@@ -149,9 +158,12 @@ def make_tower(p: EmbeddingPair, levels: list[ClassPoint]) -> Tower:
 
 
 def pi_xi_tower(p: EmbeddingPair, x: BiLasso, depth: int) -> Tower:
-    """The tower of quotient points read from positions 1, 0, -1, ..."""
-    levels = [canonical(p, x.ray_from(1 - n)) for n in range(depth + 1)]
-    return Tower(tuple(levels))
+    """The tower of quotient points read from positions 1, 0, -1, ...: the
+    class of the ray from position 1, then each deeper level from the one
+    before, with the edge at its position put in front."""
+    if depth < 0:
+        raise SmaleError("tower needs at least one level")
+    return Tower(tuple(grow_classes(p, x.ray_from(1), x.window(1 - depth, 0))))
 
 
 def shift_tower(p: EmbeddingPair, t: Tower) -> Tower:
@@ -165,6 +177,12 @@ def inv_shift_tower(t: Tower) -> Tower:
     if len(t.levels) < 2:
         raise SmaleError("tower too shallow to invert")
     return Tower(t.levels[1:])
+
+
+def _equal_finite(p: EmbeddingPair, cx: ClassPoint, cy: ClassPoint) -> bool:
+    """Whether the points are equal with finitely many spare edges (a cycle
+    inside the image), where d_class is exactly 0."""
+    return cx == cy and p.xi_image.issuperset(cx.rep.cycle)
 
 
 def tower_distance(
@@ -181,6 +199,11 @@ def tower_distance(
     the levels from n on are not read; an error such a level would raise
     does not surface.
 
+    A level whose two points are equal with finitely many spare edges is
+    at class distance exactly 0 and moves neither end, so it costs one
+    comparison and no metric.  Equal points with infinitely many spare
+    edges still go through d_class, with its slack and its errors.
+
     A pair at distance 0, such as a point and its carry partner, keeps `lo`
     at 0 and so reads every level 0..M.  No stop rule is known for it: a
     level at exactly 0 proves nothing about the deeper levels.
@@ -194,13 +217,16 @@ def tower_distance(
     lo = Fraction(0)
     hi = Fraction(3, 2**m)
     for n in range(m + 1):
-        if reach <= lo:
+        # reach * 2^-n <= lo, on integers
+        if reach.numerator * lo.denominator <= (lo.numerator * reach.denominator) << n:
             break
-        d = d_class(p, x.level(n), y.level(n), ray_depth)
+        cx, cy = x.level(n), y.level(n)
+        if _equal_finite(p, cx, cy):
+            continue
+        d = d_class(p, cx, cy, ray_depth)
         w = Fraction(1, 2**n)
         lo = max(lo, w * d.lo)
         hi = max(hi, w * d.hi)
-        reach /= 2
     return MetricInterval(lo, hi)
 
 
@@ -214,6 +240,14 @@ def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
     (3 + 3 * 2^-ray_depth) * 2^-n <= 1/2 can neither push the distance past
     1/2 nor raise an upper end that already exceeds it.  Only the levels
     before the first such n are read: levels 0-2 at the default ray depth.
+    As in tower_distance, equal points with finitely many spare edges are
+    compared, not measured.
+
+    Level n + 1 is the class of lift_preimage(level n, level n + 1 of y),
+    grown from level n by lift_classes: the lifted ray and its flip are
+    each a member of level n with one edge put in front.  Only level 0 is
+    checked as a lasso of G; by induction every later level is one, since
+    each junction of a candidate edge with a member is still checked.
     """
     if x.depth != y.depth:
         raise SmaleError("towers must share their depth")
@@ -222,14 +256,13 @@ def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
     for n in range(x.depth + 1):
         if reach / 2**n <= Fraction(1, 2):
             break
-        hi = max(hi, d_class(p, x.level(n), y.level(n), ray_depth).hi / 2**n)
+        cx, cy = x.level(n), y.level(n)
+        if not _equal_finite(p, cx, cy):
+            hi = max(hi, d_class(p, cx, cy, ray_depth).hi / 2**n)
     if hi > Fraction(1, 2):
         raise SmaleError(f"bracket undefined: tower distance {hi} > 1/2")
-    # each lift takes the carry partner its class point already holds
-    levels = [x.level(0)]
-    for n in range(1, x.depth + 1):
-        levels.append(canonical(p, lift_preimage(p, levels[-1], y.level(n).rep)))
-    return Tower(tuple(levels))
+    targets = [y.level(n).rep for n in range(1, x.depth + 1)]
+    return Tower(tuple(lift_classes(p, x.level(0), targets)))
 
 
 # -- the two-sided pair relation --------------------------------------------------

@@ -195,3 +195,27 @@ def test_intmatrix_determinant():
     assert m.determinant() == 1
     assert IntMatrix.identity(3).determinant() == 1
     assert IntMatrix.from_rows([[0, 1], [1, 0]]).determinant() == -1
+
+
+def ref_transpose(m):
+    """The transpose one entry at a time, as IntMatrix built it before."""
+    entries = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
+    return IntMatrix(m.cols, m.rows, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-10**20, 10**20), min_size=cols, max_size=cols), max_size=5)
+    .map(lambda rows: IntMatrix(len(rows), cols, tuple(map(tuple, rows))))
+))
+def test_transpose_matches_the_entrywise_build(m):
+    t = m.transpose()
+    assert t == ref_transpose(m)
+    assert (t.rows, t.cols) == (m.cols, m.rows) and len(t.entries) == m.cols
+    assert t.transpose() == m
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1)])
+def test_transpose_of_a_thin_matrix(rows, cols):
+    m = IntMatrix.zero(rows, cols)
+    assert m.transpose() == ref_transpose(m) == IntMatrix.zero(cols, rows)
