@@ -387,7 +387,7 @@ def transversal_spec(p: EmbeddingPair) -> TransversalSpec:
     return TransversalSpec(best, pts)
 
 
-def membership_yu(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
+def membership_yu(spec: TransversalSpec, x: BiLasso) -> bool:
     """Whether the whole past of x (positions <= 0) repeats the transversal
     cycle."""
     span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
@@ -395,7 +395,7 @@ def membership_yu(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
     return any(q.window(-span, 0) == seen for q in spec.points)
 
 
-def membership_ys(p: EmbeddingPair, spec: TransversalSpec, x: BiLasso) -> bool:
+def membership_ys(spec: TransversalSpec, x: BiLasso) -> bool:
     """Whether x agrees with a transversal point on all positions >= -1."""
     span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
     seen = x.window(-1, span)

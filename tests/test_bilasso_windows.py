@@ -1,29 +1,24 @@
-"""The two-sided layer against the code it replaced.
+"""The two-sided layer against its definitions.
 
-The references below are copies of the earlier implementations of
-`bilasso_equal`, `pair_related`, `membership_yu` and `membership_ys`,
-which read one edge per position (`ref_edge_at`).  The new code reads
-each bi-lasso once as a window; it must give the same witnesses and
-booleans, and raise the same error type where the earlier code raised (a
+The definitions of `bilasso_equal`, `pair_related`, `membership_yu` and
+`membership_ys` (in `reference`) read one edge per position.  The package
+reads each bi-lasso once as a window; it must give the same witnesses and
+booleans, and raise the same error type where the definition raises (a
 seed whose images overlap has no partner map, so reading a swap there
 fails).
 """
 
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ref_edge_at
-from test_bracket_path import closed_walk, end_of, outcome, walk
-from test_seed_walks import seeds
-from test_tower_levels import tower_pairs
-from shiftquot.embedding import EmbeddingPair, epsilon
+from conftest import closed_walk, end_of, outcome, seeds, tower_pairs, walk
+from reference import ref_bilasso_equal, ref_membership_ys, ref_membership_yu, ref_pair_related
+from shiftquot.embedding import EmbeddingPair
 from shiftquot.graphs import Graph
 from shiftquot.smale import (
     BiLasso,
-    PairWitness,
     SmaleError,
     apply_witness,
     bilasso_equal,
@@ -32,79 +27,6 @@ from shiftquot.smale import (
     pair_related,
     transversal_spec,
 )
-
-# -- references ---------------------------------------------------------------
-
-
-def ref_bilasso_equal(x, y):
-    lp = math.lcm(len(x.past), len(y.past))
-    lf = math.lcm(len(x.future), len(y.future))
-    a = min(x.origin, y.origin) - lp
-    b = max(x.core_end(), y.core_end()) + lf
-    return all(ref_edge_at(x, n) == ref_edge_at(y, n) for n in range(a, b + 1))
-
-
-def ref_swapped_at(p, x, y, n):
-    a, b = ref_edge_at(x, n), ref_edge_at(y, n)
-    if a == b or not p.in_image(a) or not p.in_image(b):
-        return None
-    if p.partner(a) != b:
-        return None
-    return epsilon(p, a)
-
-
-def ref_pair_related(p, x, y):
-    if ref_bilasso_equal(x, y):
-        return PairWitness("a")
-    lp = math.lcm(len(x.past), len(y.past))
-    lf = math.lcm(len(x.future), len(y.future))
-    lo = min(x.origin, y.origin) - lp - 1
-    hi = max(x.core_end(), y.core_end()) + lf
-    tail_i = ref_swapped_at(p, x, y, hi)
-    if tail_i is None:
-        return None
-    for n in range(hi, hi + lf):
-        if ref_swapped_at(p, x, y, n) != tail_i:
-            return None
-    if all(ref_swapped_at(p, x, y, n) == tail_i for n in range(lo - lp, hi)):
-        return PairWitness("b", i=tail_i)
-    m = None
-    for n in range(hi - 1, lo - lp - 1, -1):
-        if ref_swapped_at(p, x, y, n) != tail_i:
-            m = n
-            break
-    if m is None:
-        return None
-    xm, ym = ref_edge_at(x, m), ref_edge_at(y, m)
-    pivot_ok = (xm == ym and not p.in_image(xm)) or (
-        p.in_image(xm)
-        and p.in_image(ym)
-        and xm != ym
-        and p.partner(xm) == ym
-        and epsilon(p, xm) == 1 - tail_i
-    )
-    if not pivot_ok:
-        return None
-    for n in range(m - 1, lo - lp - 1, -1):
-        if ref_edge_at(x, n) != ref_edge_at(y, n):
-            return None
-    return PairWitness("c", i=tail_i, m=m)
-
-
-def ref_membership_yu(p, spec, x):
-    for q in spec.points:
-        span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
-        if all(ref_edge_at(x, n) == ref_edge_at(q, n) for n in range(-span, 1)):
-            return True
-    return False
-
-
-def ref_membership_ys(p, spec, x):
-    for q in spec.points:
-        span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
-        if all(ref_edge_at(x, n) == ref_edge_at(q, n) for n in range(-1, span + 1)):
-            return True
-    return False
 
 
 def kind(result):
@@ -189,8 +111,8 @@ def check_membership(p, xs):
     spec = transversal_spec(p)
     seen = set()
     for x in xs:
-        yu, ys = membership_yu(p, spec, x), membership_ys(p, spec, x)
-        assert (yu, ys) == (ref_membership_yu(p, spec, x), ref_membership_ys(p, spec, x))
+        yu, ys = membership_yu(spec, x), membership_ys(spec, x)
+        assert (yu, ys) == (ref_membership_yu(spec, x), ref_membership_ys(spec, x))
         seen |= {("yu", yu), ("ys", ys)}
     return seen
 

@@ -1,12 +1,11 @@
 """Differential test of the circle enumeration: the state walk in
-circle_specs_report against a reference walk over paths that carries
-every digit sum, angle and radius as an exact Fraction, sorts one spec
-per path by spec_sort_key and folds adjacent equal circles into one spec
-with their path count, and render_svg against a reference that formats
-every path's circle on its own.  The circle budget's pre-count is checked
-against the reference walk, and counting wrappers check that each
-distinct value is built once and that `render` builds one spec per
-distinct circle."""
+circle_specs_report against the walk over paths in `reference`, which
+carries every digit sum, angle and radius as an exact Fraction, sorts one
+spec per path and folds adjacent equal circles into one spec with their
+path count, and render_svg against a reference that formats every path's
+circle on its own.  The circle budget's pre-count is checked against the
+reference walk, and counting wrappers check that each distinct value is
+built once and that `render` builds one spec per distinct circle."""
 
 import os
 import subprocess
@@ -14,115 +13,18 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from shiftquot import geometry
 from shiftquot.algebra import FgAbelianGroup, synthesize_seed
 from shiftquot.cli import main
-from shiftquot.embedding import EmbeddingError, EmbeddingPair, epsilon
-from shiftquot.geometry import (
-    CIRCLE_BUDGET,
-    CircleSpec,
-    _spec_from_levels,
-    circle_count,
-    circle_specs_report,
-    render_svg,
-)
+from shiftquot.embedding import EmbeddingError, EmbeddingPair
+from shiftquot.geometry import CIRCLE_BUDGET, CircleSpec, circle_count, circle_specs_report, render_svg
 from shiftquot.graphs import Graph
 from shiftquot.rays import Angle
 
-from conftest import bundle_path
-from test_seed_walks import seeds
-
-
-def spec_sort_key(spec: CircleSpec):
-    """The order circle_specs documents: stratum, then gap chain, then
-    angle chain (a stable sort keeps the walk's prefix order in ties)."""
-    return (
-        len(spec.levels),
-        tuple(n for n, _ in spec.levels),
-        tuple(a.turns for _, a in spec.levels),
-    )
-
-
-def reference_specs_report(p, max_k, max_depth, min_radius=0):
-    tables = p.completion
-    if isinstance(min_radius, float):
-        min_r = Fraction(min_radius).limit_denominator(10**12)
-    else:
-        min_r = Fraction(min_radius)
-    has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
-    out = []
-    pruned = Fraction(0)
-    base = _spec_from_levels([])
-    if base.radius >= min_r:
-        out.append(base)
-    else:
-        pruned += base.radius
-
-    def walk(at, levels, gap, digits, depth):
-        nonlocal pruned
-        if depth >= max_depth:
-            return
-        for e in p.g.out_edges(at):
-            if p.in_image(e):
-                new_digits = digits + Fraction(epsilon(p, e), 2 ** (gap + 1))
-                walk(p.g.target(e), levels, gap + 1, new_digits, depth + 1)
-            else:
-                levels.append((gap + 1, Angle.of(digits)))
-                if len(levels) <= max_k and p.g.target(e) in has_tail:
-                    spec = _spec_from_levels(levels)
-                    if spec.radius >= min_r:
-                        out.append(spec)
-                    else:
-                        pruned += spec.radius
-                if len(levels) < max_k:
-                    walk(p.g.target(e), levels, 0, Fraction(0), depth + 1)
-                levels.pop()
-
-    for v in p.g.vertices:
-        walk(v, [], 0, Fraction(0), 0)
-    out.sort(key=spec_sort_key)
-    return out, pruned
-
-
-def fold_paths(specs):
-    """The reference's one spec per path, each run of adjacent equal
-    circles folded into one spec with the run's length as its path count."""
-    out = []
-    for spec in specs:
-        if out and out[-1][:3] == spec[:3]:
-            out[-1] = out[-1]._replace(paths=out[-1].paths + 1)
-        else:
-            out.append(spec)
-    return out
-
-
-def reference_svg(specs, scale):
-    """SVG of the specs, each circle's center evaluated and its line
-    formatted on its own."""
-    margin = 1.1
-    size = 2 * margin * scale
-
-    def fmt(v: float) -> str:
-        return f"{v:.9f}"
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(size)}" height="{fmt(size)}" '
-        f'viewBox="0 0 {fmt(size)} {fmt(size)}">',
-    ]
-    for spec in specs:
-        c = spec.center_value()
-        cx = margin * scale + scale * c.real
-        cy = margin * scale - scale * c.imag
-        r = scale * float(spec.radius)
-        lines.append(
-            f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
-            'fill="none" stroke="black" stroke-width="0.5"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+from conftest import bundle_path, seeds, tailless_pair
+from reference import ref_circle_paths, ref_fold_paths, ref_render_svg
 
 
 def split_pair():
@@ -135,35 +37,26 @@ def split_pair():
     return EmbeddingPair(g, h, vm, {"la": "p0", "lb": "s0"}, vm, {"la": "p1", "lb": "s1"})
 
 
-def tailless_pair():
-    """Two image loops at u and spare edges u -> w -> u: w has no all-image
-    tail, so circles ending there are neither drawn nor pruned."""
-    g = Graph(["u", "w"], [("p0", "u", "u"), ("p1", "u", "u"), ("c", "u", "w"), ("d", "w", "u")])
-    h = Graph(["a"], [("la", "a", "a")])
-    vm = {"a": "u"}
-    return EmbeddingPair(g, h, vm, {"la": "p0"}, vm, {"la": "p1"})
-
-
 def assert_same(p, max_k, depth, svg=False):
     """The walk equals the folded reference at min radius 0, and at a
     Fraction and a float threshold equals the folded reference list split
     at that radius.  The pre-count equals the reference's circles, kept
     plus pruned, and the walk's path counts; with svg=True, render_svg's
     bytes equal the reference's at every threshold and at two scales."""
-    every, none_pruned = reference_specs_report(p, max_k, depth)
+    every, none_pruned = ref_circle_paths(p, max_k, depth)
     assert none_pruned == 0
     assert circle_count(p, max_k, depth) == len(every), (max_k, depth)
     specs, pruned = circle_specs_report(p, max_k, depth)
-    assert (specs, pruned) == (fold_paths(every), 0), (max_k, depth)
+    assert (specs, pruned) == (ref_fold_paths(every), 0), (max_k, depth)
     assert sum(s.paths for s in specs) == circle_count(p, max_k, depth), (max_k, depth)
     for min_radius in (0, Fraction(1, 300), 0.001):
         min_r = Fraction(min_radius).limit_denominator(10**12)
         kept = [spec for spec in every if spec.radius >= min_r]
         pruned = sum((spec.radius for spec in every if spec.radius < min_r), Fraction(0))
         got = circle_specs_report(p, max_k, depth, min_radius)
-        assert got == (fold_paths(kept), pruned), (max_k, depth, min_radius)
+        assert got == (ref_fold_paths(kept), pruned), (max_k, depth, min_radius)
         for scale in (400.0, 37.5) if svg else ():
-            assert render_svg(p, max_k, depth, min_radius, scale) == reference_svg(kept, scale), (
+            assert render_svg(p, max_k, depth, min_radius, scale) == ref_render_svg(kept, scale), (
                 max_k, depth, min_radius, scale)
 
 
@@ -216,27 +109,27 @@ def test_walk_matches_reference_on_drawn_seeds(p):
     for max_k in range(4):
         for depth in range(1, 5):
             for min_radius in (0, Fraction(1, 300)):
-                expected = reference_specs_report(p, max_k, depth, min_radius)
+                expected = ref_circle_paths(p, max_k, depth, min_radius)
                 specs, pruned = circle_specs_report(p, max_k, depth, min_radius)
                 assert sum(s.paths for s in specs) == len(expected[0])
                 if min_radius == 0:
                     assert sum(s.paths for s in specs) == circle_count(p, max_k, depth)
-                assert (specs, pruned) == (fold_paths(expected[0]), expected[1]), (max_k, depth, min_radius)
-                assert render_svg(p, max_k, depth, min_radius, 400.0) == reference_svg(expected[0], 400.0)
+                assert (specs, pruned) == (ref_fold_paths(expected[0]), expected[1]), (max_k, depth, min_radius)
+                assert render_svg(p, max_k, depth, min_radius, 400.0) == ref_render_svg(expected[0], 400.0)
 
 
 def test_walk_by_multiplicity_at_depth_7(twovertex):
     # 56,313 circles, 800 of them distinct
-    every, _ = reference_specs_report(twovertex, 3, 7)
+    every, _ = ref_circle_paths(twovertex, 3, 7)
     specs, pruned = circle_specs_report(twovertex, 3, 7)
     assert sum(s.paths for s in specs) == len(every) == circle_count(twovertex, 3, 7) == 56_313
     assert len(specs) == 800 and pruned == 0
     for min_radius in (0, Fraction(1, 300)):
         kept = [spec for spec in every if spec.radius >= min_radius]
         specs, pruned = circle_specs_report(twovertex, 3, 7, min_radius)
-        assert specs == fold_paths(kept)
+        assert specs == ref_fold_paths(kept)
         assert pruned == sum((spec.radius for spec in every if spec.radius < min_radius), Fraction(0))
-        assert render_svg(twovertex, 3, 7, min_radius, 400.0) == reference_svg(kept, 400.0)
+        assert render_svg(twovertex, 3, 7, min_radius, 400.0) == ref_render_svg(kept, 400.0)
 
 
 def test_render_builds_no_per_path_spec(twovertex, tmp_path, capsys, monkeypatch):
@@ -274,15 +167,15 @@ def test_render_ignores_hash_seed(twovertex, tmp_path):
         runs.append((proc.stdout, out.read_bytes()))
         out.unlink()
     assert runs[0] == runs[1]
-    every, _ = reference_specs_report(twovertex, 2, 5)
-    assert runs[0][1] == reference_svg(every, 400.0).encode()
+    every, _ = ref_circle_paths(twovertex, 2, 5)
+    assert runs[0][1] == ref_render_svg(every, 400.0).encode()
 
 
 def test_pruned_sum_is_exact_at_every_threshold(full3):
     # thresholds on, just above and just below the dyadic radii
     for min_radius in (Fraction(1, 16), Fraction(1, 17), Fraction(1, 15), 2, Fraction(-1), 1 / 64):
-        every, pruned = reference_specs_report(full3, 2, 5, min_radius)
-        assert circle_specs_report(full3, 2, 5, min_radius) == (fold_paths(every), pruned)
+        every, pruned = ref_circle_paths(full3, 2, 5, min_radius)
+        assert circle_specs_report(full3, 2, 5, min_radius) == (ref_fold_paths(every), pruned)
 
 
 @pytest.mark.parametrize("name, max_k, depth", [("twovertex", 2, 6), ("full3", 3, 7)])
@@ -354,7 +247,7 @@ def test_walk_drops_paths_that_can_give_no_circle():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     tests = os.path.dirname(__file__)
     code = (
-        "from test_circle_walk import tailless_pair\n"
+        "from conftest import tailless_pair\n"
         "from shiftquot.geometry import circle_count, circle_specs_report\n"
         "p = tailless_pair()\n"
         "specs, pruned = circle_specs_report(p, 1, 200)\n"

@@ -12,6 +12,9 @@ from shiftquot.graphs import (
     paths_of_length,
 )
 
+from conftest import graphs
+from reference import ref_is_primitive, ref_transpose
+
 
 def full(n_loops: int) -> Graph:
     return Graph(["v"], [(chr(ord("a") + i), "v", "v") for i in range(n_loops)])
@@ -63,38 +66,10 @@ def test_primitive_two_cycle_matches_matrix_powers():
         assert any(x == 0 for row in powered.entries for x in row)
 
 
-def powered_primitivity(g: Graph) -> tuple[bool, int | None]:
-    """The earlier test: boolean powers up to the Wielandt bound."""
-    n = len(g.vertices)
-    full_row = (1 << n) - 1
-    a = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in adjacency_matrix(g).entries]
-    cur = a
-    for k in range(1, (n - 1) ** 2 + 2):
-        if all(row == full_row for row in cur):
-            return True, k
-        nxt = []
-        for row in cur:
-            acc = 0
-            for j in range(n):
-                if row >> j & 1:
-                    acc |= a[j]
-            nxt.append(acc)
-        cur = nxt
-    return False, None
-
-
-@st.composite
-def drawn_graphs(draw):
-    n = draw(st.integers(1, 6))
-    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    pairs = draw(st.lists(ends, max_size=3 * n))
-    return Graph([f"v{i}" for i in range(n)], [(f"e{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(pairs)])
-
-
 @settings(max_examples=400, deadline=None)
-@given(drawn_graphs())
+@given(graphs(max_edges=18))
 def test_primitivity_matches_the_powering_reference(g):
-    assert is_primitive(g) == powered_primitivity(g)
+    assert is_primitive(g) == ref_is_primitive(g)
 
 
 def period_two_graph(n: int) -> Graph:
@@ -125,7 +100,7 @@ def test_non_primitive_graphs_are_refused_without_powering(build):
     assert is_primitive(build(64)) == (False, None)
     assert is_primitive(build(200)) == (False, None)
     assert time.perf_counter() - start < 0.5
-    assert powered_primitivity(build(8)) == (False, None)
+    assert ref_is_primitive(build(8)) == (False, None)
 
 
 def test_primitive_implies_irreducible_on_samples():
@@ -158,21 +133,8 @@ def test_paths_with_endpoints():
     assert paths_of_length(g, 2, src="u", dst="u") == [("f", "g")]
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 3))
-    vertices = [f"v{i}" for i in range(n)]
-    m = draw(st.integers(1, 5))
-    edges = []
-    for k in range(m):
-        s = draw(st.integers(0, n - 1))
-        t = draw(st.integers(0, n - 1))
-        edges.append((f"e{k}", f"v{s}", f"v{t}"))
-    return Graph(vertices, edges)
-
-
 @settings(max_examples=60, deadline=None)
-@given(small_graphs(), st.integers(1, 4))
+@given(graphs(3, 5, min_edges=1), st.integers(1, 4))
 def test_path_count_equals_power_sum(g, n):
     assert len(paths_of_length(g, n)) == adjacency_matrix(g).power(n).entry_sum()
 
@@ -195,12 +157,6 @@ def test_intmatrix_determinant():
     assert m.determinant() == 1
     assert IntMatrix.identity(3).determinant() == 1
     assert IntMatrix.from_rows([[0, 1], [1, 0]]).determinant() == -1
-
-
-def ref_transpose(m):
-    """The transpose one entry at a time, as IntMatrix built it before."""
-    entries = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
-    return IntMatrix(m.cols, m.rows, entries)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,13 +3,14 @@
 With e.x = normal_form((e,) + x.prefix, x.cycle), `rays._prepend_class`
 takes the class of e.x from the class of x, and `grow_classes` and
 `lift_classes` build towers and bracket lifts that way.  Every grown class
-must equal canonical of the longer ray, partner included, and the grown
-total-swap flag must equal the flip's own; `lift_classes` must equal
-lift_preimage followed by canonical, level by level, errors included.
+must equal the class of the longer ray by definition, partner included,
+and the grown total-swap flag must equal the flip's own; `lift_classes`
+must equal the lifts of `reference` followed by their classes, level by
+level, errors included.
 
 Counting wrappers check the cost: one `_flip_at` per `pi_xi_tower` at any
 depth and at most two `_lasso_fault` calls per `bracket`.  Deep towers and
-brackets are compared with the references of test_tower_levels.
+brackets are compared with their definitions too.
 """
 
 import random
@@ -18,49 +19,36 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_bracket_path import bilasso_pairs, outcome, spare_return_pair
-from test_integer_levels import H1_RAYS, h1_failing_pair
-from test_level_walk import draw_rays
-from test_seed_walks import seeds
-from test_tower_levels import ref_bracket, ref_pi_xi_tower, tower_pairs
+from conftest import (
+    H1_RAYS,
+    bilasso_pairs,
+    draw_rays,
+    h1_failing_pair,
+    outcome,
+    seeds,
+    spare_return_pair,
+    tower_pairs,
+)
+from reference import (
+    prepended,
+    ref_bracket,
+    ref_canonical,
+    ref_grow_classes,
+    ref_lift_classes,
+    ref_pi_xi_tower,
+    ref_total_swap,
+)
 from shiftquot import rays
 from shiftquot.rays import (
     LassoRay,
     _prepend_class,
     _total_swap,
     canonical,
-    flip,
     grow_classes,
     lift_classes,
-    lift_preimage,
-    normal_form,
     parse_ray,
 )
 from shiftquot.smale import BiLasso, SmaleError, bracket, parse_bilasso, pi_xi_tower
-
-# -- references ---------------------------------------------------------------
-
-
-def prepended(lead, x):
-    return normal_form(tuple(lead) + x.prefix, x.cycle)
-
-
-def ref_total(p, x):
-    """Whether x has a flip and every edge of x has one superscript."""
-    sup = p._superscript
-    return flip(p, x) is not None and len({sup.get(e) for e in x.prefix + x.cycle}) == 1
-
-
-def ref_grown(p, x, lead):
-    """canonical of x and of each longer ray lead[j:] + x, j from the end."""
-    return [canonical(p, prepended(lead[j:], x)) for j in range(len(lead), -1, -1)]
-
-
-def ref_lifts(p, point, targets):
-    out = [point]
-    for y in targets:
-        out.append(canonical(p, lift_preimage(p, out[-1], y)))
-    return out
 
 
 def pairs_of(points):
@@ -76,12 +64,12 @@ def check_step(p, x, e):
     c = canonical(p, x)
     k = 0 if c.rep == x else 1
     total = _total_swap(p, c)
-    assert total == ref_total(p, x)
+    assert total == ref_total_swap(p, x)
     ex = prepended([e], x)
-    want = canonical(p, ex)
+    want = ref_canonical(p, ex)
     got, grown_total, j, f = _prepend_class(p, c, total, e, k)
     assert (got.rep, got.partner) == (want.rep, want.partner)
-    assert grown_total == ref_total(p, ex)
+    assert grown_total == ref_total_swap(p, ex)
     assert (got.rep, got.partner)[j] == ex
     if c.partner is None:
         assert f is None
@@ -113,7 +101,7 @@ def check_chains(p, rays_, rng, longest=6):
             e = rng.choice(into)
             lead.insert(0, e)
             at = g.source(e)
-        assert pairs_of(grow_classes(p, x, lead)) == pairs_of(ref_grown(p, x, lead))
+        assert pairs_of(grow_classes(p, x, lead)) == pairs_of(ref_grow_classes(p, x, lead))
 
 
 def all_cases(p):
@@ -189,7 +177,7 @@ def test_an_h1_failing_pair_raises_as_canonical_does():
         x = parse_ray(p.g, text)
         for lead in ([], ["c"], ["a"], ["c", "b", "a"]):
             got = outcome(grow_classes, p, x, lead)
-            want = outcome(ref_grown, p, x, lead)
+            want = outcome(ref_grow_classes, p, x, lead)
             if want[0] == "ok":
                 assert got[0] == "ok" and pairs_of(got[1]) == pairs_of(want[1])
             else:
@@ -202,23 +190,22 @@ def test_an_h1_failing_pair_raises_as_canonical_does():
 
 
 def check_lifts(p, rays_, rng, steps=6):
-    """lift_classes against lift_preimage and canonical, from the class of
-    each ray toward targets whose first edge composes (or, now and then,
-    does not)."""
+    """lift_classes against the lifts and classes of the reference, from the
+    class of each ray toward targets whose first edge composes (or, now and
+    then, does not)."""
     g = p.g
     for x in rays_:
-        point, targets, ref = canonical(p, x), [], [canonical(p, x)]
+        point, targets = canonical(p, x), []
+        at = g.source(point.rep.edge_at(1))
         for _ in range(steps):
-            at = g.source(ref[-1].rep.edge_at(1))
             fits = [y for y in rays_ if g.target(y.edge_at(1)) == at]
             y = rng.choice(fits if fits and rng.random() < 0.9 else rays_)
             targets.append(y)
-            step = outcome(lambda: canonical(p, lift_preimage(p, ref[-1], y)))
-            if step[0] != "ok":
+            if g.target(y.edge_at(1)) != at:
                 break
-            ref.append(step[1])
+            at = g.source(y.edge_at(1))
         assert outcome(lambda: pairs_of(lift_classes(p, point, targets))) == outcome(
-            lambda: pairs_of(ref_lifts(p, point, targets))
+            lambda: pairs_of(ref_lift_classes(p, point, targets))
         )
 
 
@@ -242,7 +229,7 @@ def test_a_lift_in_front_of_the_all_ones_tail(full3):
     g = full3.g
     point = canonical(full3, parse_ray(g, ";b"))
     targets = [parse_ray(g, t) for t in ("b;a,c", "a;b", "c,a;b")]
-    assert pairs_of(lift_classes(full3, point, targets)) == pairs_of(ref_lifts(full3, point, targets))
+    assert pairs_of(lift_classes(full3, point, targets)) == pairs_of(ref_lift_classes(full3, point, targets))
 
 
 # -- counts and depth ------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""The one level walk against the loops it replaced, the d_extended
-interval oracle, and ray literals fuzzed through the CLI.
+"""The one level walk against its definitions, the d_extended interval
+oracle, and ray literals fuzzed through the CLI.
 
-The references below are copies of the earlier implementations: `level`
-by one scan of the prefix and one cycle lap, the level chain and the
-layer metric by shifting the ray past each spare edge and scanning again,
-and the digit series by one Fraction per prefix position.  The walk must
-give exactly the same values.
+The definitions (in `reference`) are `level` by one scan of the prefix
+and one cycle lap, the level chain by shifting the ray past each spare
+edge and scanning again, and the digit series by one Fraction per prefix
+position.  The walk must give exactly the same values.
 """
 
 import contextlib
@@ -13,132 +12,33 @@ import io
 import math
 import random
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundle_path, random_lasso
-from test_seed_walks import seeds
+from conftest import bundle_path, draw_rays, random_lasso, seeds, walk_lasso
+from reference import (
+    ref_digit_series,
+    ref_discrete_invariant,
+    ref_level,
+    ref_level_chain,
+    ref_zeta_exact_terms,
+)
 from shiftquot.cli import load_bundle, main
-from shiftquot.embedding import epsilon
-from shiftquot.graphs import paths_of_length
-from shiftquot.geometry import _discrete_invariant, _spec_from_levels, zeta_exact_terms
-from shiftquot.metrics import _lambda_hat, d_extended, tau_ray
+from shiftquot.geometry import _discrete_invariant, zeta_exact_terms
+from shiftquot.metrics import _lambda_hat, d_extended
 from shiftquot.rays import (
     Angle,
-    LassoRay,
     RayError,
     digit_series,
     kappa,
     level,
     levels,
     parse_ray,
-    shift_by,
 )
 
 BUNDLES = ("full2", "full3", "twovertex")
-
-
-def ref_digit_series(p, x):
-    if kappa(p, x) != 0:
-        raise RayError("digit series needs kappa = 0")
-    total = Fraction(0)
-    for i, e in enumerate(x.prefix, start=1):
-        total += Fraction(epsilon(p, e), 2**i)
-    m = len(x.prefix)
-    L = len(x.cycle)
-    cyc_int = 0
-    for e in x.cycle:
-        cyc_int = (cyc_int << 1) | epsilon(p, e)
-    total += Fraction(cyc_int, 2**m * (2**L - 1))
-    return total
-
-
-def ref_level(p, x):
-    digits = 0
-    for n, e in enumerate(chain(x.prefix, x.cycle), start=1):
-        if not p.in_image(e):
-            return n, Fraction(digits, 2 ** (n - 1))
-        digits = digits << 1 | epsilon(p, e)
-    return math.inf, ref_digit_series(p, x)
-
-
-def ref_level_chain(p, x):
-    chain_ = []
-    n, t = ref_level(p, x)
-    while n != math.inf:
-        chain_.append((int(n), Angle.of(t)))
-        x = shift_by(x, int(n))
-        n, t = ref_level(p, x)
-    return chain_, Angle.of(t)
-
-
-def ref_lambda_hat(p, x, y):
-    exponent = 0
-    while True:
-        nx, tx = ref_level(p, x)
-        ny, ty = ref_level(p, y)
-        ax, ay = Angle.of(tx), Angle.of(ty)
-        if nx != ny or ax != ay or nx == math.inf:
-            break
-        exponent += 2 + int(nx)
-        x, y = shift_by(x, int(nx)), shift_by(y, int(ny))
-    wx = Fraction(0) if nx == math.inf else Fraction(1, 2 ** int(nx))
-    wy = Fraction(0) if ny == math.inf else Fraction(1, 2 ** int(ny))
-    return (abs(wx - wy) + ax.distance(ay)) / 2**exponent
-
-
-def ref_zeta_exact_terms(p, x):
-    chain_, tail = ref_level_chain(p, x)
-    spec = _spec_from_levels(chain_)
-    return [*spec.center_terms, (spec.radius, tail)]
-
-
-def ref_discrete_invariant(p, x):
-    chain_, tail = ref_level_chain(p, x)
-    return (tau_ray(p, x), tuple((n, a.turns) for n, a in chain_), tail.turns)
-
-
-def walk_lasso(g, rng):
-    """A random walk of up to 8 edges, closed by a random cycle of length at
-    most 3 from where it ends; None when no such cycle exists."""
-    at = rng.choice(g.vertices)
-    prefix = []
-    for _ in range(rng.randint(0, 8)):
-        e = rng.choice(g.out_edges(at))
-        prefix.append(e)
-        at = g.target(e)
-    cycles = [w for L in (1, 2, 3) for w in paths_of_length(g, L, src=at, dst=at)]
-    return LassoRay.make(g, prefix, rng.choice(cycles)) if cycles else None
-
-
-def draw_rays(p, rng, count):
-    """Lassos with finitely and infinitely many spare edges; on one-vertex
-    seeds also pairs of finite rays that share every level but the tail."""
-    g = p.g
-    one_vertex = len(g.vertices) == 1
-    out = []
-    for _ in range(count):
-        if one_vertex:
-            out.append(random_lasso(p, rng, finite=rng.random() < 0.6))
-        else:
-            x = walk_lasso(g, rng)
-            if x is not None:
-                out.append(x)
-    image = sorted(p.xi_image)
-    if one_vertex and image:
-        for x in list(out):
-            if kappa(p, x) == math.inf:
-                continue
-            spare_at = [i for i, e in enumerate(x.prefix) if not p.in_image(e)]
-            head = x.prefix[: spare_at[-1] + 1] if spare_at else ()
-            tail = [rng.choice(image) for _ in range(rng.randint(0, 3))]
-            cyc = [rng.choice(image) for _ in range(rng.randint(1, 2))]
-            out.append(LassoRay.make(g, head + tuple(tail), cyc))
-            # the same levels ending in the all-ones tail (series value 1)
-            out.append(LassoRay.make(g, head, [p.xi1_edges[p.h.edges[0]]]))
-    return out
 
 
 def assert_walk_matches(p, rays_):
@@ -156,16 +56,12 @@ def assert_walk_matches(p, rays_):
         *chain_, (n, tail) = levels(p, x)
         ref_chain, ref_tail = ref_level_chain(p, x)
         assert n == math.inf and Angle.of(tail) == ref_tail
-        assert [(g, Angle.of(t)) for g, t in chain_] == ref_chain
+        assert tuple((g, Angle.of(t)) for g, t in chain_) == ref_chain
         assert zeta_exact_terms(p, x) == ref_zeta_exact_terms(p, x)
         # the walk keys each level by its digit-sum numerator over 2^(gap - 1)
         image, chain_keys, tail_turns = _discrete_invariant(p, x)
         chain_values = tuple((g, Fraction(k, 2 ** (g - 1))) for g, k in chain_keys)
         assert (image, chain_values, tail_turns) == ref_discrete_invariant(p, x)
-    finite = [x for x in rays_ if kappa(p, x) != math.inf]
-    for x in finite:
-        for y in finite:
-            assert _lambda_hat(p, x, y) == ref_lambda_hat(p, x, y)
 
 
 @pytest.mark.parametrize("name", BUNDLES)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_lasso
+from conftest import bundle_path, random_lasso
+from shiftquot.cli import parse_bundle
 from shiftquot.metrics import d_shift, d_stratum
 from shiftquot.rays import (
     Angle,
@@ -207,9 +208,6 @@ def lassos(draw):
 
 
 # hypothesis does not mix with function fixtures; build the pair at module level
-from shiftquot.cli import parse_bundle  # noqa: E402
-from conftest import bundle_path  # noqa: E402
-
 with open(bundle_path("full3.bundle")) as _fh:
     _FULL3 = parse_bundle(_fh.read()).pair()
 

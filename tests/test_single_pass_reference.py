@@ -1,171 +1,22 @@
-"""The Smith certificate and the H-tail search against the code they replaced.
+"""The Smith certificate and the H-tail search against their definitions.
 
-The references below are copies of the earlier implementations:
-`_tracked_elimination` applying every row operation to the matrix and to
-U, and every column operation to the matrix and to V, and `_h_tail_witness`
-scanning each vertex's out-edges for a self-loop before a breadth-first
-search that starts at its neighbours.  The new code runs one elimination on
-A bordered by identity blocks and one breadth-first search per vertex
-starting at the vertex itself; it must give the same (U, D, V) and the same
-H-tail dicts, key order included.
+The definitions (in `reference`) are `_tracked_elimination` applying every
+row operation to the matrix and to U, and every column operation to the
+matrix and to V, and `_h_tail_witness` scanning each vertex's out-edges
+for a self-loop before a breadth-first search that starts at its
+neighbours.  The package runs one elimination on A bordered by identity
+blocks and one breadth-first search per vertex starting at the vertex
+itself; it must give the same (U, D, V) and the same H-tail dicts, key
+order included.
 """
-
-from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import graphs, matrices
+from reference import ref_h_tail_witness, ref_tracked_elimination
 from shiftquot.algebra import _tracked_elimination, smith_normal_form
 from shiftquot.embedding import _h_tail_witness
 from shiftquot.graphs import Graph, IntMatrix, adjacency_matrix
-
-
-def ref_tracked_elimination(a):
-    rows, cols = a.rows, a.cols
-    m = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    for t in range(n):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            dirty = False
-            for i in range(rows):
-                if i != t and m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, -q)
-                    if m[i][t] != 0:
-                        pivot = (i, t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(cols):
-                if j != t and m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
-                    if m[t][j] != 0:
-                        pivot = (t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = (i, j)
-                        break
-                if offender:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender[0], 1)
-            pivot = (t, t)
-        if m[t][t] < 0:
-            negate_row(t)
-
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)
-
-
-def ref_h_tail_witness(h):
-    on_cycle = {}
-    for v in h.vertices:
-        parent = {}
-        q = deque()
-        for e in h.out_edges(v):
-            w = h.target(e)
-            if w == v:
-                on_cycle[v] = (e,)
-                break
-            if w not in parent:
-                parent[w] = (v, e)
-                q.append(w)
-        if v in on_cycle:
-            continue
-        found = None
-        while q and found is None:
-            u = q.popleft()
-            for e in h.out_edges(u):
-                w = h.target(e)
-                if w == v:
-                    path = [e]
-                    node = u
-                    while node != v:
-                        prev, edge = parent[node]
-                        path.append(edge)
-                        node = prev
-                    found = tuple(reversed(path))
-                    break
-                if w not in parent:
-                    parent[w] = (u, e)
-                    q.append(w)
-        if found:
-            on_cycle[v] = found
-    result = {}
-    for v, cyc in on_cycle.items():
-        result[v] = ((), cyc)
-    frontier = deque(on_cycle)
-    while frontier:
-        w = frontier.popleft()
-        for e in h.in_edges(w):
-            u = h.source(e)
-            if u not in result:
-                lead, cyc = result[w]
-                result[u] = ((e,) + lead, cyc)
-                frontier.append(u)
-    return result
-
-
-def matrices(rows, cols, entries=st.integers(-9, 9)):
-    return st.lists(
-        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
-    ).map(IntMatrix.from_rows)
-
-
-@st.composite
-def graphs(draw, max_vertices=6, max_edges=12):
-    """Graphs whose edges are drawn freely: self-loops, parallel edges,
-    vertices with no way back and several components all occur."""
-    n = draw(st.integers(1, max_vertices))
-    vs = [f"v{i}" for i in range(n)]
-    ends = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=max_edges))
-    return Graph(vs, [(f"e{k}", s, t) for k, (s, t) in enumerate(ends)])
 
 
 @st.composite

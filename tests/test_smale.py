@@ -208,16 +208,16 @@ def test_transversal_full3(full3):
     assert spec.cycle == ("c",)
     assert len(spec.points) == 1
     x = bl(full3, "c;;a")
-    assert membership_yu(full3, spec, x)
-    assert not membership_ys(full3, spec, x)
+    assert membership_yu(spec, x)
+    assert not membership_ys(spec, x)
     allc = bl(full3, "c;;c")
-    assert membership_ys(full3, spec, allc)
-    assert membership_yu(full3, spec, allc)
+    assert membership_ys(spec, allc)
+    assert membership_yu(spec, allc)
     y = bl(full3, "a;;c")
-    assert not membership_yu(full3, spec, y)
+    assert not membership_yu(spec, y)
     # future must match from position -1 on: past c then future c qualifies
     z = BiLasso.make(full3.g, ("c",), ("c", "c"), ("c",), origin=-1)
-    assert membership_ys(full3, spec, z)
+    assert membership_ys(spec, z)
 
 
 def test_transversal_requires_spare_cycle(full2):

@@ -1,17 +1,15 @@
-"""The two-stage Smith diagonal against the single-stage code it replaced.
+"""The two-stage Smith diagonal against its definition.
 
-The reference below is a copy of the earlier `_smith_diagonal` with its
-own Bareiss rank and minor: elimination of the whole matrix modulo a
-maximal nonzero minor.  The new code pivots on +-1 entries over Z first
-and reduces only the leftover block, modulo a gcd of its minors when the
-block is square and nonsingular.  Both must give the same tuple on drawn
-matrices (rectangular, singular, all-zero, with no +-1 entry, with a
-common factor, with leftover blocks of size 0, 1 and 2) and on I - A of
-drawn seeds, synthesized seeds and 48- and 64-vertex graphs.
+The definition (`reference.ref_smith_diagonal`) eliminates the whole
+matrix modulo a maximal nonzero minor.  The package pivots on +-1 entries
+over Z first and reduces only the leftover block, modulo a gcd of its
+minors when the block is square and nonsingular.  Both must give the same
+tuple on drawn matrices (rectangular, singular, all-zero, with no +-1
+entry, with a common factor, with leftover blocks of size 0, 1 and 2) and
+on I - A of drawn seeds, synthesized seeds and 48- and 64-vertex graphs.
 """
 
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,85 +18,8 @@ from shiftquot import algebra
 from shiftquot.algebra import FgAbelianGroup, _smith_diagonal, _unit_pivots, synthesize_seed
 from shiftquot.graphs import Graph, IntMatrix, adjacency_matrix
 
-from test_seed_walks import seeds
-
-
-# -- the reference: the earlier single-stage diagonal --------------------------
-
-
-def ref_chain(orders):
-    f = list(orders)
-    for i in range(len(f)):
-        for j in range(i + 1, len(f)):
-            g = gcd(f[i], f[j])
-            f[i], f[j] = g, f[i] // g * f[j]
-    return f
-
-
-def ref_rank_and_minor(a):
-    m = [list(row) for row in a.entries]
-    sign, prev = 1, 1
-    for k in range(min(a.rows, a.cols)):
-        pivot = next(((i, j) for j in range(k, a.cols) for i in range(k, a.rows) if m[i][j]), None)
-        if pivot is None:
-            return k, sign * prev
-        i, j = pivot
-        m[k], m[i] = m[i], m[k]
-        for row in m:
-            row[k], row[j] = row[j], row[k]
-        sign *= (-1) ** ((i != k) + (j != k))
-        top, p = m[k], m[k][k]
-        for i in range(k + 1, a.rows):
-            row, x = m[i], m[i][k]
-            row[k + 1:] = [(v * p - x * w) // prev for v, w in zip(row[k + 1:], top[k + 1:])]
-        prev = p
-    return min(a.rows, a.cols), sign * prev
-
-
-def ref_clear_column(m, t, delta):
-    for i in range(t + 1, len(m)):
-        p, b = m[t][t], m[i][t]
-        if b == 0:
-            continue
-        top, row = m[t][t:], m[i][t:]
-        if b % p == 0:
-            q = b // p
-            m[i][t:] = [(v - q * w) % delta for v, w in zip(row, top)]
-            continue
-        (x, y), (r0, r1), (s0, s1) = (p, b), (1, 0), (0, 1)
-        while y:
-            q = x // y
-            x, y, r0, r1, s0, s1 = y, x - q * y, r1, r0 - q * r1, s1, s0 - q * s1
-        m[t][t:] = [(r0 * w + s0 * v) % delta for v, w in zip(row, top)]
-        m[i][t:] = [(p // x * v - b // x * w) % delta for v, w in zip(row, top)]
-
-
-def ref_smith_diagonal(a):
-    rank, delta = ref_rank_and_minor(a)
-    delta, n = abs(delta), min(a.rows, a.cols)
-    if delta == 1:
-        return (1,) * rank + (0,) * (n - rank)
-    m = [[x % delta for x in row] for row in a.entries]
-    orders = [delta] * (a.rows - n)
-    for t in range(n):
-        live = [(x, i, j) for i in range(t, len(m)) for j, x in enumerate(m[i][t:], t) if x]
-        if not live:
-            orders += [delta] * (n - t)
-            break
-        _, i, j = min(live)
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        ref_clear_column(m, t, delta)
-        while any(x % m[t][t] for x in m[t][t + 1:]):
-            m = [list(col) for col in zip(*m)]
-            ref_clear_column(m, t, delta)
-        m[t][t + 1:] = [0] * (len(m[t]) - t - 1)
-        orders.append(gcd(m[t][t], delta))
-    return tuple(ref_chain(orders)[:rank]) + (0,) * (n - rank)
-
-
-# -- drawn matrices --------------------------------------------------------------
+from conftest import matrices, seeds
+from reference import ref_smith_diagonal
 
 
 def matrix(rows, cols, entries=()):
@@ -107,31 +28,32 @@ def matrix(rows, cols, entries=()):
 
 
 @st.composite
-def matrices(draw, values=st.integers(-9, 9), max_size=7):
-    rows, cols = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
-    factor = draw(st.sampled_from([1, 1, 2, 3, 6]))
-    entries = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
-    return matrix(rows, cols, [factor * x for x in entries])
+def scaled(draw, values=st.integers(-9, 9), max_size=7):
+    """Matrices of 0 to max_size rows and columns whose entries share a
+    drawn factor 1, 2, 3 or 6."""
+    size = st.integers(0, max_size)
+    a, factor = draw(matrices(size, size, values)), draw(st.sampled_from([1, 1, 2, 3, 6]))
+    return IntMatrix(a.rows, a.cols, tuple(tuple(factor * x for x in row) for row in a.entries))
 
 
 NO_UNITS = st.sampled_from([0, 2, -2, 3, -3, 4, 5, -6, 7, 9, 10, -15])
 
 
 @settings(max_examples=400, deadline=None)
-@given(matrices())
+@given(scaled())
 def test_drawn_matrices_match_the_reference(a):
     assert _smith_diagonal(a) == ref_smith_diagonal(a)
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices(values=NO_UNITS))
+@given(scaled(NO_UNITS))
 def test_matrices_with_no_unit_entry_match_the_reference(a):
     assert _unit_pivots(a)[0] == 0
     assert _smith_diagonal(a) == ref_smith_diagonal(a)
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices(values=st.integers(-1, 1), max_size=6))
+@given(scaled(st.integers(-1, 1), 6))
 def test_sign_matrices_match_the_reference(a):
     """Entries in {-1, 0, 1}: every pivot is a unit, of either sign."""
     assert _smith_diagonal(a) == ref_smith_diagonal(a)

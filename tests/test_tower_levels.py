@@ -1,12 +1,10 @@
-"""The tower path against the code it replaced.
+"""The tower path against its definitions.
 
-The references below are copies of the earlier implementations:
-`LassoRay.head`, `first_difference` and `BiLasso.window` reading one
-edge per position, `ray_from` through that window, `lift_preimage`
-scoring every candidate with exact fractions, `tower_distance` reading
-every level 0..M, and `bracket` flipping each lift's representative again
-although `canonical` had just flipped it.  The new code must give the same
-values, towers, lassos and error messages.
+The definitions (in `reference`) read one edge per position for
+`LassoRay.head`, `first_difference`, `BiLasso.window` and `ray_from`,
+build level n of a tower as the class of the ray read from 1 - n, and
+measure every level 0..M for `tower_distance`.  The package must give the
+same values, towers and error messages.
 
 One difference is allowed: `tower_distance` stops at the first level whose
 bound (3 + 3 * 2^-ray_depth) * 2^-n is at most the lower end read so far,
@@ -14,222 +12,27 @@ so an error only a later level would raise no longer surfaces.  Such cases
 are checked to be exactly that.
 """
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ref_edge_at
-from test_bracket_path import (
-    RAY_DEPTHS,
-    bilasso_pairs,
-    closed_walk,
-    end_of,
-    h0_failing_pair,
-    outcome,
-    spare_return_pair,
-    walk,
+from conftest import RAY_DEPTHS, draw_rays, outcome, seeds, spare_return_pair, tower_pairs
+from reference import (
+    ref_d_extended,
+    ref_first_difference,
+    ref_head,
+    ref_pi_xi_tower,
+    ref_ray_from,
+    ref_tower_distance,
+    ref_window,
 )
-from test_level_walk import draw_rays
-from test_seed_walks import seeds
-from shiftquot.embedding import epsilon
-from shiftquot.metrics import MetricInterval, tau_ray
-from shiftquot.rays import (
-    Angle,
-    ClassPoint,
-    LassoRay,
-    RayError,
-    _lasso_fault,
-    canonical,
-    first_difference,
-    flip,
-    kappa,
-    level,
-    levels,
-    lift_preimage,
-    normal_form,
-    stratum_approximant,
-)
-from shiftquot.smale import (
-    BiLasso,
-    SmaleError,
-    Tower,
-    bracket,
-    parse_bilasso,
-    pi_xi_tower,
-    tower_distance,
-)
-
-# -- references ---------------------------------------------------------------
-
-
-def ref_head(x, n):
-    return tuple(x.edge_at(i) for i in range(1, n + 1))
-
-
-def ref_first_difference(x, y):
-    if x == y:
-        return None
-    bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle)) + 1
-    for n in range(1, bound + 1):
-        if x.edge_at(n) != y.edge_at(n):
-            return n
-    return None
-
-
-def ref_window(x, a, b):
-    return tuple(ref_edge_at(x, n) for n in range(a, b + 1))
-
-
-def ref_ray_from(x, n):
-    first_future = x.origin + len(x.core)
-    if n >= first_future:
-        k = (n - first_future) % len(x.future)
-        return normal_form((), x.future[k:] + x.future[:k])
-    return normal_form(ref_window(x, n, first_future - 1), x.future)
-
-
-def ref_canonical(p, x):
-    other = flip(p, x)
-    n = None if other is None else ref_first_difference(x, other)
-    if n is None or p.g.edge_index[x.edge_at(n)] < p.g.edge_index[other.edge_at(n)]:
-        return ClassPoint(x, other)
-    return ClassPoint(other, x)
-
-
-def ref_pi_xi_tower(p, x, depth):
-    return Tower(tuple(ref_canonical(p, ref_ray_from(x, 1 - n)) for n in range(depth + 1)))
-
-
-def ref_lambda_hat(p, x, y):
-    exponent = 0
-    for (nx, tx), (ny, ty) in zip(levels(p, x), levels(p, y)):
-        if nx != ny or tx != ty or nx == math.inf:
-            break
-        exponent += 2 + nx
-    wx = Fraction(0) if nx == math.inf else Fraction(1, 2**nx)
-    wy = Fraction(0) if ny == math.inf else Fraction(1, 2**ny)
-    return (abs(wx - wy) + Angle.of(tx).distance(Angle.of(ty))) / 2**exponent
-
-
-def ref_d_finite(p, x, y):
-    if x == y:
-        return Fraction(0)
-    n = ref_first_difference(tau_ray(p, x), tau_ray(p, y))
-    shift_part = Fraction(0) if n is None else Fraction(1, 2 ** (n - 1))
-    return shift_part + ref_lambda_hat(p, x, y)
-
-
-def ref_d_extended(p, x, y, depth=12):
-    kx, ky = kappa(p, x), kappa(p, y)
-    if kx != math.inf and ky != math.inf:
-        return MetricInterval.point(ref_d_finite(p, x, y))
-    inner = depth + 1
-    jx = sum(1 for e in ref_head(x, inner) if not p.in_image(e))
-    jy = sum(1 for e in ref_head(y, inner) if not p.in_image(e))
-    K = max(jx, jy)
-    xa = x if kx == K else stratum_approximant(p, x, inner, K)
-    ya = y if ky == K else stratum_approximant(p, y, inner, K)
-    value = ref_d_finite(p, xa, ya)
-    slack = Fraction(3, 2**depth)
-    return MetricInterval(max(Fraction(0), value - slack), value + slack)
-
-
-def ref_tower_distance(p, x, y, depth=None, ray_depth=16):
-    if x.depth != y.depth:
-        raise SmaleError("towers must share their depth")
-    m = x.depth if depth is None else min(depth, x.depth)
-    lo = Fraction(0)
-    hi = Fraction(3, 2**m)
-    for n in range(m + 1):
-        d = ref_d_extended(p, x.level(n).rep, y.level(n).rep, ray_depth)
-        w = Fraction(1, 2**n)
-        lo = max(lo, w * d.lo)
-        hi = max(hi, w * d.hi)
-    return MetricInterval(lo, hi)
-
-
-def ref_lift_preimage(p, x, y):
-    y1 = y.edge_at(1)
-    x1 = x.edge_at(1)
-    if p.g.target(y1) != p.g.source(x1):
-        raise RayError("first edge of x is not composable after the first edge of y")
-    reps = [x]
-    other = flip(p, x)
-    if other is not None and other != x:
-        reps.append(other)
-    if p.in_image(y1):
-        firsts = [y1, p.partner(y1)]
-    else:
-        firsts = [y1]
-    target_n, target_t = level(p, y)
-    target_angle = Angle.of(target_t)
-    g = p.g
-    scored = [(rep, level(p, rep), _lasso_fault(g, rep.prefix + rep.cycle, len(rep.prefix)))
-              for rep in reps]
-    best = None
-    for pref_idx, (e, (rep, (n, t), rep_fault)) in enumerate(
-        (e, r) for e in firsts for r in scored
-    ):
-        if rep_fault is not None:
-            raise RayError(_lasso_fault(g, (e,) + rep.prefix + rep.cycle, 1 + len(rep.prefix)))
-        head = rep.edge_at(1)
-        if g.target(e) != g.source(head):
-            raise RayError(f"edges {e!r},{head!r} are not composable")
-        if p.in_image(e):
-            nz, az = n + 1, Angle.of((epsilon(p, e) + t) / 2)
-        else:
-            nz, az = 1, Angle.of(0)
-        matched = 0 if (nz == target_n and az == target_angle) else 1
-        score = (matched, az.distance(target_angle), pref_idx)
-        if best is None or score < best[0]:
-            best = (score, e, rep)
-    _, e, rep = best
-    return LassoRay.make(g, (e,) + rep.prefix, rep.cycle)
-
-
-def ref_bracket(p, x, y, ray_depth=16):
-    if x.depth != y.depth:
-        raise SmaleError("towers must share their depth")
-    reach = 3 + 3 * Fraction(2) ** -ray_depth
-    hi = Fraction(3, 2**x.depth)
-    for n in range(x.depth + 1):
-        if reach / 2**n <= Fraction(1, 2):
-            break
-        hi = max(hi, ref_d_extended(p, x.level(n).rep, y.level(n).rep, ray_depth).hi / 2**n)
-    if hi > Fraction(1, 2):
-        raise SmaleError(f"bracket undefined: tower distance {hi} > 1/2")
-    levels_ = [x.level(0)]
-    for n in range(1, x.depth + 1):
-        z = ref_lift_preimage(p, levels_[-1].rep, y.level(n).rep)
-        levels_.append(ref_canonical(p, z))
-    return Tower(tuple(levels_))
-
+from shiftquot.metrics import MetricInterval
+from shiftquot.rays import LassoRay, RayError, canonical, first_difference, flip
+from shiftquot.smale import BiLasso, SmaleError, parse_bilasso, pi_xi_tower, tower_distance
 
 # -- inputs ---------------------------------------------------------------------
-
-
-def tower_pairs(p, rng, count):
-    """bilasso_pairs (independent, short shared cores, carry partners) and
-    as many pairs that share a core of 8 to 20 edges, with the same or
-    another past and another future."""
-    g = p.g
-    out = bilasso_pairs(p, rng, count)
-    for _ in range(50 * count):
-        if len(out) >= 2 * count:
-            break
-        v = rng.choice(g.vertices)
-        past = closed_walk(g, rng, v)
-        core = walk(g, rng, v, rng.randint(8, 20))
-        end = end_of(g, v, core)
-        past2 = past if rng.random() < 0.5 else closed_walk(g, rng, v)
-        futures = closed_walk(g, rng, end), closed_walk(g, rng, end)
-        if None in (past, past2) + futures:
-            continue
-        out.append((BiLasso.make(g, past, core, futures[0]), BiLasso.make(g, past2, core, futures[1])))
-    return out
 
 
 def ray_pairs(p, rng, count):
@@ -285,17 +88,14 @@ def compare_distances(p, tx, ty, depths, ray_depths=RAY_DEPTHS):
 
 
 def check_towers(p, pairs, tower_depths):
-    """Towers, their distances at several depths and their brackets at
-    every ray depth against the references; returns the skipped cases of
-    compare_distances."""
+    """Towers and their distances at several depths against the references;
+    returns the skipped cases of compare_distances."""
     skipped = []
     for x, y in pairs:
         for td in tower_depths:
             tx, ty = pi_xi_tower(p, x, td), pi_xi_tower(p, y, td)
             assert tx == ref_pi_xi_tower(p, x, td) and ty == ref_pi_xi_tower(p, y, td)
             skipped += compare_distances(p, tx, ty, depths_for(td))
-            for rd in RAY_DEPTHS:
-                assert outcome(bracket, p, tx, ty, rd) == outcome(ref_bracket, p, tx, ty, rd)
     return skipped
 
 
@@ -411,7 +211,7 @@ def test_towers_and_reads_match_on_drawn_seeds(p, rng_seed):
     check_rays(p, ray_pairs(p, rng, 6))
 
 
-# -- carry partners and lifts ---------------------------------------------------------
+# -- carry partners ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["full2", "full3", "twovertex"])
@@ -428,46 +228,5 @@ def test_the_partner_handed_on_is_the_flip_of_the_rep(name, request):
             assert flip(p, other) == x
             flipped += 1
         point = canonical(p, x)
-        assert point == ref_canonical(p, x)
         assert point.partner == flip(p, point.rep)
     assert flipped > 5
-
-
-def compare_lifts(p, rays_, rng, count=300):
-    """Lifts of rays and of their class points against the reference."""
-    g = p.g
-    pool = rays_ + [o for o in (flip(p, x) for x in rays_) if o is not None]
-    pairs = [(x, y) for x in pool for y in pool if g.target(y.edge_at(1)) == g.source(x.edge_at(1))]
-    for x, y in rng.sample(pairs, min(count, len(pairs))):
-        assert outcome(lift_preimage, p, x, y) == outcome(ref_lift_preimage, p, x, y)
-        point = canonical(p, x)
-        assert outcome(lift_preimage, p, point, y) == outcome(lift_preimage, p, point.rep, y)
-    return len(pairs)
-
-
-@pytest.mark.parametrize("name", ["full2", "full3", "twovertex"])
-def test_lifts_match_the_reference(name, request):
-    p = request.getfixturevalue(name)
-    rng = random.Random(name)
-    rays_ = [canonical(p, x).rep for x in draw_rays(p, rng, 25)] + draw_rays(p, rng, 10)
-    assert compare_lifts(p, rays_, rng) > 100
-
-
-def test_lifts_match_the_reference_when_h0_fails():
-    p = h0_failing_pair()
-    g = p.g
-    rays_ = [LassoRay.make(g, pre, cyc) for pre, cyc in [
-        ([], ["a"]), ([], ["b"]), (["s"], ["a"]), (["c"], ["b"]), (["s", "c"], ["b"]),
-        (["a", "c"], ["d", "c"]), (["d"], ["a"]), (["c", "d"], ["s"]), ([], ["c", "d"]),
-    ]]
-    assert compare_lifts(p, rays_, random.Random(0)) > 20
-    kinds = {outcome(lift_preimage, p, x, y)[0] for x in rays_ for y in rays_
-             if g.target(y.edge_at(1)) == g.source(x.edge_at(1))}
-    assert kinds == {"ok", "RayError"}
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds(), st.integers(0, 2**32))
-def test_lifts_match_the_reference_on_drawn_seeds(p, rng_seed):
-    rng = random.Random(rng_seed)
-    compare_lifts(p, draw_rays(p, rng, 10), rng, 60)
