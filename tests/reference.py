@@ -13,7 +13,6 @@ quantity.
 import math
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, cycle
 from math import gcd
 
@@ -353,15 +352,9 @@ def ref_digit_series(p, x):
     return total
 
 
-@lru_cache(maxsize=1 << 14)
 def ref_level(p, x):
     """(position of the first spare edge, digit sum before it), or
-    (inf, digit series) when there is none.
-
-    Memoized, as are ref_canonical, ref_lift_preimage and ref_d_extended:
-    the metric and tower tests read the same rays, lifts and level pairs
-    many times, and the values depend only on the seed and the rays, which
-    do not change."""
+    (inf, digit series) when there is none."""
     digits = 0
     for n, e in enumerate(chain(x.prefix, x.cycle), start=1):
         if not p.in_image(e):
@@ -431,7 +424,6 @@ def ref_flip(p, x):
     return normal_form(new_prefix, tuple(swap(e) for e in x.cycle))
 
 
-@lru_cache(maxsize=1 << 14)
 def ref_canonical(p, x):
     """The class of x: of x and its flip, the rep has the smaller edge at
     their first difference."""
@@ -458,7 +450,6 @@ def ref_grow_classes(p, x, lead):
     return [ref_canonical(p, prepended(lead[j:], x)) for j in range(len(lead), -1, -1)]
 
 
-@lru_cache(maxsize=1 << 14)
 def ref_lift_preimage(p, x, y):
     """Of e.x and e.flip(x), e the first edge of y or its partner, the
     first lasso whose level is y's, else the nearest angle: each candidate
@@ -534,7 +525,6 @@ def ref_d_finite(p, x, y):
     return ref_d_quotient_graph(p, x, y) + ref_lambda_hat(p, x, y)
 
 
-@lru_cache(maxsize=1 << 14)
 def ref_d_extended(p, x, y, depth=12):
     """The exact distance when both spare counts are finite, else the
     distance of the two stratum approximants with slack 3 * 2^-depth."""

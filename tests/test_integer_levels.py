@@ -97,7 +97,11 @@ ALL_KINDS = {"finite/finite", "finite/tail", "tail/tail"}
 ])
 def test_metric_terms_match_the_ray_building_references(name, kinds, request):
     p = request.getfixturevalue(name)
+    # the union of two draws: 30 with partners and longer spellings, and
+    # the finite rays of 40 (its extra rays differ from the 30-draw's)
     rays_ = finite_rays_with_partners(p, random.Random(name), 30)
+    rays_ += [x for x in draw_rays(p, random.Random(name), 40) if kappa(p, x) != math.inf]
+    rays_ = list(dict.fromkeys(rays_))
     partners = [(x, flip(p, x)) for x in rays_ if flip(p, x) is not None]
     assert partners
     for x, y in partners:  # carry partners are at pseudo-distance 0
@@ -117,7 +121,7 @@ def test_metric_terms_on_tails_that_differ_only_at_the_end(full3):
 @given(seeds(), st.integers(0, 2**32))
 def test_metric_terms_match_the_references_on_drawn_seeds(p, rng_seed):
     rng = random.Random(rng_seed)
-    compare_terms(p, finite_rays_with_partners(p, rng, 10))
+    compare_terms(p, finite_rays_with_partners(p, rng, 12))
     # the quotient term is defined for every pair of rays
     every = draw_rays(p, rng, 10)
     for x in every:
