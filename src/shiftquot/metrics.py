@@ -91,7 +91,7 @@ def d_quotient_graph(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     return Fraction(0)
 
 
-def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
+def lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     """The layer part of the metric for rays with finitely many spare edges.
 
     Each level where both rays share their first spare position n and
@@ -111,20 +111,36 @@ def _lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     exponent = 0
     # a finite level's digit sum lies in [0, 1) over 2^(gap - 1), so at equal
     # gaps equal numerators are equal angles; the loop stops at the first
-    # tail, which needs the reduction
+    # tail, whose sum is compared as a value
     for (nx, ax, dx), (ny, ay, dy) in zip(raw_levels(p, x), raw_levels(p, y)):
         if nx != ny or ax != ay or nx == math.inf:
             break
         exponent += 2 + nx
-    # the angles mod 1 (a tail's sum is 1 only for the all-ones tail) and
-    # their circle distance, in units of 1 / (dx * dy)
+    return Fraction(*lambda_tail((nx, ax, dx), (ny, ay, dy), exponent))
+
+
+def lambda_tail(
+    lx: tuple[int | float, int, int], ly: tuple[int | float, int, int], exponent: int
+) -> tuple[int, int]:
+    """lambda_hat from the first levels (gap, digit-sum numerator,
+    denominator) where two rays differ, or from their tails, when the
+    equal levels before them weigh 2^-exponent: the gap between the
+    weights 2^-gap plus the circle distance of the angles, times
+    2^-exponent, as a numerator and a denominator.
+
+    Both sums lie in [0, 1], so their difference is at most one turn and
+    the shorter way round is the circle distance: a tail summing to
+    exactly 1 (all ones) is at distance 0 from one summing to 0, with no
+    reduction mod 1.
+    """
+    (nx, ax, dx), (ny, ay, dy) = lx, ly
     unit = dx * dy
-    diff = abs(ax % dx * dy - ay % dy * dx)
+    diff = abs(ax * dy - ay * dx)
     arc = min(diff, unit - diff)
     top = max((n for n in (nx, ny) if n != math.inf), default=0)
     wx = 0 if nx == math.inf else unit << (top - nx)
     wy = 0 if ny == math.inf else unit << (top - ny)
-    return Fraction(abs(wx - wy) + (arc << top), unit << (top + exponent))
+    return abs(wx - wy) + (arc << top), unit << (top + exponent)
 
 
 def d_stratum(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
@@ -140,7 +156,7 @@ def d_stratum(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
 def _d_finite(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
     if x == y:  # equal normal forms are the same point
         return Fraction(0)
-    return d_quotient_graph(p, x, y) + _lambda_hat(p, x, y)
+    return d_quotient_graph(p, x, y) + lambda_hat(p, x, y)
 
 
 def d_extended(p: EmbeddingPair, x: LassoRay, y: LassoRay, depth: int = 12) -> MetricInterval:

@@ -538,6 +538,32 @@ def _grown_level(level: tuple[int | float, int, int], d: int | None) -> tuple[in
     return n + 1, d * den + num, 2 * den
 
 
+def grow_member_levels(
+    p: EmbeddingPair,
+    point: ClassPoint,
+    before: list[tuple[LassoRay, tuple[int | float, int, int]]],
+) -> list[tuple[LassoRay, tuple[int | float, int, int]]] | None:
+    """The members of `point`, its rep first, each with its first level
+    (gap, digit-sum numerator, denominator) as raw_levels gives it, grown
+    from the members of the class before, given with their first levels
+    as `before`: a member e.m, for its first edge e and a member m of
+    `before`, has the level of m grown by e (see lift_classes), in O(1)
+    steps and one comparison of shift(e.m) with m.  None when some member
+    of `point` is no such ray."""
+    digit = _digit_lookup(p)
+    out = []
+    for r in (point.rep,) if point.partner is None else (point.rep, point.partner):
+        pre, cyc = r.prefix, r.cycle
+        shifted = (pre[1:], cyc) if pre else ((), cyc[1:] + cyc[:1])  # shift(r), unbuilt
+        for m, level in before:
+            if (m.prefix, m.cycle) == shifted:
+                out.append((r, _grown_level(level, digit(r.edge_at(1)))))
+                break
+        else:
+            return None
+    return out
+
+
 def _lift_start(p: EmbeddingPair, ray: LassoRay, y: LassoRay) -> str:
     """y's first edge, after checking that ray's first edge composes after it."""
     g = p.g

@@ -12,18 +12,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterator
 
 from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph, paths_of_length
-from .metrics import MetricInterval, d_class
+from .metrics import MetricInterval, d_class, d_quotient_graph, lambda_hat, lambda_tail
 from .rays import (
     ClassPoint,
     LassoRay,
     RayError,
     canonical,
     grow_classes,
+    grow_member_levels,
     lift_classes,
     normal_form,
+    raw_levels,
     shift,
 )
 
@@ -179,12 +182,6 @@ def inv_shift_tower(t: Tower) -> Tower:
     return Tower(t.levels[1:])
 
 
-def _equal_finite(p: EmbeddingPair, cx: ClassPoint, cy: ClassPoint) -> bool:
-    """Whether the points are equal with finitely many spare edges (a cycle
-    inside the image), where d_class is exactly 0."""
-    return cx == cy and p.xi_image.issuperset(cx.rep.cycle)
-
-
 def tower_distance(
     p: EmbeddingPair, x: Tower, y: Tower, depth: int | None = None, ray_depth: int = 16
 ) -> MetricInterval:
@@ -199,10 +196,14 @@ def tower_distance(
     the levels from n on are not read; an error such a level would raise
     does not surface.
 
-    A level whose two points are equal with finitely many spare edges is
-    at class distance exactly 0 and moves neither end, so it costs one
-    comparison and no metric.  Equal points with infinitely many spare
-    edges still go through d_class, with its slack and its errors.
+    The class distances come from _level_distances: the first unequal
+    level with finitely many spare edges is measured in full, and each
+    later one is grown from the one before in O(1) integer steps, so a
+    pair of towers sharing a core of L edges costs O(M + L), not O(M * L).
+    Equal points with finitely many spare edges are at distance exactly 0
+    and cost one comparison.  Levels with infinitely many spare edges go
+    through d_class, with its slack and its errors.  The weighted values
+    are compared with the running ends on integers.
 
     A pair at distance 0, such as a point and its carry partner, keeps `lo`
     at 0 and so reads every level 0..M.  No stop rule is known for it: a
@@ -214,20 +215,22 @@ def tower_distance(
         raise SmaleError(f"depth must be at least 0, got {depth}")
     m = x.depth if depth is None else min(depth, x.depth)
     reach = 3 + 3 * Fraction(2) ** -ray_depth
-    lo = Fraction(0)
-    hi = Fraction(3, 2**m)
+    rn, rd = reach.numerator, reach.denominator
+    # the two ends as unreduced numerators and denominators
+    lo_n, lo_d = 0, 1
+    hi_n, hi_d = 3, 1 << m
+    levels = _level_distances(p, x, y, ray_depth)
     for n in range(m + 1):
-        # reach * 2^-n <= lo, on integers
-        if reach.numerator * lo.denominator <= (lo.numerator * reach.denominator) << n:
+        # reach * 2^-n <= lo
+        if rn * lo_d <= (lo_n * rd) << n:
             break
-        cx, cy = x.level(n), y.level(n)
-        if _equal_finite(p, cx, cy):
-            continue
-        d = d_class(p, cx, cy, ray_depth)
-        w = Fraction(1, 2**n)
-        lo = max(lo, w * d.lo)
-        hi = max(hi, w * d.hi)
-    return MetricInterval(lo, hi)
+        a, b, den = next(levels)
+        den <<= n
+        if a * lo_d > lo_n * den:
+            lo_n, lo_d = a, den
+        if b * hi_d > hi_n * den:
+            hi_n, hi_d = b, den
+    return MetricInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
 
 def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
@@ -240,8 +243,10 @@ def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
     (3 + 3 * 2^-ray_depth) * 2^-n <= 1/2 can neither push the distance past
     1/2 nor raise an upper end that already exceeds it.  Only the levels
     before the first such n are read: levels 0-2 at the default ray depth.
-    As in tower_distance, equal points with finitely many spare edges are
-    compared, not measured.
+    They are read as in tower_distance: the first unequal level with
+    finitely many spare edges in full, the later ones grown from it, equal
+    points compared, not measured, and levels with infinitely many spare
+    edges through d_class.
 
     Level n + 1 is the class of lift_preimage(level n, level n + 1 of y),
     grown from level n by lift_classes: the lifted ray and its flip are
@@ -252,17 +257,123 @@ def bracket(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> Tower:
     if x.depth != y.depth:
         raise SmaleError("towers must share their depth")
     reach = 3 + 3 * Fraction(2) ** -ray_depth
-    hi = Fraction(3, 2**x.depth)
+    rn, rd = reach.numerator, reach.denominator
+    hi_n, hi_d = 3, 1 << x.depth
+    levels = _level_distances(p, x, y, ray_depth)
     for n in range(x.depth + 1):
-        if reach / 2**n <= Fraction(1, 2):
+        # reach * 2^-n <= 1/2
+        if 2 * rn <= rd << n:
             break
-        cx, cy = x.level(n), y.level(n)
-        if not _equal_finite(p, cx, cy):
-            hi = max(hi, d_class(p, cx, cy, ray_depth).hi / 2**n)
+        _, b, den = next(levels)
+        if b * hi_d > hi_n * (den << n):
+            hi_n, hi_d = b, den << n
+    hi = Fraction(hi_n, hi_d)
     if hi > Fraction(1, 2):
         raise SmaleError(f"bracket undefined: tower distance {hi} > 1/2")
     targets = [y.level(n).rep for n in range(1, x.depth + 1)]
     return Tower(tuple(lift_classes(p, x.level(0), targets)))
+
+
+# The members of a level with their first levels (gap, digit-sum numerator,
+# denominator), as raw_levels gives them, and the state _level_distances
+# holds for a level: the members of each point, q and lambda_hat's numerator
+# and denominator.
+_Members = list[tuple[LassoRay, tuple[int | float, int, int]]]
+_Read = tuple[_Members, _Members, int | None, int, int]
+
+
+def _level_distances(
+    p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int
+) -> Iterator[tuple[int, int, int]]:
+    """The class distance of each level n = 0, 1, ... of two towers, in
+    order, as integers (lo, hi, den): the distance lies in [lo / den,
+    hi / den], and lo = hi on levels with finitely many spare edges.
+
+    On such a level the distance is d_Q + lambda_hat of the two reps: the
+    quotient-graph term 2^-q (q = None when it is 0) and the layer term.
+    Both, and so the distance, take the same value on any members of the
+    two classes: a flip swaps image edges for their partners, which tau
+    identifies, and changes a digit sum only by a carry or the total swap,
+    which leaves every level's gap and angle as they were.  So when each
+    member of level n + 1 is e.m for a member m of level n (as in a tower
+    grown by pi_xi_tower or lift_classes), the distance of level n + 1 is
+    read off the reps e.mx and f.my, where mx and my are any such members,
+    from q, lambda_hat and the first levels of mx and my (see _grown):
+    O(1) integer steps and one comparison per member.  The step needs only
+    that the members grow from those of the level it holds, so it holds
+    the last level measured this way.
+
+    The first unequal level, and a level where some member grows from no
+    member held, is read in full (_full_read).  Equal points are at
+    distance 0 and read nothing.  The levels of two towers built by
+    pi_xi_tower or lift_classes are equal below some level n and unequal
+    from n on (the shift of equal classes is one class), so their one full
+    read is at level n.  A level where either point has infinitely many
+    spare edges goes through d_class, with its slack and its errors.
+    """
+    image = p.xi_image
+    held: _Read | None = None  # the last level measured
+    for cx, cy in zip(x.levels, y.levels):
+        if not (image.issuperset(cx.rep.cycle) and image.issuperset(cy.rep.cycle)):
+            d = d_class(p, cx, cy, ray_depth)
+            (lo_n, lo_d), (hi_n, hi_d) = d.lo.as_integer_ratio(), d.hi.as_integer_ratio()
+            yield lo_n * hi_d, hi_n * lo_d, lo_d * hi_d
+            continue
+        if cx == cy:
+            yield 0, 0, 1
+            continue
+        grown = None if held is None else _grown(p, held, cx, cy)
+        held = _full_read(p, cx, cy) if grown is None else grown
+        _, _, q, num, den = held
+        if q is not None:  # 2^-q + num / den
+            num, den = den + (num << q), den << q
+        yield num, num, den
+
+
+def _full_read(p: EmbeddingPair, cx: ClassPoint, cy: ClassPoint) -> _Read:
+    """The state _level_distances holds for a level, read from scratch:
+    the members of each point with their first levels, the position q
+    where the reps' quotient images first differ (None when they do not),
+    and lambda_hat of the reps as a numerator and a denominator."""
+    dq = d_quotient_graph(p, cx.rep, cy.rep)  # 1 / 2^q, or 0
+    lam = lambda_hat(p, cx.rep, cy.rep)
+    q = dq.denominator.bit_length() - 1 if dq else None
+    mx, my = (
+        [(m, next(raw_levels(p, m))) for m in (c.rep, c.partner) if m is not None] for c in (cx, cy)
+    )
+    return mx, my, q, lam.numerator, lam.denominator
+
+
+def _grown(p: EmbeddingPair, held: _Read, cx: ClassPoint, cy: ClassPoint) -> _Read | None:
+    """The state of the level after `held`, whose points are cx and cy,
+    grown from it; None when some member is not grown from a member of
+    `held`.  With e and f the reps' first edges:
+
+    - tau(e) = tau(f) halves d_Q (q + 1, and 0 stays 0); otherwise the
+      images differ at position 1 and d_Q = 1 (q = 0);
+    - when the reps' first levels are finite and equal, lambda_hat skips
+      them as it skipped the ones before: the new level (1, 0, 1) of a
+      spare e divides it by 8, an image e that joins the level before
+      divides it by 2;
+    - otherwise lambda_hat is the tail on the two first levels, with
+      nothing skipped.
+    """
+    mx, my = grow_member_levels(p, cx, held[0]), grow_member_levels(p, cy, held[1])
+    if mx is None or my is None:
+        return None
+    _, _, q, num, den = held
+    e, f = cx.rep.edge_at(1), cy.rep.edge_at(1)
+    tau = p.quotient.tau
+    if tau[e] != tau[f]:
+        q = 0
+    elif q is not None:
+        q += 1
+    lx, ly = mx[0][1], my[0][1]
+    if lx[0] != math.inf and lx[:2] == ly[:2]:
+        den <<= 1 if p.in_image(e) else 3
+    else:
+        num, den = lambda_tail(lx, ly, 0)
+    return mx, my, q, num, den
 
 
 # -- the two-sided pair relation --------------------------------------------------

@@ -279,18 +279,23 @@ def bilasso_pairs(p, rng, count):
     return out
 
 
-def tower_pairs(p, rng, count):
+def tower_pairs(p, rng, count, cores=(8, 20)):
     """bilasso_pairs (independent, short shared cores, carry partners) and
-    as many pairs that share a core of 8 to 20 edges, with the same or
-    another past and another future."""
+    as many shared_core_pairs."""
+    return bilasso_pairs(p, rng, count) + shared_core_pairs(p, rng, count, cores)
+
+
+def shared_core_pairs(p, rng, count, cores=(8, 20)):
+    """Up to `count` pairs that share a core of cores[0] to cores[1]
+    edges, with the same or another past and another future."""
     g = p.g
-    out = bilasso_pairs(p, rng, count)
+    out = []
     for _ in range(50 * count):
-        if len(out) >= 2 * count:
+        if len(out) >= count:
             break
         v = rng.choice(g.vertices)
         past = closed_walk(g, rng, v)
-        core = walk(g, rng, v, rng.randint(8, 20))
+        core = walk(g, rng, v, rng.randint(*cores))
         end = end_of(g, v, core)
         past2 = past if rng.random() < 0.5 else closed_walk(g, rng, v)
         futures = closed_walk(g, rng, end), closed_walk(g, rng, end)

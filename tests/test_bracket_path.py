@@ -25,6 +25,7 @@ from conftest import (
     h0_failing_pair,
     outcome,
     seeds,
+    shared_core_pairs,
     spare_return_pair,
     tower_pairs,
 )
@@ -61,6 +62,15 @@ def test_bracket_matches_the_full_distance(name, request):
     compare_brackets(p, tower_pairs(p, random.Random(name), 12), (0, 3, 10))
 
 
+@pytest.mark.parametrize("name", ["full2", "full3", "twovertex"])
+def test_bracket_matches_the_full_distance_on_long_shared_cores(name, request):
+    # levels 1 and 2 grown from level 0, lifts through cores of up to 200 edges
+    p = request.getfixturevalue(name)
+    pairs = shared_core_pairs(p, random.Random(name), 3, (8, 200))
+    assert max(len(x.core) for x, _ in pairs) > 100
+    compare_brackets(p, pairs, (10, 60))
+
+
 def test_bracket_defined_and_undefined_cases_both_occur(full3, twovertex):
     for p in (full3, twovertex):
         kinds = {
@@ -83,6 +93,7 @@ def test_bracket_keeps_the_depth_check(full3):
 def test_bracket_matches_the_full_distance_on_drawn_seeds(p, rng_seed):
     compare_brackets(p, bilasso_pairs(p, random.Random(rng_seed), 6), (0, 3, 5))
     compare_brackets(p, tower_pairs(p, random.Random(rng_seed), 3), (0, 5))
+    compare_brackets(p, shared_core_pairs(p, random.Random(rng_seed), 1, (8, 200)), (40,))
 
 
 def test_a_failing_deep_level_no_longer_surfaces():

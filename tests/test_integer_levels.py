@@ -1,6 +1,6 @@
 """The per-level primitives on integers against their definitions.
 
-`d_quotient_graph`, `_lambda_hat` and `_d_finite` are compared with the
+`d_quotient_graph`, `lambda_hat` and `_d_finite` are compared with the
 quotient rays read position by position and the layer comparison walked
 by shifting; `raw_levels` with a walk that asks `in_image` and `epsilon`
 about every edge; `flip` and `canonical` with a flip that asks them again
@@ -30,7 +30,7 @@ from reference import (
     ref_raw_levels,
 )
 from shiftquot.embedding import EmbeddingError
-from shiftquot.metrics import _d_finite, _lambda_hat, d_extended, d_quotient_graph, tau_ray
+from shiftquot.metrics import _d_finite, d_extended, d_quotient_graph, lambda_hat, tau_ray
 from shiftquot.rays import ClassPoint, LassoRay, canonical, flip, kappa, parse_ray, raw_levels
 
 BUNDLES = ("full2", "full3", "twovertex")
@@ -71,7 +71,7 @@ def finite_rays_with_partners(p, rng, count):
 
 
 def compare_terms(p, rays_):
-    """d_quotient_graph, _lambda_hat and _d_finite (their sum) equal the
+    """d_quotient_graph, lambda_hat and _d_finite (their sum) equal the
     references on every pair, each ray's quotient image and level chain
     read once; returns the stop kinds seen."""
     chains = {x: ref_level_chain(p, x) for x in rays_}
@@ -81,7 +81,7 @@ def compare_terms(p, rays_):
         for y in rays_:
             stop = layer_stop(chains[x], chains[y])
             quotient, layer = ref_d_shift(images[x], images[y]), layer_term(stop)
-            got = d_quotient_graph(p, x, y), _lambda_hat(p, x, y), _d_finite(p, x, y)
+            got = d_quotient_graph(p, x, y), lambda_hat(p, x, y), _d_finite(p, x, y)
             assert got == (quotient, layer, quotient + layer), (x, y)
             kinds.add(stop_kind(stop))
     return kinds
@@ -105,7 +105,7 @@ def test_metric_terms_match_the_ray_building_references(name, kinds, request):
     partners = [(x, flip(p, x)) for x in rays_ if flip(p, x) is not None]
     assert partners
     for x, y in partners:  # carry partners are at pseudo-distance 0
-        assert d_quotient_graph(p, x, y) == _lambda_hat(p, x, y) == 0
+        assert d_quotient_graph(p, x, y) == lambda_hat(p, x, y) == 0
     assert compare_terms(p, rays_) == kinds
 
 

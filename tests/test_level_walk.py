@@ -27,7 +27,7 @@ from reference import (
 )
 from shiftquot.cli import load_bundle, main
 from shiftquot.geometry import _discrete_invariant, zeta_exact_terms
-from shiftquot.metrics import _lambda_hat, d_extended
+from shiftquot.metrics import d_extended, lambda_hat, lambda_tail
 from shiftquot.rays import (
     Angle,
     RayError,
@@ -36,6 +36,7 @@ from shiftquot.rays import (
     level,
     levels,
     parse_ray,
+    raw_levels,
 )
 
 BUNDLES = ("full2", "full3", "twovertex")
@@ -76,8 +77,23 @@ def test_level_walk_on_tails_that_differ_only_at_the_end(full3):
     assert_walk_matches(full3, rays_)
     # 0.0111... = 0.1000...: the tails differ, the angles do not
     x, y = rays_[2], rays_[3]
-    assert _lambda_hat(full3, x, y) == 0
+    assert lambda_hat(full3, x, y) == 0
     assert list(levels(full3, rays_[4])) == [(math.inf, 1)]
+
+
+def test_an_all_ones_tail_is_at_distance_zero_from_an_all_zeros_tail(full3):
+    # the raw sums are 1 and 0, a whole turn apart: the circle distance
+    # takes the shorter way round, with no reduction mod 1
+    ones, zeros, half = (parse_ray(full3.g, t) for t in (";b", ";a", "b;a"))
+    assert [next(raw_levels(full3, x)) for x in (ones, zeros, half)] == [
+        (math.inf, 1, 1), (math.inf, 0, 1), (math.inf, 1, 2)]
+    assert lambda_tail((math.inf, 1, 1), (math.inf, 0, 1), 0) == (0, 1)
+    assert lambda_tail((math.inf, 0, 1), (math.inf, 1, 1), 5) == (0, 32)
+    assert lambda_hat(full3, ones, zeros) == lambda_hat(full3, zeros, ones) == 0
+    # after an equal level (1, 0, 1) the same tails, at weight 2^-3
+    assert lambda_hat(full3, parse_ray(full3.g, "c;b"), parse_ray(full3.g, "c;a")) == 0
+    # half a turn from either
+    assert lambda_hat(full3, ones, half) == lambda_hat(full3, zeros, half) == Fraction(1, 2)
 
 
 @settings(max_examples=40, deadline=None)
