@@ -465,10 +465,11 @@ class PairComplex:
         self._check_cap()
         return tuple(paths_of_length(self.pair.h, 6))
 
-    def terminal_boundary_vanishes(self, p: EmbeddingPair) -> bool:
+    def terminal_boundary_vanishes(self) -> bool:
         """The terminal-vertex image of every generator boundary
         xi0(y) - xi1(y), y an H 6-word, is zero: H0 at the terminal vertex
         of each H-edge that ends an H 6-path."""
+        p = self.pair
         hin = _walk_counts(p.h, 5)[5]
         return all(
             p.g.target(p.xi0_edges[y]) == p.g.target(p.xi1_edges[y])

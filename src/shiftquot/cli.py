@@ -317,7 +317,7 @@ def cmd_complex(args) -> int:
         print(f"|E{k}| = {count}")
     print(f"|H6| = {pc.h6_count}")
     print(f"quotient_rank = {pc.quotient_rank}")
-    boundary_zero = pc.terminal_boundary_vanishes(p)
+    boundary_zero = pc.terminal_boundary_vanishes()
     print(f"boundary_zero = {'ok' if boundary_zero else 'FAIL'}")
     ok = pc.containments_ok and boundary_zero and pc.quotient_rank == pc.h6_count
     return 0 if ok else 1

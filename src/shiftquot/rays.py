@@ -470,7 +470,7 @@ def grow_classes(p: EmbeddingPair, x: LassoRay, lead: Sequence[str]) -> list[Cla
 # -- preimage lifting -----------------------------------------------------------
 
 
-def lift_preimage(p: EmbeddingPair, x: LassoRay | ClassPoint, y: LassoRay) -> LassoRay:
+def lift_preimage(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> LassoRay:
     """A shift-preimage of x starting like y.
 
     Returns z with shift(z) in the class of x and the first edge of z glued
@@ -478,13 +478,11 @@ def lift_preimage(p: EmbeddingPair, x: LassoRay | ClassPoint, y: LassoRay) -> La
     candidates - both class representatives of x, prepended with either
     copy of y's first edge - the one whose binary angle lands closest to
     y's is chosen; this is what makes the contraction bound
-    d(z, y) <= d(x, shift(y)) / 2 hold through binary carries.  A class
-    point x gives its rep and the partner it holds; a ray is flipped.
+    d(z, y) <= d(x, shift(y)) / 2 hold through binary carries.
     """
-    ray = x.rep if isinstance(x, ClassPoint) else x
-    y1 = _lift_start(p, ray, y)
-    other = x.partner if isinstance(x, ClassPoint) else flip(p, ray)
-    reps = [ray] if other is None or other == ray else [ray, other]
+    y1 = _lift_start(p, x, y)
+    other = flip(p, x)
+    reps = [x] if other is None or other == x else [x, other]
     e, k, _ = _lift_choice(p, y1, y, reps, None)
     # every candidate passed the checks of _lift_choice, so no second validation
     return _prepend(e, reps[k])

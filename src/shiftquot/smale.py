@@ -127,10 +127,6 @@ def parse_bilasso(g: Graph, text: str) -> BiLasso:
     return BiLasso.make(g, seqs[0], seqs[1], seqs[2], origin=1)
 
 
-def format_bilasso(x: BiLasso) -> str:
-    return ";".join(",".join(part) for part in (x.past, x.core, x.future))
-
-
 # -- towers ---------------------------------------------------------------------
 
 
@@ -151,13 +147,6 @@ class Tower:
 
     def level(self, n: int) -> ClassPoint:
         return self.levels[n]
-
-
-def make_tower(p: EmbeddingPair, levels: list[ClassPoint]) -> Tower:
-    for lo, hi in zip(levels, levels[1:]):
-        if canonical(p, shift(hi.rep)) != lo:
-            raise SmaleError("tower levels are not shift-consistent")
-    return Tower(tuple(levels))
 
 
 def pi_xi_tower(p: EmbeddingPair, x: BiLasso, depth: int) -> Tower:

@@ -15,10 +15,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from shiftquot.cli import load_bundle  # noqa: E402
 from shiftquot.embedding import EmbeddingPair  # noqa: E402
 from shiftquot.graphs import Graph, IntMatrix, paths_of_length  # noqa: E402
-from shiftquot.rays import LassoRay, kappa  # noqa: E402
+from shiftquot.rays import LassoRay, kappa, parse_ray  # noqa: E402
 from shiftquot.smale import BiLasso  # noqa: E402
 
 BUNDLES = os.path.join(os.path.dirname(__file__), "..", "bundles")
+
+BUNDLE_NAMES = ("full2", "full3", "twovertex")
 
 RAY_DEPTHS = (0, 1, 2, 16)
 
@@ -125,6 +127,10 @@ def tailless_pair():
 
 
 # -- rays ----------------------------------------------------------------------------
+
+
+def ray(p, text):
+    return parse_ray(p.g, text)
 
 
 def random_lasso(p, rng: random.Random, max_prefix=8, max_cycle=3, finite=True) -> LassoRay:

@@ -365,7 +365,7 @@ def test_criterion_09_pair_complex(full3):
         assert pc.containments_ok
         assert len(pc.vertex_cells[6]) == 2 * len(pc.h6)
         assert pc.quotient_rank == len(pc.h6) == 1
-        assert pc.terminal_boundary_vanishes(full3)
+        assert pc.terminal_boundary_vanishes()
     report(9, f"containments, |V6| = 2|H6|, rank {pc.quotient_rank}, boundary zero in {t.elapsed:.1f} s")
 
 

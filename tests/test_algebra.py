@@ -234,7 +234,7 @@ def test_pair_complex_full3(full3):
     assert len(pc.vertex_cells[6]) == 2 * len(pc.h6)
     assert len(pc.h6) == 1
     assert pc.quotient_rank == len(pc.h6) == 1
-    assert pc.terminal_boundary_vanishes(full3)
+    assert pc.terminal_boundary_vanishes()
     assert len(pc.vertex_cells[0]) == 3**6
     assert len(pc.edge_cells[0]) == 3**7
     # initial map of the degree-1 edge cell lands in the diagonal
@@ -247,7 +247,7 @@ def test_pair_complex_twovertex(twovertex):
     assert pc.containments_ok
     assert len(pc.vertex_cells[6]) == 2 * len(pc.h6)
     assert pc.quotient_rank == len(pc.h6)
-    assert pc.terminal_boundary_vanishes(twovertex)
+    assert pc.terminal_boundary_vanishes()
 
 
 def test_pair_complex_cap(full3):

@@ -1,18 +1,16 @@
 """The bracket path against its definitions.
 
 The definitions (in `reference`) are `make` with one `has_edge`, `source`
-and `target` call per edge, `_d_finite` as the quotient term plus the
-layer term walked level by level, `lift_preimage` building and validating
-every candidate lasso, and `bracket` measuring each level that can push
-the tower distance past 1/2 before lifting.  The package must give the
-same towers, lassos, values and error messages.
+and `target` call per edge, `lift_preimage` building and validating every
+candidate lasso, and `bracket` measuring each level that can push the
+tower distance past 1/2 before lifting.  The package must give the same
+towers, lassos, values and error messages.
 
 The bracket reads only those levels, so an error the full tower distance
 would raise from a deeper level does not surface; such cases are forced
 on a seed with unreachable strata.
 """
 
-import math
 import random
 
 import pytest
@@ -32,13 +30,11 @@ from conftest import (
 from reference import (
     ref_bracket,
     ref_canonical,
-    ref_d_finite,
     ref_lift_preimage,
     ref_make,
     ref_tower_distance,
 )
-from shiftquot.metrics import _d_finite
-from shiftquot.rays import LassoRay, RayError, canonical, flip, kappa, lift_preimage
+from shiftquot.rays import LassoRay, RayError, canonical, flip, lift_preimage
 from shiftquot.smale import BiLasso, SmaleError, Tower, bracket, pi_xi_tower
 
 
@@ -129,8 +125,7 @@ def test_a_failing_deep_level_no_longer_surfaces():
 
 def compare_lifts(p, rays, rng=None, count=400):
     """Lifts against the reference on the composable pairs of `rays` and
-    their flips (a sample of `count` of them when an rng is given); a class
-    point lifts as its rep does."""
+    their flips (a sample of `count` of them when an rng is given)."""
     g = p.g
     pool = rays + [o for o in (flip(p, x) for x in rays) if o is not None]
     pairs = [(x, y) for x in pool for y in pool if g.target(y.edge_at(1)) == g.source(x.edge_at(1))]
@@ -138,8 +133,6 @@ def compare_lifts(p, rays, rng=None, count=400):
         pairs = rng.sample(pairs, count)
     for x, y in pairs:
         assert outcome(lift_preimage, p, x, y) == outcome(ref_lift_preimage, p, x, y)
-        point = canonical(p, x)
-        assert outcome(lift_preimage, p, point, y) == outcome(lift_preimage, p, point.rep, y)
     return len(pairs)
 
 
@@ -214,18 +207,3 @@ def test_make_matches_on_drawn_edge_lists(full3, twovertex, on_full3, prefix, cy
     g = full3.g if on_full3 else twovertex.g
     assert outcome(LassoRay.make, g, prefix, cycle) == outcome(ref_make, g, prefix, cycle)
 
-
-# -- _d_finite --------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["full2", "full3", "twovertex"])
-def test_d_finite_on_equal_and_unequal_rays(name, request):
-    p = request.getfixturevalue(name)
-    rays = [x for x in draw_rays(p, random.Random(name), 40) if kappa(p, x) != math.inf][:25]
-    assert len(rays) > 10
-    for x in rays:
-        same = LassoRay.make(p.g, x.prefix + x.cycle, x.cycle)  # the same path, spelled longer
-        assert same == x
-        assert _d_finite(p, x, same) == ref_d_finite(p, x, same) == 0
-        for y in rays:
-            assert _d_finite(p, x, y) == ref_d_finite(p, x, y)

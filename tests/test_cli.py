@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -72,6 +73,37 @@ def test_duplicate_map_lines_are_parse_errors(capsys, tmp_path, maps, message):
     path.write_text(DUPLICATE_MAPS + maps)
     assert main(["check", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def clash(text):
+    """The H-edge h renamed c: it and the spare G-edge c both become the
+    quotient edge c'."""
+    return re.sub(r"\bh\b", "c", text)
+
+
+@pytest.mark.parametrize("argv, edit, code, message", [
+    (["check"], lambda t: t.replace("edge c v v", "edge c v"), 2, ":7: expected 'edge <id> <src> <dst>'"),
+    (["check"], lambda t: t.replace("vertex w\n", "vertex w x\n"), 2, ":9: expected 'vertex <id>'"),
+    (["check"], lambda t: t.replace("map vertex w v", "map vertex w u"), 2, ":11: unknown G-vertex 'u'"),
+    (["check"], lambda t: t.replace("map xi1", "map xi2"), 2, ":13: unknown map kind 'xi2'"),
+    (["check"], lambda t: t + "edge k w w\nmap xi0 k a\nmap xi1 k c\n", 1, "xi0: edge map not injective"),
+    (["distance", "c;a", "a;b"], clash, 1, "quotient edge naming clash; rename seed edges"),
+    (["fibers", "c';c'"], clash, 1, "quotient edge naming clash; rename seed edges"),
+    (["check"], clash, 0, None),
+    (["invariants"], clash, 0, None),
+], ids=["edge-line", "vertex-line", "g-vertex", "map-kind", "not-injective", "clash-distance",
+        "clash-fibers", "clash-check", "clash-invariants"])
+def test_invalid_bundle_text_exits_with_its_message(capsys, tmp_path, argv, edit, code, message):
+    """full3's bundle text, edited."""
+    path = tmp_path / "seed.bundle"
+    with open(bundle_path("full3.bundle")) as fh:
+        path.write_text(edit(fh.read()))
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.endswith(message + "\n")
 
 
 def test_check_exit_codes(capsys):

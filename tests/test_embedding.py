@@ -53,6 +53,35 @@ def test_structural_validation_rejects_non_homomorphism():
         EmbeddingPair(g, h, {"w": "u"}, {"h": "a"}, {"w": "u"}, {"h": "a"})
 
 
+G = Graph(["v"], [("a", "v", "v"), ("b", "v", "v"), ("c", "v", "v")])
+H = Graph(["w"], [("h", "w", "w")])
+V = {"w": "v"}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EmbeddingPair(G, H, {}, {"h": "a"}, V, {"h": "b"}), "xi0: vertex map domain must be all of H^0"),
+    (lambda: EmbeddingPair(G, H, V, {"h": "a"}, V, {}), "xi1: edge map domain must be all of H^1"),
+    (lambda: EmbeddingPair(G, H, {"w": "u"}, {"h": "a"}, V, {"h": "b"}), "xi0: image vertex 'u' not in G"),
+    (lambda: EmbeddingPair(G, H, V, {"h": "a"}, V, {"h": "z"}), "xi1: image edge 'z' not in G"),
+    (lambda: EmbeddingPair(G, Graph(["w", "x"], [("h", "w", "w"), ("k", "x", "x")]),
+                           {"w": "v", "x": "v"}, {"h": "a", "k": "b"}, {"w": "v", "x": "v"}, {"h": "b", "k": "a"}),
+     "xi0: vertex map not injective"),
+    (lambda: EmbeddingPair(G, Graph(["w"], [("h", "w", "w"), ("k", "w", "w")]),
+                           V, {"h": "a", "k": "b"}, V, {"h": "c", "k": "c"}),
+     "xi1: edge map not injective"),
+    (lambda: EmbeddingPair(G, H, V, {"h": "a"}, V, {"h": "b"}).partner("c"),
+     "edge 'c' is not in the embedded image"),
+    # the H-edge c and the spare G-edge c both become the quotient edge c'
+    (lambda: quotient_graph(EmbeddingPair(G, Graph(["w"], [("c", "w", "w")]), V, {"c": "a"}, V, {"c": "b"})),
+     "quotient edge naming clash; rename seed edges"),
+], ids=["vertex-domain", "edge-domain", "image-vertex", "image-edge", "vertex-injective", "edge-injective",
+        "spare-partner", "quotient-clash"])
+def test_invalid_seeds_raise_their_message(build, message):
+    with pytest.raises(EmbeddingError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_quotient_full3(full3):
     q = quotient_graph(full3)
     assert len(q.graph.vertices) == 1

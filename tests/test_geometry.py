@@ -3,7 +3,7 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import random_lasso
+from conftest import random_lasso, ray
 from shiftquot.geometry import (
     circle_specs,
     circle_specs_report,
@@ -15,10 +15,6 @@ from shiftquot.geometry import (
 )
 from shiftquot.metrics import d_extended
 from shiftquot.rays import kappa, parse_ray, shift_by, first_nonxi, theta
-
-
-def ray(p, text):
-    return parse_ray(p.g, text)
 
 
 def qray(p, text):

@@ -17,7 +17,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import H1_RAYS, draw_rays, h1_failing_pair, outcome, seeds, tower_pairs
+from conftest import BUNDLE_NAMES, H1_RAYS, draw_rays, h1_failing_pair, outcome, seeds, tower_pairs
 from reference import (
     layer_stop,
     layer_term,
@@ -32,8 +32,6 @@ from reference import (
 from shiftquot.embedding import EmbeddingError
 from shiftquot.metrics import _d_finite, d_extended, d_quotient_graph, lambda_hat, tau_ray
 from shiftquot.rays import ClassPoint, LassoRay, canonical, flip, kappa, parse_ray, raw_levels
-
-BUNDLES = ("full2", "full3", "twovertex")
 
 
 def stop_kind(stop):
@@ -58,7 +56,8 @@ def stream_outcome(levels, limit=6):
 
 def finite_rays_with_partners(p, rng, count):
     """Finite-kappa lassos drawn on p, each with its carry partner (when it
-    has one) and with a longer spelling of itself (equal normal form)."""
+    has one) and with a longer spelling of itself, which must make the same
+    ray, at distance 0."""
     rays_ = [x for x in draw_rays(p, rng, count) if kappa(p, x) != math.inf]
     out = []
     for x in rays_:
@@ -66,7 +65,9 @@ def finite_rays_with_partners(p, rng, count):
         other = flip(p, x)
         if other is not None:
             out.append(other)
-        out.append(LassoRay.make(p.g, x.prefix + x.cycle, x.cycle))
+        longer = LassoRay.make(p.g, x.prefix + x.cycle, x.cycle)
+        assert longer == x and _d_finite(p, x, longer) == 0, x
+        out.append(longer)
     return out
 
 
@@ -164,7 +165,7 @@ def compare_canonical(p, rays_):
         assert (got.rep, got.partner) == (want.rep, want.partner), x
 
 
-@pytest.mark.parametrize("name", BUNDLES)
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
 def test_canonical_matches_the_first_difference_reference(name, request):
     p = request.getfixturevalue(name)
     rays_ = draw_rays(p, random.Random(name + "canonical"), 60)

@@ -17,7 +17,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundle_path, draw_rays, random_lasso, seeds, walk_lasso
+from conftest import BUNDLE_NAMES, bundle_path, draw_rays, random_lasso, seeds, walk_lasso
 from reference import (
     ref_digit_series,
     ref_discrete_invariant,
@@ -38,8 +38,6 @@ from shiftquot.rays import (
     parse_ray,
     raw_levels,
 )
-
-BUNDLES = ("full2", "full3", "twovertex")
 
 
 def assert_walk_matches(p, rays_):
@@ -65,7 +63,7 @@ def assert_walk_matches(p, rays_):
         assert (image, chain_values, tail_turns) == ref_discrete_invariant(p, x)
 
 
-@pytest.mark.parametrize("name", BUNDLES)
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
 def test_level_walk_matches_the_shift_loops_on_the_bundles(name):
     p = load_bundle(bundle_path(f"{name}.bundle")).pair()
     assert_walk_matches(p, draw_rays(p, random.Random(name), 40))
@@ -156,7 +154,7 @@ def _literal(edges):
 
 @st.composite
 def cli_calls(draw):
-    name = draw(st.sampled_from(BUNDLES))
+    name = draw(st.sampled_from(BUNDLE_NAMES))
     p = load_bundle(bundle_path(f"{name}.bundle")).pair()
     command = draw(st.sampled_from(["distance", "zeta", "fibers"]))
     g = p.quotient.graph if command == "fibers" else p.g

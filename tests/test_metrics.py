@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_lasso
+from conftest import random_lasso, ray
 from shiftquot.metrics import (
     MetricInterval,
     circle_distance,
@@ -23,14 +23,9 @@ from shiftquot.rays import (
     flip,
     kappa,
     lift_preimage,
-    parse_ray,
     shift,
     theta,
 )
-
-
-def ray(p, text):
-    return parse_ray(p.g, text)
 
 
 def test_d_shift(full3):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundle_path, random_lasso
+from conftest import bundle_path, random_lasso, ray
 from shiftquot.cli import parse_bundle
 from shiftquot.metrics import d_shift, d_stratum
 from shiftquot.rays import (
@@ -21,16 +21,11 @@ from shiftquot.rays import (
     format_ray,
     kappa,
     lift_preimage,
-    parse_ray,
     shift,
     shift_by,
     stratum_approximant,
     theta,
 )
-
-
-def ray(p, text):
-    return parse_ray(p.g, text)
 
 
 def test_normal_form(full3):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from shiftquot.metrics import d_class
-from shiftquot.rays import canonical, parse_ray
+from shiftquot.rays import canonical, parse_ray, shift
 from shiftquot.smale import (
     BiLasso,
     PairWitness,
@@ -12,9 +12,7 @@ from shiftquot.smale import (
     apply_witness,
     bilasso_equal,
     bracket,
-    format_bilasso,
     inv_shift_tower,
-    make_tower,
     membership_ys,
     membership_yu,
     pair_related,
@@ -33,7 +31,7 @@ def bl(p, text):
 
 def test_bilasso_literal_roundtrip(full3):
     x = bl(full3, "c;a,b;a")
-    assert format_bilasso(x) == "c;a,b;a"
+    assert ";".join(",".join(part) for part in (x.past, x.core, x.future)) == "c;a,b;a"
     assert x.window(1, 1)[0] == "a" and x.window(2, 2)[0] == "b" and x.window(3, 3)[0] == "a"
     assert x.window(0, 0)[0] == "c" and x.window(-5, -5)[0] == "c"
 
@@ -75,10 +73,8 @@ def test_pi_xi_tower_constant(full3):
 
 def test_tower_consistency_checked(full3):
     t = pi_xi_tower(full3, bl(full3, "c;a,b;a"), 4)
-    assert make_tower(full3, list(t.levels)) == t
-    broken = [t.levels[0], t.levels[0]]
-    with pytest.raises(SmaleError):
-        make_tower(full3, broken)
+    for lo, hi in zip(t.levels, t.levels[1:]):
+        assert canonical(full3, shift(hi.rep)) == lo
 
 
 def test_tower_equivariance(full3):
