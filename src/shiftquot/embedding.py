@@ -190,7 +190,7 @@ def check_standing_hypotheses(p: EmbeddingPair) -> HypothesisReport:
     h2_bad = next((y for y in p.h.edges if p.spare_twin(p.xi0_edges[y]) is None), None)
     h2 = CheckResult(h2_bad is None, h2_bad and f"edge {h2_bad}")
 
-    prim, _ = is_primitive(p.g)
+    prim = is_primitive(p.g)
     primitive = CheckResult(prim, None if prim else "no power of the adjacency matrix is positive")
     return HypothesisReport(h0, h1, h2, primitive, bool(p._h_tails))
 
@@ -218,7 +218,9 @@ def quotient_graph(p: EmbeddingPair) -> QuotientGraph:
     only, not the full hypothesis report.
 
     Quotient edge ids: merged edges are named after the H-edge, untouched
-    edges after themselves, both with a prime suffix.
+    edges after themselves, both with a prime suffix.  An untouched edge
+    whose name is already taken gets one more prime until it is free, in
+    G's edge order.
     """
     h0 = all(p.xi0_vertices[w] == p.xi1_vertices[w] for w in p.h.vertices)
     if not h0 or p._superscript is None:  # the superscript map exists iff H1 holds
@@ -231,14 +233,15 @@ def quotient_graph(p: EmbeddingPair) -> QuotientGraph:
         edges.append((q, p.g.source(e0), p.g.target(e0)))
         tau[e0] = q
         tau[p.xi1_edges[y]] = q
+    taken = {q for q, _, _ in edges}
     for e in p.g.edges:
         if e not in p.xi_image:
             q = e + "'"
+            while q in taken:
+                q += "'"
+            taken.add(q)
             edges.append((q, p.g.source(e), p.g.target(e)))
             tau[e] = q
-    ids = [e[0] for e in edges]
-    if len(set(ids)) != len(ids):
-        raise EmbeddingError("quotient edge naming clash; rename seed edges")
     return QuotientGraph(Graph(p.g.vertices, edges), tau)
 
 

@@ -33,7 +33,6 @@ from .rays import (
     canonical,
     format_ray,
     kappa,
-    levels,
     normal_form,
     raw_levels,
     stratum_approximant,
@@ -50,16 +49,23 @@ def zeta_exact_terms(
     """The complex coordinate of a finite-stratum ray as an exact sum of
     (rational coefficient, angle) terms.
 
-    Unrolls the recursion: the levels give the center of the ray's circle
-    (see _spec_from_levels), and the final all-image tail contributes its
-    series angle scaled by the accumulated contraction factor, which is
-    the circle's radius.
+    Unrolls the recursion on integers, as the circle walk does: inside a
+    circle of radius 2^-e, a level of gap n adds its angle with the
+    coefficient (2^(n-1) - 1) / 2^(n-1+e) (nothing when n = 1) and makes
+    the circle 2^-(e+3+n); the final all-image tail contributes its series
+    angle scaled by the last radius.
     """
     if kappa(p, x) == math.inf:
         raise RayError("exact coordinate needs finitely many spare edges")
-    *chain, (_, tail) = levels(p, x)
-    spec = _spec_from_levels([(n, Angle.of(t)) for n, t in chain])
-    return [*spec.center_terms, (spec.radius, Angle.of(tail))]
+    *chain, (_, num, den) = raw_levels(p, x)
+    terms: list[tuple[Fraction, Angle]] = []
+    e = 0
+    for n, a, d in chain:
+        if n > 1:
+            terms.append((Fraction((1 << (n - 1)) - 1, 1 << (n - 1 + e)), Angle(Fraction(a, d))))
+        e += 3 + n
+    terms.append((Fraction(1, 1 << e), Angle.of(Fraction(num, den))))
+    return terms
 
 
 def _eval_terms(terms: list[tuple[Fraction, Angle]]) -> complex:
@@ -99,22 +105,6 @@ class CircleSpec(NamedTuple):
 
     def center_value(self) -> complex:
         return _eval_terms(list(self.center_terms))
-
-
-def _spec_from_levels(levels: list[tuple[int, Angle]]) -> CircleSpec:
-    """Level i contributes (prod_{j<i} 2^(-3-n_j)) * (1 - 2^(1-n_i)) *
-    e^(2 pi i theta_i) to the center; the radius is the full product."""
-    terms: list[tuple[Fraction, Angle]] = []
-    scale = Fraction(1)
-    total_gap = 0
-    for n, a in levels:
-        coeff = scale * (1 - Fraction(2) ** (1 - n))
-        if coeff:
-            terms.append((coeff, a))
-        scale *= Fraction(1, 2 ** (3 + n))
-        total_gap += n
-    radius = Fraction(1, 2 ** (3 * len(levels) + total_gap))
-    return CircleSpec(tuple(levels), tuple(terms), radius)
 
 
 def circle_specs(

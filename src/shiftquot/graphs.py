@@ -233,29 +233,13 @@ def _bool_rows(m: IntMatrix) -> list[int]:
     return [int("".join(["1" if x > 0 else "0" for x in reversed(row)]) or "0", 2) for row in m.entries]
 
 
-def _bool_mul(a: list[int], b: list[int], full: int) -> list[int]:
-    out = []
-    for row in a:
-        acc = 0
-        for col in b:
-            if row & 1:
-                acc |= col
-                if acc == full:
-                    break
-            row >>= 1
-        out.append(acc)
-    return out
+def is_primitive(g: Graph) -> bool:
+    """Whether some power of the adjacency matrix is entrywise positive.
 
-
-def is_primitive(g: Graph) -> tuple[bool, int | None]:
-    """Test whether some power of the adjacency matrix is entrywise positive.
-
-    Returns (True, k) with the least such exponent, or (False, None).  A
-    matrix is primitive exactly when its graph is strongly connected with
-    period 1; the period is the gcd, over the edges u -> w, of
-    level(u) + 1 - level(w) for breadth-first levels from one vertex.  Only
-    a primitive graph is then powered, by boolean rows so entries never blow
-    up; the search is capped at the Wielandt bound (d-1)^2 + 1.
+    A matrix is primitive exactly when its graph is strongly connected with
+    period 1, so this decides by reach and period, without powering: the
+    period is the gcd, over the edges u -> w, of level(u) + 1 - level(w)
+    for breadth-first levels from one vertex.
     """
     if not g.vertices:
         raise GraphError("empty graph")
@@ -284,22 +268,15 @@ def is_primitive(g: Graph) -> tuple[bool, int | None]:
         frontier = sources & ~back
         back |= frontier
     if seen != full or back != full:
-        return False, None
+        return False
     period = 0
     for w in range(n):
         for d, mask in enumerate(levels):
             if a[w] & mask:
                 period = gcd(period, d + 1 - level[w])
         if period == 1:
-            break
-    else:
-        return False, None
-    cur = a
-    for k in range(1, (n - 1) ** 2 + 2):
-        if all(row == full for row in cur):
-            return True, k
-        cur = _bool_mul(cur, a, full)
-    return False, None
+            return True
+    return False
 
 
 def paths_of_length(

@@ -13,7 +13,6 @@ width at most 6 * 2^-N.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,6 @@ from .rays import (
     ClassPoint,
     LassoRay,
     RayError,
-    edge_stream,
     first_difference,
     kappa,
     raw_levels,
@@ -80,15 +78,9 @@ def d_quotient_graph(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:
 
     tau is a graph homomorphism, so the images need no building: their
     first difference is the first position where tau differs on the two
-    edge streams.  Both streams are periodic past the longer prefix, so
-    one common period beyond it decides equality."""
-    tau = p.quotient.tau
-    bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle))
-    pairs = zip(map(tau.__getitem__, edge_stream(x)), map(tau.__getitem__, edge_stream(y)))
-    for n, (a, b) in enumerate(itertools.islice(pairs, bound)):
-        if a != b:
-            return Fraction(1, 1 << n)
-    return Fraction(0)
+    edge streams."""
+    n = first_difference(x, y, p.quotient.tau.__getitem__)
+    return Fraction(0) if n is None else Fraction(1, 1 << (n - 1))
 
 
 def lambda_hat(p: EmbeddingPair, x: LassoRay, y: LassoRay) -> Fraction:

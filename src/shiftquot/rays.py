@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .embedding import EmbeddingPair, epsilon
 from .graphs import Graph
@@ -155,38 +155,22 @@ def kappa(p: EmbeddingPair, x: LassoRay) -> int | float:
 
 def first_nonxi(p: EmbeddingPair, x: LassoRay) -> int:
     """The least position carrying a spare edge; error when kappa = 0."""
-    n, _ = level(p, x)
+    n, _, _ = next(raw_levels(p, x))
     if n == math.inf:
         raise RayError("ray lies entirely in the embedded image (kappa = 0)")
     return int(n)
 
 
-def digit_series(p: EmbeddingPair, x: LassoRay) -> Fraction:
-    """Exact value of sum eps(x_j) 2^-j over all positions, in [0, 1].
-
-    Only defined when kappa(x) = 0.  This is the raw series value, not
-    reduced mod 1: the all-ones tail really gives 1.
-    """
-    if kappa(p, x) != 0:
-        raise RayError("digit series needs kappa = 0")
-    return next(levels(p, x))[1]
-
-
-def levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, Fraction]]:
-    """(gap, raw digit sum) of each level of the ray, in order.
+def raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int, int]]:
+    """(gap, digit-sum numerator, denominator) of each level of the ray, in
+    order: the one level walk.
 
     A level runs up to and including the next spare edge; its gap is the
     number of positions it spans and its digit sum runs over the positions
-    before that spare edge (a value in [0, 1)).  When the ray has finitely
-    many spare edges the walk ends with (math.inf, full series of the
-    all-image tail), a value in [0, 1]; otherwise it never ends.
-    """
-    for gap, num, den in raw_levels(p, x):
-        yield gap, Fraction(num, den)
-
-
-def raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int, int]]:
-    """levels, each digit sum as a numerator and a denominator (unreduced).
+    before that spare edge (a value in [0, 1), over 2^(gap - 1)).  When the
+    ray has finitely many spare edges the walk ends with (math.inf, full
+    series of the all-image tail), a value in [0, 1], unreduced: the
+    all-ones tail sums to exactly 1.  Otherwise it never ends.
 
     One superscript lookup per edge, None meaning a spare edge.  When H1
     fails the levels before the first image edge come out, then epsilon's
@@ -226,16 +210,10 @@ def _digit_lookup(p: EmbeddingPair):
     return digit
 
 
-def level(p: EmbeddingPair, x: LassoRay) -> tuple[int | float, Fraction]:
-    """(first spare position, raw digit sum) of the ray's first level; see
-    levels.  When kappa = 0 the position is math.inf and the sum is the
-    full series (in [0, 1])."""
-    return next(levels(p, x))
-
-
 def theta(p: EmbeddingPair, x: LassoRay) -> Angle:
     """The binary angle of the ray: the first level's digit sum mod 1."""
-    return Angle.of(level(p, x)[1])
+    _, num, den = next(raw_levels(p, x))
+    return Angle.of(Fraction(num, den))
 
 
 # -- shift, flip, canonical ----------------------------------------------------
@@ -303,20 +281,17 @@ def _flip_at(p: EmbeddingPair, x: LassoRay) -> tuple[LassoRay, int] | None:
     return normal_form(new_prefix, new_cycle), at
 
 
-def first_difference(x: LassoRay, y: LassoRay) -> int | None:
-    """The least position where the rays carry different edges; None when
-    they are equal."""
-    if x == y:
-        return None
-    # the prefixes side by side, then both edge streams past the shorter one
-    n = 0
-    for a, b in zip(x.prefix, y.prefix):
-        n += 1
-        if a != b:
-            return n
-    bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle)) + 1
-    for a, b in itertools.islice(zip(edge_stream(x), edge_stream(y)), n, bound):
-        n += 1
+def first_difference(x: LassoRay, y: LassoRay, key: Callable[[str], object] | None = None) -> int | None:
+    """The least position where the rays carry different edges, or
+    different key(edge) when a key is given; None when there is none.
+
+    Both edge streams are periodic past the longer prefix, so one common
+    period beyond it decides: max(len(prefix)) + lcm(len(cycle)) positions."""
+    bound = max(len(x.prefix), len(y.prefix)) + math.lcm(len(x.cycle), len(y.cycle))
+    xs, ys = edge_stream(x), edge_stream(y)
+    if key is not None:
+        xs, ys = map(key, xs), map(key, ys)
+    for n, (a, b) in enumerate(itertools.islice(zip(xs, ys), bound), 1):
         if a != b:
             return n
     return None

@@ -171,11 +171,10 @@ def inv_shift_tower(t: Tower) -> Tower:
     return Tower(t.levels[1:])
 
 
-def tower_distance(
-    p: EmbeddingPair, x: Tower, y: Tower, depth: int | None = None, ray_depth: int = 16
-) -> MetricInterval:
+def tower_distance(p: EmbeddingPair, x: Tower, y: Tower, ray_depth: int = 16) -> MetricInterval:
     """Certified sup-metric enclosure over the truncated levels 0..M, with
-    the 3 * 2^-M tail bound for everything beyond the truncation.
+    the 3 * 2^-M tail bound for everything beyond the truncation.  It reads
+    the whole towers it is given; to truncate them, slice their levels.
 
     Level n enters as 2^-n times a class distance whose upper end is at
     most the diameter 3 plus the approximant slack 3 * 2^-ray_depth, so it
@@ -200,9 +199,7 @@ def tower_distance(
     """
     if x.depth != y.depth:
         raise SmaleError("towers must share their depth")
-    if depth is not None and depth < 0:
-        raise SmaleError(f"depth must be at least 0, got {depth}")
-    m = x.depth if depth is None else min(depth, x.depth)
+    m = x.depth
     reach = 3 + 3 * Fraction(2) ** -ray_depth
     rn, rd = reach.numerator, reach.denominator
     # the two ends as unreduced numerators and denominators

@@ -17,7 +17,7 @@ from itertools import chain, cycle
 from math import gcd
 
 from shiftquot.embedding import epsilon
-from shiftquot.geometry import _spec_from_levels
+from shiftquot.geometry import CircleSpec
 from shiftquot.graphs import GraphError, IntMatrix, adjacency_matrix, paths_of_length
 from shiftquot.metrics import MetricInterval, tau_ray
 from shiftquot.rays import (
@@ -715,9 +715,23 @@ def ref_discrete_invariant(p, x):
     return (tau_ray(p, x), tuple((n, a.turns) for n, a in chain_), tail.turns)
 
 
+def ref_circle_spec(levels):
+    """The circle of a chain of (gap, angle) levels: level i adds
+    (prod_{j<i} 2^(-3-n_j)) * (1 - 2^(1-n_i)) * e^(2 pi i theta_i) to the
+    center, and the radius is the full product."""
+    terms = []
+    scale = Fraction(1)
+    for n, a in levels:
+        coeff = scale * (1 - Fraction(2) ** (1 - n))
+        if coeff:
+            terms.append((coeff, a))
+        scale *= Fraction(1, 2 ** (3 + n))
+    return CircleSpec(tuple(levels), tuple(terms), scale)
+
+
 def ref_zeta_exact_terms(p, x):
     chain_, tail = ref_level_chain(p, x)
-    spec = _spec_from_levels(chain_)
+    spec = ref_circle_spec(chain_)
     return [*spec.center_terms, (spec.radius, tail)]
 
 
@@ -794,7 +808,7 @@ def ref_circle_paths(p, max_k, max_depth, min_radius=0):
     has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
     out = []
     pruned = Fraction(0)
-    base = _spec_from_levels([])
+    base = ref_circle_spec([])
     if base.radius >= min_r:
         out.append(base)
     else:
@@ -811,7 +825,7 @@ def ref_circle_paths(p, max_k, max_depth, min_radius=0):
             else:
                 levels.append((gap + 1, Angle.of(digits)))
                 if len(levels) <= max_k and p.g.target(e) in has_tail:
-                    spec = _spec_from_levels(levels)
+                    spec = ref_circle_spec(levels)
                     if spec.radius >= min_r:
                         out.append(spec)
                     else:

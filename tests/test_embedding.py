@@ -71,11 +71,8 @@ V = {"w": "v"}
      "xi1: edge map not injective"),
     (lambda: EmbeddingPair(G, H, V, {"h": "a"}, V, {"h": "b"}).partner("c"),
      "edge 'c' is not in the embedded image"),
-    # the H-edge c and the spare G-edge c both become the quotient edge c'
-    (lambda: quotient_graph(EmbeddingPair(G, Graph(["w"], [("c", "w", "w")]), V, {"c": "a"}, V, {"c": "b"})),
-     "quotient edge naming clash; rename seed edges"),
 ], ids=["vertex-domain", "edge-domain", "image-vertex", "image-edge", "vertex-injective", "edge-injective",
-        "spare-partner", "quotient-clash"])
+        "spare-partner"])
 def test_invalid_seeds_raise_their_message(build, message):
     with pytest.raises(EmbeddingError) as info:
         build()
@@ -89,6 +86,13 @@ def test_quotient_full3(full3):
     assert q.tau["a"] == q.tau["b"]
     assert q.tau["c"] != q.tau["a"]
     assert len(q.graph.edges) == len(full3.g.edges) - len(full3.h.edges)
+
+
+def test_quotient_names_a_clashing_spare_edge_apart():
+    """The H-edge c takes the quotient name c', so the spare G-edge c gets
+    one more prime."""
+    p = EmbeddingPair(G, Graph(["w"], [("c", "w", "w")]), V, {"c": "a"}, V, {"c": "b"})
+    assert quotient_graph(p).tau == {"a": "c'", "b": "c'", "c": "c''"}
 
 
 def test_quotient_full2(full2):
@@ -123,7 +127,7 @@ def test_doubled_edges_are_parallel(full3, twovertex):
 def test_quotient_is_primitive_when_standing(full3, twovertex):
     for p in (full3, twovertex):
         assert check_standing_hypotheses(p).standing()
-        assert is_primitive(quotient_graph(p).graph)[0]
+        assert is_primitive(quotient_graph(p).graph)
 
 
 def test_epsilon(full3):

@@ -1,10 +1,10 @@
 """The one level walk against its definitions, the d_extended interval
 oracle, and ray literals fuzzed through the CLI.
 
-The definitions (in `reference`) are `level` by one scan of the prefix
-and one cycle lap, the level chain by shifting the ray past each spare
-edge and scanning again, and the digit series by one Fraction per prefix
-position.  The walk must give exactly the same values.
+The definitions (in `reference`) are the first level by one scan of the
+prefix and one cycle lap, the level chain by shifting the ray past each
+spare edge and scanning again, and the digit series by one Fraction per
+prefix position.  `raw_levels` must give exactly the same values.
 """
 
 import contextlib
@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BUNDLE_NAMES, bundle_path, draw_rays, random_lasso, seeds, walk_lasso
 from reference import (
-    ref_digit_series,
     ref_discrete_invariant,
     ref_level,
     ref_level_chain,
@@ -31,10 +30,7 @@ from shiftquot.metrics import d_extended, lambda_hat, lambda_tail
 from shiftquot.rays import (
     Angle,
     RayError,
-    digit_series,
     kappa,
-    level,
-    levels,
     parse_ray,
     raw_levels,
 )
@@ -42,20 +38,14 @@ from shiftquot.rays import (
 
 def assert_walk_matches(p, rays_):
     for x in rays_:
-        assert level(p, x) == ref_level(p, x)
+        n, num, den = next(raw_levels(p, x))
+        assert (n, Fraction(num, den)) == ref_level(p, x)
         if kappa(p, x) == math.inf:
-            with pytest.raises(RayError):
-                digit_series(p, x)
             continue
-        if kappa(p, x) == 0:
-            assert digit_series(p, x) == ref_digit_series(p, x)
-        else:
-            with pytest.raises(RayError):
-                digit_series(p, x)
-        *chain_, (n, tail) = levels(p, x)
+        *chain_, (n, num, den) = raw_levels(p, x)
         ref_chain, ref_tail = ref_level_chain(p, x)
-        assert n == math.inf and Angle.of(tail) == ref_tail
-        assert tuple((g, Angle.of(t)) for g, t in chain_) == ref_chain
+        assert n == math.inf and Angle.of(Fraction(num, den)) == ref_tail
+        assert tuple((g, Angle(Fraction(a, d))) for g, a, d in chain_) == ref_chain
         assert zeta_exact_terms(p, x) == ref_zeta_exact_terms(p, x)
         # the walk keys each level by its digit-sum numerator over 2^(gap - 1)
         image, chain_keys, tail_turns = _discrete_invariant(p, x)
@@ -76,7 +66,7 @@ def test_level_walk_on_tails_that_differ_only_at_the_end(full3):
     # 0.0111... = 0.1000...: the tails differ, the angles do not
     x, y = rays_[2], rays_[3]
     assert lambda_hat(full3, x, y) == 0
-    assert list(levels(full3, rays_[4])) == [(math.inf, 1)]
+    assert list(raw_levels(full3, rays_[4])) == [(math.inf, 1, 1)]
 
 
 def test_an_all_ones_tail_is_at_distance_zero_from_an_all_zeros_tail(full3):
@@ -102,7 +92,7 @@ def test_level_walk_matches_the_shift_loops_on_drawn_seeds(p, rng_seed):
 
 def test_levels_of_a_ray_with_infinitely_many_spare_edges(full3):
     x = parse_ray(full3.g, "b;a,c")
-    assert list(islice(levels(full3, x), 5)) == [(3, Fraction(1, 2))] + [(2, 0)] * 4
+    assert list(islice(raw_levels(full3, x), 5)) == [(3, 2, 4)] + [(2, 0, 2)] * 4
 
 
 # -- the d_extended interval oracle ---------------------------------------------

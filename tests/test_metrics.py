@@ -20,6 +20,7 @@ from shiftquot.rays import (
     RayError,
     canonical,
     class_equal,
+    first_difference,
     flip,
     kappa,
     lift_preimage,
@@ -36,6 +37,18 @@ def test_d_shift(full3):
     assert d_shift(ray(full3, ";a"), ray(full3, ";b")) == 1
     # equal as infinite paths despite different spellings
     assert d_shift(LassoRay(("a",), ("b", "a")), LassoRay((), ("a", "b"))) == 0
+
+
+def test_the_scan_reads_one_common_period_past_the_longer_prefix(full3):
+    """Each pair first differs at max(len(prefix)) + lcm(len(cycle)), the
+    last position the scan reads; tau(a) = tau(b), so ;a and ;b have
+    equal quotient images."""
+    p = full3
+    for s, t, n in [(";a", ";a,b", 2), ("c;a", "c;a,b", 3), (";a", ";b", 1)]:
+        assert first_difference(ray(p, s), ray(p, t)) == n
+    assert d_shift(ray(p, ";a"), ray(p, ";a,b")) == Fraction(1, 2)
+    assert d_quotient_graph(p, ray(p, ";a"), ray(p, ";a,c")) == Fraction(1, 2)
+    assert d_quotient_graph(p, ray(p, ";a"), ray(p, ";b")) == 0
 
 
 @pytest.mark.parametrize(

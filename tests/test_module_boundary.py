@@ -1,6 +1,7 @@
-"""No module of the package, and no script, imports a private name of a
-package module; no test module imports another, and every reference
-definition lives in `tests/reference.py`.
+"""No module of the package, no script, and neither the reference nor
+`conftest.py` imports a private name of a package module; no test module
+imports another, and every reference definition lives in
+`tests/reference.py`.
 
 A private name starts with an underscore.  A `from .mod import _name` (or,
 in a script, `from shiftquot.mod import _name`) ties two modules together
@@ -70,6 +71,12 @@ def test_no_module_imports_a_private_name_of_another():
 def test_no_script_imports_a_private_name_of_the_package():
     paths = sorted((ROOT / "scripts").glob("*.py"))
     assert paths
+    assert [line for path in paths for line in private_imports(path)] == []
+
+
+def test_the_reference_and_conftest_import_no_private_name():
+    """A definition that calls the code it checks would share its faults."""
+    paths = [TESTS / "reference.py", TESTS / "conftest.py"]
     assert [line for path in paths for line in private_imports(path)] == []
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bundle_path, random_lasso, ray
+from reference import ref_digit_series
 from shiftquot.cli import parse_bundle
 from shiftquot.metrics import d_shift, d_stratum
 from shiftquot.rays import (
@@ -15,12 +16,12 @@ from shiftquot.rays import (
     RayError,
     canonical,
     class_equal,
-    digit_series,
     first_nonxi,
     flip,
     format_ray,
     kappa,
     lift_preimage,
+    raw_levels,
     shift,
     shift_by,
     stratum_approximant,
@@ -83,8 +84,9 @@ def test_theta_full2(full2):
 
 
 def test_digit_series_boundary(full3):
-    assert digit_series(full3, ray(full3, ";b")) == 1
-    assert digit_series(full3, ray(full3, ";a")) == 0
+    # the raw series: the all-ones tail sums to 1, not 0
+    assert next(raw_levels(full3, ray(full3, ";b"))) == (math.inf, 1, 1)
+    assert next(raw_levels(full3, ray(full3, ";a"))) == (math.inf, 0, 1)
 
 
 def test_flip_cases(full3):
@@ -250,6 +252,6 @@ def test_class_equal_is_equal_binary_value_exhaustive():
         if 1 <= len(cycle) <= 3
     }
     assert len(rays) == 160
-    values = {x: digit_series(_FULL3, x) % 1 for x in rays}
+    values = {x: ref_digit_series(_FULL3, x) % 1 for x in rays}
     for x, y in itertools.combinations(sorted(rays, key=format_ray), 2):
         assert class_equal(_FULL3, x, y) == (values[x] == values[y]), (x, y)

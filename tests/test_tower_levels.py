@@ -96,18 +96,20 @@ def depths_for(tower_depth):
 
 
 def compare_distances(p, tx, ty, depths, ray_depths=RAY_DEPTHS):
-    """tower_distance against the reference; returns the cases where only
-    the reference failed, from a level the early stop does not read."""
+    """tower_distance on the towers cut to each depth against the reference
+    at that depth; returns the cases where only the reference failed, from
+    a level the early stop does not read."""
     skipped = []
     for depth in depths:
+        m = tx.depth if depth is None else min(depth, tx.depth)
+        cut_x, cut_y = Tower(tx.levels[:m + 1]), Tower(ty.levels[:m + 1])
         for rd in ray_depths:
-            new = outcome(tower_distance, p, tx, ty, depth, rd)
+            new = outcome(tower_distance, p, cut_x, cut_y, rd)
             ref = outcome(ref_tower_distance, p, tx, ty, depth, rd)
             if new == ref:
                 continue
             assert new[0] == "ok" and ref[0] != "ok"
             # the stop: the first level whose bound is at most the lower end so far
-            m = tx.depth if depth is None else min(depth, tx.depth)
             reach, lo, hi, stop = 3 + 3 * Fraction(2) ** -rd, Fraction(0), Fraction(3, 2**m), None
             for n in range(m + 1):
                 if reach / 2**n <= lo:
@@ -202,7 +204,7 @@ def test_a_failing_level_past_the_stop_no_longer_surfaces():
     tx, ty = pi_xi_tower(p, x, 6), pi_xi_tower(p, y, 6)
     with pytest.raises(RayError, match="stratum 3 unreachable"):
         ref_tower_distance(p, tx, ty, None, 2)
-    assert tower_distance(p, tx, ty, None, 2) == MetricInterval(Fraction(17, 32), Fraction(41, 32))
+    assert tower_distance(p, tx, ty, ray_depth=2) == MetricInterval(Fraction(17, 32), Fraction(41, 32))
     assert compare_distances(p, tx, ty, [None], [2]) == [(None, 2)]
     # level 8 fails at the default ray depth, and the lower end stays small
     # enough that it is read: the same error
@@ -223,11 +225,13 @@ def test_only_skipped_levels_differ_on_a_seed_with_unreachable_strata():
 
 
 def test_tower_distance_rejects_a_negative_depth(full3):
+    """tower_distance reads the whole towers; a cut tower keeps at least
+    one level."""
     t = pi_xi_tower(full3, BiLasso.make(full3.g, ["a"], ["c"], ["b"]), 4)
-    for depth in (-1, -5):
-        with pytest.raises(SmaleError, match=f"depth must be at least 0, got {depth}"):
-            tower_distance(full3, t, t, depth)
-    assert tower_distance(full3, t, t, 0) == MetricInterval(Fraction(0), Fraction(3))
+    with pytest.raises(SmaleError, match="tower needs at least one level"):
+        Tower(t.levels[:0])
+    cut = Tower(t.levels[:1])
+    assert tower_distance(full3, cut, cut) == MetricInterval(Fraction(0), Fraction(3))
 
 
 def test_a_tower_is_at_distance_zero_from_itself(twovertex):
