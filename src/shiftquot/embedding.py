@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph, is_primitive
 
@@ -85,6 +85,20 @@ class EmbeddingPair:
         eps = dict.fromkeys(self.xi0_edges.values(), 0)
         eps.update(dict.fromkeys(self.xi1_edges.values(), 1))
         return eps
+
+    @cached_property
+    def superscript(self) -> Callable[[str], int | None]:
+        """edge -> its superscript (0 or 1), or None for a spare edge.
+        Without a superscript map (H1 fails) an image edge raises
+        epsilon's error."""
+        sup = self._superscript
+        if sup is not None:
+            return sup.get
+
+        def digit(edge: str) -> int | None:
+            return epsilon(self, edge) if self.in_image(edge) else None
+
+        return digit
 
     @cached_property
     def _spare_index(self) -> dict[tuple[str, str], str]:

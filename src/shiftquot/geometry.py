@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .embedding import EmbeddingPair, EmbeddingError, epsilon
+from .embedding import EmbeddingPair, EmbeddingError
 from .graphs import paths_of_length
 from .rays import (
     Angle,
@@ -138,10 +138,10 @@ def _circle_steps(p: EmbeddingPair, max_k: int) -> tuple[list, set[int]]:
     edges, and a budget above top reads the table at top.
     """
     g = p.g
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g.vertex_index
     tailed = {i for v, i in index.items() if p.completion[v].xi_tail is not None}
     top = min(max_k, len(g.vertices) + 1)
-    ends = [(index[g.source(e)], index[g.target(e)], epsilon(p, e) if p.in_image(e) else None) for e in g.edges]
+    ends = [(index[g.source(e)], index[g.target(e)], p.superscript(e)) for e in g.edges]
     # dist[v, r]: fewest edges in a path from v that ends in a circle and
     # takes at most r spare edges; one breadth-first pass back from the
     # circle edges, a spare edge moving to the next budget

@@ -10,8 +10,9 @@ depend on this orientation, so it is pinned by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -96,11 +97,6 @@ class IntMatrix:
     def entry_sum(self) -> int:
         return sum(sum(row) for row in self.entries)
 
-    def rank_and_minor(self) -> tuple[int, int]:
-        """Rank r and a nonzero r x r minor (1 when r = 0); see bareiss."""
-        rank, minor, _ = self.bareiss()
-        return rank, minor
-
     def bareiss(self) -> tuple[int, int, int]:
         """Rank r, a nonzero r x r minor (1 when r = 0) and a gcd of
         (n - 1)-minors, by fraction-free (Bareiss) elimination with row and
@@ -138,7 +134,7 @@ class IntMatrix:
         """Exact determinant: the Bareiss minor when the rank is full, else 0."""
         if self.rows != self.cols:
             raise GraphError("determinant of a non-square matrix")
-        rank, minor = self.rank_and_minor()
+        rank, minor, _ = self.bareiss()
         return minor if rank == self.rows else 0
 
     def _check_shape(self, other: "IntMatrix") -> None:
@@ -155,7 +151,8 @@ class Graph:
     """
 
     __slots__ = (
-        "vertices", "edges", "_src", "_dst", "vertex_index", "edge_index", "_out", "_in", "_adjacency",
+        "vertices", "edges", "_src", "_dst", "source", "target", "has_edge",
+        "vertex_index", "edge_index", "_out", "_in", "_adjacency",
     )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
@@ -183,20 +180,16 @@ class Graph:
             out[s].append(eid)
             inc[t].append(eid)
         self._src, self._dst = src, dst
+        # edge -> source, edge -> target (KeyError on an unknown edge) and the
+        # edge test are the tables' own bound methods: no Python frame per edge
+        self.source: Callable[[str], str] = src.__getitem__
+        self.target: Callable[[str], str] = dst.__getitem__
+        self.has_edge: Callable[[str], bool] = src.__contains__
         self.edges: tuple[str, ...] = tuple(ids)
         self.edge_index: dict[str, int] = {e: i for i, e in enumerate(self.edges)}
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
         self._adjacency: IntMatrix | None = None  # built by adjacency_matrix
-
-    def source(self, edge: str) -> str:
-        return self._src[edge]
-
-    def target(self, edge: str) -> str:
-        return self._dst[edge]
-
-    def has_edge(self, edge: str) -> bool:
-        return edge in self._src
 
     def out_edges(self, vertex: str) -> tuple[str, ...]:
         return self._out[vertex]
@@ -228,11 +221,6 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
     return g._adjacency
 
 
-def _bool_rows(m: IntMatrix) -> list[int]:
-    # row i as a bitmask over columns
-    return [int("".join(["1" if x > 0 else "0" for x in reversed(row)]) or "0", 2) for row in m.entries]
-
-
 def is_primitive(g: Graph) -> bool:
     """Whether some power of the adjacency matrix is entrywise positive.
 
@@ -243,40 +231,34 @@ def is_primitive(g: Graph) -> bool:
     """
     if not g.vertices:
         raise GraphError("empty graph")
-    n = len(g.vertices)
-    full = (1 << n) - 1
-    a = _bool_rows(adjacency_matrix(g))  # a[w]: the sources of the edges into w
-    # breadth-first levels from vertex 0, as one bitmask per level
-    levels, level, seen = [1], [0] * n, 1
-    while True:
-        reached = 0
-        for w in range(n):
-            if a[w] & levels[-1] and not seen >> w & 1:
-                reached |= 1 << w
-                level[w] = len(levels)
-        if not reached:
-            break
-        levels.append(reached)
-        seen |= reached
-    # and the vertices that reach vertex 0
-    back = frontier = 1
-    while frontier:
-        sources = 0
-        for w in range(n):
-            if frontier >> w & 1:
-                sources |= a[w]
-        frontier = sources & ~back
-        back |= frontier
-    if seen != full or back != full:
+    a = adjacency_matrix(g)
+    vertices = range(a.rows)
+    # row w holds the sources of the edges into w, column u the targets of the edges out of u
+    into = [list(compress(vertices, row)) for row in a.entries]
+    level = _levels_from_0([list(compress(vertices, col)) for col in a.transpose().entries])
+    if len(level) < a.rows or len(_levels_from_0(into)) < a.rows:
         return False
     period = 0
-    for w in range(n):
-        for d, mask in enumerate(levels):
-            if a[w] & mask:
-                period = gcd(period, d + 1 - level[w])
+    for w, sources in enumerate(into):
+        period = gcd(period, *[level[u] + 1 - level[w] for u in sources])
         if period == 1:
             return True
     return False
+
+
+def _levels_from_0(neighbours: list[list[int]]) -> dict[int, int]:
+    """Breadth-first levels of the vertices reached from vertex 0; the
+    search stops once every vertex has one."""
+    level = {0: 0}
+    queue = [0]
+    for u in queue:  # grows while it is read: breadth-first order
+        if len(level) == len(neighbours):
+            break
+        for w in neighbours[u]:
+            if w not in level:
+                level[w] = level[u] + 1
+                queue.append(w)
+    return level
 
 
 def paths_of_length(

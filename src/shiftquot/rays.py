@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .embedding import EmbeddingPair, epsilon
+from .embedding import EmbeddingPair
 from .graphs import Graph
 
 
@@ -48,10 +48,10 @@ def _lasso_fault(g: Graph, whole: tuple[str, ...], start: int) -> str | None:
     non-composable pair, else an open cycle.  One lookup per edge in each
     of the graph's endpoint tables."""
     try:
-        sources = list(map(g._src.__getitem__, whole))
+        sources = list(map(g.source, whole))
     except KeyError as exc:
         return f"unknown edge {exc.args[0]!r}"
-    targets = list(map(g._dst.__getitem__, whole))
+    targets = list(map(g.target, whole))
     if targets[:-1] != sources[1:]:
         i = next(i for i, (t, s) in enumerate(zip(targets, sources[1:])) if t != s)
         return f"edges {whole[i]!r},{whole[i + 1]!r} are not composable"
@@ -175,7 +175,7 @@ def raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int
     One superscript lookup per edge, None meaning a spare edge.  When H1
     fails the levels before the first image edge come out, then epsilon's
     error."""
-    digit = _digit_lookup(p)
+    digit = p.superscript
     edges: Iterable[str] = x.prefix
     if not p.xi_image.issuperset(x.cycle):
         edges = edge_stream(x)
@@ -194,20 +194,6 @@ def raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int
         lap = lap << 1 | digit(e)
     period = 2 ** len(x.cycle) - 1
     yield math.inf, digits * period + lap, period << gap
-
-
-def _digit_lookup(p: EmbeddingPair):
-    """edge -> its superscript, or None for an edge outside the image.
-    Without a superscript map (H1 fails) an image edge raises epsilon's
-    error."""
-    sup = p._superscript
-    if sup is not None:
-        return sup.get
-
-    def digit(e: str) -> int | None:
-        return epsilon(p, e) if p.in_image(e) else None
-
-    return digit
 
 
 def theta(p: EmbeddingPair, x: LassoRay) -> Angle:
@@ -252,7 +238,7 @@ def _flip_at(p: EmbeddingPair, x: LassoRay) -> tuple[LassoRay, int] | None:
     position flip(x) carries the partner of x's edge."""
     if not p.xi_image.issuperset(x.cycle):
         return None
-    digit = _digit_lookup(p)
+    digit = p.superscript
     digits_cycle = set(map(digit, x.cycle))
     if len(digits_cycle) != 1:
         return None
@@ -401,8 +387,7 @@ def _total_swap(p: EmbeddingPair, point: ClassPoint) -> bool:
     if other is None:
         return False
     a = point.rep.edge_at(1)
-    sup = p._superscript
-    return a != other.edge_at(1) and sup[a] == sup[point.rep.cycle[0]]
+    return a != other.edge_at(1) and p.superscript(a) == p.superscript(point.rep.cycle[0])
 
 
 def _prepend_class(
@@ -416,13 +401,12 @@ def _prepend_class(
     ex = _prepend(e, x)
     if other is None:
         return ClassPoint(ex, None), False, 0, None
-    sup = p._superscript
-    d = sup.get(e)
+    d = p.superscript(e)
     if total and d is not None:
-        f = p._partner[e]
+        f = p.partner(e)
         index = p.g.edge_index
         k = 0 if index[e] < index[f] else 1
-        total = d == sup[x.cycle[0]]
+        total = d == p.superscript(x.cycle[0])
     else:
         f, total = e, False
     fx = _prepend(f, other)
@@ -486,7 +470,7 @@ def lift_classes(p: EmbeddingPair, point: ClassPoint, targets: Sequence[LassoRay
     out = [point]
     member_levels: list[tuple[int | float, int, int]] | None = None  # read at the first lift
     total = _total_swap(p, point)
-    digit = _digit_lookup(p)
+    digit = p.superscript
     for y in targets:
         members = [point.rep] if point.partner is None else [point.rep, point.partner]
         y1 = _lift_start(p, point.rep, y)
@@ -523,7 +507,7 @@ def grow_member_levels(
     `before`, has the level of m grown by e (see lift_classes), in O(1)
     steps and one comparison of shift(e.m) with m.  None when some member
     of `point` is no such ray."""
-    digit = _digit_lookup(p)
+    digit = p.superscript
     out = []
     for r in (point.rep,) if point.partner is None else (point.rep, point.partner):
         pre, cyc = r.prefix, r.cycle
@@ -577,7 +561,7 @@ def _lift_choice(
     # the first candidate landing on y's level and angle has the best score
     # (0, 0, index); without one, the nearest angle wins, the first on ties.
     # An angle is a numerator and a denominator reduced mod 1 (sums lie in [0, 1])
-    digit = _digit_lookup(p)
+    digit = p.superscript
     t_num %= t_den
     angles = []
     for e, k in candidates:

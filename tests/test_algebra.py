@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,7 +83,7 @@ def test_snf_low_rank_products(rows, cols, inner, data):
         return IntMatrix.from_rows([[data.draw(st.integers(-6, 6)) for _ in range(c)] for _ in range(r)])
 
     a = draw(rows, inner) @ draw(inner, cols) if inner else IntMatrix.zero(rows, cols)
-    rank, _ = a.rank_and_minor()
+    rank, _, _ = a.bareiss()
     assert rank <= min(rows, cols, inner)
     snf = verify_snf(a)
     assert snf.diagonal().count(0) == min(rows, cols) - rank
@@ -114,7 +117,7 @@ def test_snf_rank_deficient_40():
             for row in rows:
                 row[i] += c * row[j]
     a = IntMatrix.from_rows(rows)
-    assert a.rank_and_minor()[0] == 34
+    assert a.bareiss()[0] == 34
     assert smith_normal_form(a).diagonal() == tuple(diag)
     assert cokernel(a) == FgAbelianGroup(6, (2, 2, 6, 12, 60))
 
@@ -154,7 +157,7 @@ def test_rank_nullity():
         )
         diag = smith_normal_form(a).diagonal()
         rank = sum(1 for d in diag if d)
-        assert rank == a.rank_and_minor()[0]
+        assert rank == a.bareiss()[0]
 
 
 def test_bowen_franks():
@@ -312,3 +315,19 @@ def test_synthesize_refuses_more_g_edges_than_the_budget():
         with pytest.raises(AlgebraError, match=r"would have at least [\d,]+ G-edges"):
             synthesize_seed(k0, k1)
     assert SYNTH_EDGE_BUDGET == 250_000
+
+
+INVARIANTS_SURVEY = os.path.join(os.path.dirname(__file__), "..", "scripts", "invariants_survey.py")
+
+
+def test_invariants_survey_script_rows_are_ok_and_aligned():
+    proc = subprocess.run([sys.executable, INVARIANTS_SURVEY], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert len(rows) == 10 and all(row.endswith("  ok") for row in rows)
+    labels = ["K1 target", "K0 torsion", "sizes", "recomputed K0", "recomputed K1", "check"]
+    starts = [header.index(label) for label in labels]
+    assert starts == sorted(starts) and starts[0] == 0
+    for row in rows:
+        # every cell starts at its header's column, after at least two spaces
+        assert all(row[i - 2:i] == "  " and row[i] != " " for i in starts[1:]), row

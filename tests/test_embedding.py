@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import bundle_path
+from conftest import BUNDLE_NAMES, bundle_path, h1_failing_pair, seeds
 from shiftquot.embedding import (
     EmbeddingError,
     EmbeddingPair,
@@ -135,6 +136,31 @@ def test_epsilon(full3):
     assert epsilon(full3, "b") == 1
     with pytest.raises(EmbeddingError):
         epsilon(full3, "c")
+
+
+def superscript_agrees_with_epsilon(p):
+    for e in p.g.edges:
+        assert p.superscript(e) == (epsilon(p, e) if p.in_image(e) else None)
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_superscript_is_epsilon_on_the_image_and_none_off_it(name, request):
+    superscript_agrees_with_epsilon(request.getfixturevalue(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds())
+def test_superscript_is_epsilon_on_drawn_seeds(p):
+    superscript_agrees_with_epsilon(p)
+
+
+def test_superscript_without_h1_raises_on_image_edges_only():
+    p = h1_failing_pair()
+    assert [e for e in p.g.edges if not p.in_image(e)] == ["c"]
+    assert p.superscript("c") is None
+    for e in ("a", "b"):
+        with pytest.raises(EmbeddingError, match="^superscript map undefined: H1 fails$"):
+            p.superscript(e)
 
 
 def test_completion_tables_full3(full3):

@@ -76,7 +76,7 @@ def check_step(p, x, e):
         return "no flip"
     if not total:
         return "pivot"
-    return "total, spare e" if not p.in_image(e) else f"total, image e of superscript {p._superscript[e]}"
+    return "total, spare e" if not p.in_image(e) else f"total, image e of superscript {p.superscript(e)}"
 
 
 def check_steps(p, rays_):

@@ -1,12 +1,16 @@
 """No module of the package, no script, and neither the reference nor
-`conftest.py` imports a private name of a package module; no test module
-imports another, and every reference definition lives in
-`tests/reference.py`.
+`conftest.py` imports a private name of a package module; no module of the
+package and no script reads a private attribute that another of them
+defines; no test module imports another, and every reference definition
+lives in `tests/reference.py`.
 
 A private name starts with an underscore.  A `from .mod import _name` (or,
 in a script, `from shiftquot.mod import _name`) ties two modules together
 through code that neither documents, and the benchmark tracer, which wraps
 the public entry points by name, does not see the work done through it.
+A read of `obj._field` from outside the module that defines the field ties
+the reader to a table layout the owner is free to change: each table has
+one reader, its owner, and the others go through its public methods.
 
 A test that imports another test module runs that module's code and ties
 the two through helpers neither owns: shared inputs belong in
@@ -35,6 +39,46 @@ def private_imports(path):
         for alias in node.names
         if alias.name.startswith("_")
     ]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_attributes(path):
+    """The private attribute names a file defines: its `self._x =`
+    assignments, its `__slots__` entries and its `_`-named defs."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names |= {c.value for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return {name for name in names if _is_private(name)}
+
+
+def foreign_private_reads(paths):
+    """`file:line: obj._x` for each use of a private attribute, on a name
+    other than `self` or `cls`, that only other files of `paths` define."""
+    owned = {path: private_attributes(path) for path in paths}
+    out = []
+    for path in paths:
+        foreign = set().union(*(names for q, names in owned.items() if q != path)) - owned[path]
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        out += sorted(
+            (node.lineno, node.col_offset, f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in foreign
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        )
+    return [line for _, _, line in out]
 
 
 def imported_test_modules(path):
@@ -94,6 +138,46 @@ def test_the_scan_finds_a_private_import(tmp_path):
         "bad.py:2: from . import _hidden",
         "bad.py:3: from shiftquot.cli import _scale",
         "bad.py:6: from .rays import _lasso_fault",
+    ]
+
+
+def test_no_module_or_script_reads_a_private_attribute_of_another():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    owned = {path.name: private_attributes(path) for path in paths}
+    assert {"_src", "_superscript", "_partner"} <= owned["graphs.py"] | owned["embedding.py"]
+    assert foreign_private_reads(paths) == []
+
+
+def test_the_scan_finds_a_read_of_another_modules_private_attribute(tmp_path):
+    owner = tmp_path / "owner.py"
+    owner.write_text(
+        "class Table:\n"
+        "    __slots__ = ('_rows', 'size', '__weakref__')\n"
+        "    def __init__(self):\n"
+        "        self._rows, self._cols = [], []\n"
+        "        self._note: str = ''\n"
+        "    def _lookup(self, key):\n"
+        "        return self._rows[key]\n"
+        "def _helper(t):\n"
+        "    return t._cols\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "def read(t, cls):\n"
+        "    a = t._rows[0] + t._cols.__len__()\n"
+        "    b = t.size, t.__weakref__, t._unowned, self._rows, cls._note\n"
+        "    t._note = t._lookup(1)\n"
+        "    return t._mine\n"
+        "class Mine:\n"
+        "    def _mine(self):\n"
+        "        return self\n"
+    )
+    assert private_attributes(owner) == {"_rows", "_cols", "_note", "_lookup", "_helper"}
+    assert foreign_private_reads([owner, reader]) == [
+        "reader.py:2: t._rows",
+        "reader.py:2: t._cols",
+        "reader.py:4: t._note",
+        "reader.py:4: t._lookup",
     ]
 
 
