@@ -30,7 +30,7 @@ from .rays import (
     Angle,
     LassoRay,
     RayError,
-    canonical,
+    carry_flip,
     format_ray,
     kappa,
     normal_form,
@@ -467,55 +467,90 @@ class InjectivityReport:
         return not self.collisions
 
 
-def _discrete_invariant(p: EmbeddingPair, x: LassoRay):
-    """(quotient image, chain of (gap, digit-sum numerator) level data, tail
-    angle): a complete invariant of the identification class for finite
-    strata.  A level's digit sum has denominator 2^(gap - 1), so levels of
-    equal gap compare by numerator alone."""
-    *chain, (_, num, den) = raw_levels(p, x)
-    tau = p.quotient.tau
-    image = normal_form([tau[e] for e in x.prefix], tuple(tau[e] for e in x.cycle))
-    return (image, tuple((gap, n) for gap, n, _ in chain), Fraction(num % den, den))
-
-
-def _normal_spellings(
+def _classes(
     p: EmbeddingPair, depth: int, tail_length: int
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """The (prefix, cycle) of every lasso in normal form with prefix length
-    <= depth, cycle length <= tail_length and finite spare count, each
-    once, depth-first over composable prefixes (each prefix before its
-    extensions; the empty prefix takes every cycle and extends by every
-    edge); at one prefix, cycles by length, then start vertex, then the
-    order of paths_of_length."""
-    g = p.g
-    # a cycle carrying a spare edge gives kappa = infinity whatever the prefix
-    cycles = [
-        w
-        for L in range(1, tail_length + 1)
-        for v in g.vertices
-        for w in paths_of_length(g, L, src=v, dst=v)
-        if all(p.in_image(e) for e in w) and normal_form((), w).cycle == w
-    ]
-    cycles_at: dict[str, list[tuple[str, ...]]] = {v: [] for v in g.vertices}
-    for cyc in cycles:
-        cycles_at[g.source(cyc[0])].append(cyc)
+) -> Iterator[tuple[LassoRay, tuple]]:
+    """Each identification class of the lassos with prefix length <= depth,
+    cycle length <= tail_length and finite spare count, once, when the
+    walk of embedding_injectivity_check first meets it: its canonical rep
+    and its discrete invariant.
 
-    stack: list[tuple[str, ...]] = [()]
+    The invariant is (quotient image as a (prefix, cycle) pair in normal
+    form, chain of (gap, digit-sum numerator) levels, tail angle as a
+    coprime (numerator, denominator) pair in [0, 1)): a complete invariant
+    of the class for finite strata.  A level's digit sum has denominator
+    2^(gap - 1), so levels of equal gap compare by numerator alone.
+    """
+    g = p.g
+    digit = p.superscript
+    # a cycle carrying a spare edge gives kappa = infinity whatever the
+    # prefix; each kept cycle with its lap (its digits as an integer:
+    # epsilon's error when H1 fails), 2^len - 1 (its tail's period) and
+    # its one superscript (None when it has both: then there is no flip)
+    cycles = []
+    for L in range(1, tail_length + 1):
+        period = (1 << L) - 1
+        for v in g.vertices:
+            for w in paths_of_length(g, L, src=v, dst=v):
+                if all(p.in_image(e) for e in w) and normal_form((), w).cycle == w:
+                    lap = 0
+                    for e in w:
+                        lap = lap << 1 | digit(e)
+                    cycles.append((w, lap, period, 0 if lap == 0 else 1 if lap == period else None))
+    if not cycles:
+        return
+    tau = p.quotient.tau
+    index = g.edge_index
+    cycles_at: dict[str, list[tuple]] = {v: [] for v in g.vertices}
+    for cyc in cycles:
+        cycles_at[g.source(cyc[0][0])].append(cyc)
+    # the image's normal form by (prefix image, cycle): prefixes that differ
+    # by partner edges share their image
+    images: dict[tuple, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+    # (prefix, its quotient image, completed levels, open gap, open digits)
+    stack: list[tuple] = [((), (), (), 0, 0)]
     while stack:
-        prefix = stack.pop()
+        prefix, image, chain, gap, digits = stack.pop()
         if prefix:
             last = prefix[-1]
             at = g.target(last)
-            for cyc in cycles_at[at]:
-                if cyc[-1] != last:
-                    yield prefix, cyc
+            here = cycles_at[at]
             onward = g.out_edges(at)
         else:
-            for cyc in cycles:
-                yield prefix, cyc
-            onward = g.edges
+            last, here, onward = None, cycles, g.edges
+        for cyc, lap, period, i in here:
+            if cyc[-1] == last or (prefix, cyc) in seen:
+                continue
+            x = rep = LassoRay(prefix, cyc)
+            if i is not None:
+                # the streak of i ending the ray: the open level's trailing
+                # bits equal to i (the whole level when each bit is i)
+                if i:
+                    streak = ((digits ^ (digits + 1)) >> 1).bit_length()
+                else:
+                    streak = (digits & -digits).bit_length() - 1 if digits else gap
+                other, n = carry_flip(p, x, len(prefix) + 1 - streak)
+                seen.add((other.prefix, other.cycle))
+                # canonical's choice: the smaller edge index where they first differ
+                e = x.edge_at(n)
+                if index[e] > index[p.partner(e)]:
+                    rep = other
+            den = period << gap
+            num = (digits * period + lap) % den
+            common = math.gcd(num, den)
+            img = images.get((image, cyc))
+            if img is None:
+                nf = normal_form(image, tuple(tau[e] for e in cyc))
+                img = images[image, cyc] = (nf.prefix, nf.cycle)
+            yield rep, (img, chain, (num // common, den // common))
         if len(prefix) < depth:
-            stack.extend(prefix + (e,) for e in reversed(onward))
+            for e in reversed(onward):
+                d = digit(e)
+                if d is None:
+                    stack.append((prefix + (e,), image + (tau[e],), chain + ((gap + 1, digits),), 0, 0))
+                else:
+                    stack.append((prefix + (e,), image + (tau[e],), chain, gap + 1, digits << 1 | d))
 
 
 def embedding_injectivity_check(
@@ -524,39 +559,55 @@ def embedding_injectivity_check(
     tail_length: int = 1,
 ) -> InjectivityReport:
     """Exhaustively verify that distinct identification classes of bounded
-    lassos have distinct discrete invariants.
+    lassos have distinct discrete invariants (see _classes).
 
     Enumerates all lassos with prefix length <= depth and cycle length
-    <= tail_length whose spare count is finite, depth-first (see
-    _normal_spellings), and counts each class when its first member is
-    met; a collision pairs the first class with that invariant and the
-    later one.  Spellings not in normal form are skipped, and that is
-    exact: each spells a lasso met earlier in the same order.  A cycle
-    r^k (k > 1) at a prefix is met first as r at that prefix, since r is
-    shorter; a prefix P + (e,) with a cycle c ending in e is met first at
-    P with the cycle (e,) + c[:-1], of the same length at the same vertex.
-    So the classes and their first-met order are those of the walk over
-    every spelling.  Each new class runs canonical once and records its
-    rep and partner, so the class's other member is skipped by a set
-    lookup.  More than INJECTIVITY_CLASS_CAP classes raise RayError.
+    <= tail_length whose spare count is finite, depth-first over composable
+    prefixes, each before its extensions (the empty prefix takes every
+    cycle and extends by every edge; at one prefix the cycles come by
+    length, then start vertex, then the order of paths_of_length), and
+    counts each class when its first member is met; a collision pairs the
+    first class with that invariant and the later one.  Spellings not in
+    normal form are skipped, and that is exact: each spells a lasso met
+    earlier in the same order.  A cycle r^k (k > 1) at a prefix is met
+    first as r at that prefix, since r is shorter; a prefix P + (e,) with
+    a cycle c ending in e is met first at P with the cycle (e,) + c[:-1],
+    of the same length at the same vertex.  So the classes and their
+    first-met order are those of the walk over every spelling.
+
+    Each stack entry carries, with its prefix, the prefix's quotient
+    image, its completed levels as (gap, digit-sum numerator) pairs, and
+    its open level's gap and digit bits, each grown by one edge from the
+    entry it extends.  So a new class costs O(len(cycle)) beyond its flip:
+    the tail is the open level's digits followed by the cycle's repeating
+    lap (its digits as an integer), reduced mod 1 to a coprime pair; the
+    image is the normal form of the prefix image and the cycle image (once
+    per distinct prefix image and cycle: prefixes that differ by partner
+    edges share an image); and the streak of the cycle's superscript ending the open level gives
+    the flip through one rays.carry_flip call.  The rep is the member with
+    the smaller edge index where the two first differ, as canonical
+    chooses, and the flip's spelling is skipped by a set lookup when the
+    walk meets it.
+
+    The invariant is read off the first-met spelling, which may be the
+    rep's flip, and it equals the rep's because it is a class invariant:
+    a flip changes only edges after the last spare edge, so the completed
+    levels and the quotient image agree, and the two tails are the two
+    binary expansions of one number mod 1 (the walk's invariant is checked
+    against its definition on both members of each class in
+    test_walk_invariant_splits_lassos_as_the_reference).  More than
+    INJECTIVITY_CLASS_CAP classes raise RayError.
     """
-    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
     classes = 0
     invariants: dict[object, LassoRay] = {}
     collisions: list[tuple[str, str]] = []
-    for key in _normal_spellings(p, depth, tail_length):
-        if key in seen:
-            continue
+    for rep, invariant in _classes(p, depth, tail_length):
         if classes >= INJECTIVITY_CLASS_CAP:
             raise RayError(
                 f"class cap exceeded: more than {INJECTIVITY_CLASS_CAP} identification classes at depth {depth}"
             )
         classes += 1
-        c = canonical(p, LassoRay(*key))
-        for x in (c.rep, c.partner):
-            if x is not None:
-                seen.add((x.prefix, x.cycle))
-        other = invariants.setdefault(_discrete_invariant(p, c.rep), c.rep)
-        if other is not c.rep:
-            collisions.append((format_ray(other), format_ray(c.rep)))
+        other = invariants.setdefault(invariant, rep)
+        if other is not rep:
+            collisions.append((format_ray(other), format_ray(rep)))
     return InjectivityReport(classes, tuple(collisions))

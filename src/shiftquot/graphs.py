@@ -94,9 +94,6 @@ class IntMatrix:
             k >>= 1
         return result
 
-    def entry_sum(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
     def bareiss(self) -> tuple[int, int, int]:
         """Rank r, a nonzero r x r minor (1 when r = 0) and a gcd of
         (n - 1)-minors, by fraction-free (Bareiss) elimination with row and

@@ -241,22 +241,31 @@ def end_of(g, start, edges):
     return g.target(edges[-1]) if edges else start
 
 
+def h_cycles(p):
+    """The H-cycle of each H-vertex that reaches one, in G's vertex order of
+    its xi0 image: the cycle of the vertex's all-image tail, mapped back
+    through xi0."""
+    h_edge = {e: y for y, e in p.xi0_edges.items()}
+    tails = (c.xi_tail for c in p.completion.values())
+    return [tuple(h_edge[e] for e in cyc) for _, cyc in filter(None, tails)]
+
+
 def bilasso_pairs(p, rng, count):
     """Pairs of bi-lassos: independent ones (mostly too far apart for a
     bracket), ones that share their past and core and differ beyond it,
     and carry partners around an H-cycle."""
     g = p.g
     out = []
-    h_cycles = [cyc for _, cyc in p._h_tails.values()]
+    cycles = h_cycles(p)
     while len(out) < count:
         v = rng.choice(g.vertices)
         past = closed_walk(g, rng, v)
         if past is None:
             continue
         core = walk(g, rng, v, rng.randint(0, 6))
-        kind = rng.choice(("independent", "shared", "carry" if h_cycles else "shared"))
+        kind = rng.choice(("independent", "shared", "carry" if cycles else "shared"))
         if kind == "carry":
-            cyc = rng.choice(h_cycles)
+            cyc = rng.choice(cycles)
             start = p.xi0_vertices[p.h.source(cyc[0])]
             back = closed_walk(g, rng, start)
             if back is None:

@@ -36,6 +36,12 @@ from shiftquot.smale import PairWitness, SmaleError, Tower
 # -- graphs and matrices ---------------------------------------------------------
 
 
+def ref_entry_sum(m):
+    """The sum of every entry: for a power A^n of an adjacency matrix, the
+    number of paths of length n."""
+    return sum(sum(row) for row in m.entries)
+
+
 def ref_transpose(m):
     """The transpose one entry at a time."""
     entries = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closed_walk, end_of, outcome, seeds, tower_pairs, walk
+from conftest import closed_walk, end_of, h_cycles, outcome, seeds, tower_pairs, walk
 from reference import ref_bilasso_equal, ref_membership_ys, ref_membership_yu, ref_pair_related
 from shiftquot.embedding import EmbeddingPair
 from shiftquot.graphs import Graph
@@ -41,7 +41,7 @@ def image_pairs(p, rng, count):
     """Bi-lassos lying in the embedded image along an H-cycle, paired with
     their total swap: half in one embedding (case b), half choosing the
     embedding of each edge independently."""
-    cycles = [cyc for _, cyc in p._h_tails.values()]
+    cycles = h_cycles(p)
     out = []
     for _ in range(count if cycles else 0):
         cyc = rng.choice(cycles)

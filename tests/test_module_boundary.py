@@ -148,6 +148,13 @@ def test_no_module_or_script_reads_a_private_attribute_of_another():
     assert foreign_private_reads(paths) == []
 
 
+def test_the_reference_and_conftest_read_no_private_attribute_of_the_package():
+    """The definitions and the shared inputs take seed data from public
+    tables, as the package's own modules do."""
+    paths = sorted(SRC.glob("*.py")) + [TESTS / "reference.py", TESTS / "conftest.py"]
+    assert foreign_private_reads(paths) == []
+
+
 def test_the_scan_finds_a_read_of_another_modules_private_attribute(tmp_path):
     owner = tmp_path / "owner.py"
     owner.write_text(

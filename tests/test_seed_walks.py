@@ -6,28 +6,31 @@ every (prefix, cycle) spelling with the class invariant read off the level
 chain, and find the transversal cycle by a recursive walk over spare
 edges.  The package must give the same verdicts, witnesses and reports.
 The injectivity walk visits only spellings in normal form and computes its
-invariant once per class, so it is also compared class by class (the reps
-in the order both walks first meet them) and spelling by spelling (its
-normal forms against the recursion's, in first-met order).  The bundles
-give no collisions, so the collision order is checked under a coarse
-invariant, the quotient image alone, put into both walks.
+invariant once per class, from state carried down the walk, so it is also
+compared class by class (the reps in the order both walks first meet
+them, each with the reference's invariant).  The bundles give no
+collisions, so the collision order is checked under a coarse invariant,
+the quotient image alone, put into both walks.
 """
 
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bundle_path, seeds
 from reference import ref_discrete_invariant, ref_h2_witness, ref_injectivity, ref_spare_twin, ref_transversal
-from shiftquot import geometry
-from shiftquot.embedding import EmbeddingPair
-from shiftquot.geometry import _normal_spellings, embedding_injectivity_check
+from shiftquot import geometry, rays
+from shiftquot.cli import parse_bundle
+from shiftquot.embedding import EmbeddingError, EmbeddingPair
+from shiftquot.geometry import InjectivityReport, embedding_injectivity_check
 from shiftquot.metrics import tau_ray
-from shiftquot.rays import LassoRay, RayError, canonical, flip, kappa
+from shiftquot.rays import LassoRay, RayError, flip, kappa
 from shiftquot.smale import SmaleError, transversal_spec
 
 
@@ -52,11 +55,17 @@ WALKS = [("full2", 4, 1), ("full2", 3, 2), ("full3", 4, 1), ("full3", 3, 2), ("t
 
 
 def walked_classes(mp, p: EmbeddingPair, depth: int, tail_length: int, invariant=None):
-    """The walk's (classes, collisions) and the reps it passes to the
-    per-class invariant, in call order; `invariant` replaces the walk's."""
+    """The walk's (classes, collisions) and the reps of the classes it
+    yields, in order; `invariant` replaces the walk's."""
     reps = []
-    inner = invariant or geometry._discrete_invariant
-    mp.setattr(geometry, "_discrete_invariant", lambda p, x: reps.append(x) or inner(p, x))
+    inner = geometry._classes
+
+    def classes(p, depth, tail_length):
+        for rep, key in inner(p, depth, tail_length):
+            reps.append(rep)
+            yield rep, key if invariant is None else invariant(p, rep)
+
+    mp.setattr(geometry, "_classes", classes)
     report = embedding_injectivity_check(p, depth, tail_length)
     return (report.classes, report.collisions), reps
 
@@ -104,52 +113,60 @@ def test_collisions_in_the_recursion_order_on_drawn_seeds(p, depth, tail_length)
     assert report == ref_injectivity(p, depth, tail_length, tau_ray)
 
 
-def assert_spellings_are_normal_forms(p: EmbeddingPair, depth: int, tail_length: int) -> None:
-    spelled = list(_normal_spellings(p, depth, tail_length))
-    built = [LassoRay(*key) for key in spelled]
-    assert built == [LassoRay.make(p.g, *key) for key in spelled]
-    assert built == first_met_normal_forms(p, depth, tail_length)
+def assert_classes_cover_the_normal_forms(p: EmbeddingPair, depth: int, tail_length: int) -> None:
+    """The members of the walk's classes (each rep and its flip) are what
+    make builds, and they are the recursion's normal forms, each once."""
+    members = []
+    for rep, _ in geometry._classes(p, depth, tail_length):
+        members += [x for x in (rep, flip(p, rep)) if x is not None]
+    assert members == [LassoRay.make(p.g, x.prefix, x.cycle) for x in members]
+    assert len(set(members)) == len(members)
+    assert set(members) == set(first_met_normal_forms(p, depth, tail_length))
 
 
 @pytest.mark.parametrize("seed,depth,tail_length", WALKS)
 def test_walk_builds_the_normal_forms_make_builds(seed, depth, tail_length, request):
-    assert_spellings_are_normal_forms(request.getfixturevalue(seed), depth, tail_length)
+    assert_classes_cover_the_normal_forms(request.getfixturevalue(seed), depth, tail_length)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seeds(), st.integers(1, 3), st.integers(1, 2))
 def test_walk_builds_the_normal_forms_make_builds_on_drawn_seeds(p, depth, tail_length):
-    assert_spellings_are_normal_forms(p, depth, tail_length)
+    assert_classes_cover_the_normal_forms(p, depth, tail_length)
 
 
-def same_partition(p: EmbeddingPair, xs: list[LassoRay], key_a, key_b) -> bool:
-    """Whether the two keys split xs into the same classes of equal keys."""
-    firsts_a, firsts_b = {}, {}
-    return [firsts_a.setdefault(key_a(p, x), i) for i, x in enumerate(xs)] == [
-        firsts_b.setdefault(key_b(p, x), i) for i, x in enumerate(xs)
-    ]
-
-
-def lassos_and_flips(p: EmbeddingPair, depth: int, tail_length: int) -> list[LassoRay]:
-    xs = [LassoRay(*key) for key in _normal_spellings(p, depth, tail_length)]
-    return xs + [y for y in (flip(p, x) for x in xs) if y is not None]
+def walked_invariants(p: EmbeddingPair, depth: int, tail_length: int) -> list:
+    """The walk's invariant of each class, checked against the reference's
+    on both members: the walk reads it off the first-met spelling, so it
+    must be a class invariant, not only the rep's."""
+    keys = []
+    for rep, key in geometry._classes(p, depth, tail_length):
+        image, chain_keys, (num, den) = key
+        # a level's numerator is over 2^(gap - 1); the tail is reduced mod 1
+        assert 0 <= num < den and math.gcd(num, den) == 1
+        value = (
+            LassoRay(*image),
+            tuple((gap, Fraction(k, 2 ** (gap - 1))) for gap, k in chain_keys),
+            Fraction(num, den),
+        )
+        for x in (rep, flip(p, rep)):
+            if x is not None:
+                assert value == ref_discrete_invariant(p, x)
+        keys.append(key)
+    return keys
 
 
 @pytest.mark.parametrize("seed,depth,tail_length", WALKS)
 def test_walk_invariant_splits_lassos_as_the_reference(seed, depth, tail_length, request):
-    # both members of each class, so the key is checked as a class
-    # invariant and not only on the reps the walk passes it
-    p = request.getfixturevalue(seed)
-    xs = lassos_and_flips(p, depth, tail_length)
-    assert same_partition(p, xs, geometry._discrete_invariant, ref_discrete_invariant)
-    assert same_partition(p, xs, geometry._discrete_invariant, lambda p, x: canonical(p, x))
+    # and the bundles have no collision: one invariant per class
+    keys = walked_invariants(request.getfixturevalue(seed), depth, tail_length)
+    assert len(set(keys)) == len(keys)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seeds(), st.integers(1, 3), st.integers(1, 2))
 def test_walk_invariant_splits_lassos_as_the_reference_on_drawn_seeds(p, depth, tail_length):
-    xs = lassos_and_flips(p, depth, tail_length)
-    assert same_partition(p, xs, geometry._discrete_invariant, ref_discrete_invariant)
+    walked_invariants(p, depth, tail_length)
 
 
 def test_injectivity_class_cap(full3, monkeypatch):
@@ -168,7 +185,8 @@ def test_injectivity_ignores_hash_seed(twovertex, monkeypatch):
         "from shiftquot.metrics import tau_ray\n"
         f"p = load_bundle({bundle_path('twovertex.bundle')!r}).pair()\n"
         "print(geometry.embedding_injectivity_check(p, 4))\n"
-        "geometry._discrete_invariant = tau_ray\n"
+        "inner = geometry._classes\n"
+        "geometry._classes = lambda p, d, t: ((rep, tau_ray(p, rep)) for rep, _ in inner(p, d, t))\n"
         "print(geometry.embedding_injectivity_check(p, 4))\n"
     )
     runs = []
@@ -179,8 +197,38 @@ def test_injectivity_ignores_hash_seed(twovertex, monkeypatch):
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
     plain = embedding_injectivity_check(twovertex, 4)
-    monkeypatch.setattr(geometry, "_discrete_invariant", tau_ray)
-    assert runs[0] == f"{plain}\n{embedding_injectivity_check(twovertex, 4)}\n"
+    coarse, _ = walked_classes(monkeypatch, twovertex, 4, 1, tau_ray)
+    assert runs[0] == f"{plain}\n{InjectivityReport(*coarse)}\n"
+
+
+def test_injectivity_surfaces_the_superscript_error_when_h1_fails():
+    # the walk reads its cycles' superscripts before it builds the quotient
+    # graph, so H1's error surfaces, not the quotient graph's
+    with open(bundle_path("full3.bundle")) as f:
+        text = f.read()
+    p = parse_bundle(text.replace("map xi1 h b", "map xi1 h a")).pair()
+    assert not p.hypotheses.h1.passed
+    with pytest.raises(EmbeddingError, match=r"^superscript map undefined: H1 fails$"):
+        embedding_injectivity_check(p, 3)
+
+
+def test_injectivity_reads_no_level_walk_and_one_flip_per_class(twovertex, monkeypatch):
+    """The levels, tail and image of each class come from the state carried
+    down the walk: no raw_levels call, and at most one canonical, flip or
+    carry_flip call per class."""
+    calls = Counter()
+    for module in (rays, geometry):
+        for name in ("raw_levels", "canonical", "flip", "carry_flip"):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _inner=getattr(module, name)):
+                    calls[_name] += 1
+                    return _inner(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    report = embedding_injectivity_check(twovertex, 5)
+    assert report == InjectivityReport(4152, ())
+    assert calls["raw_levels"] == 0
+    assert 0 < calls["canonical"] + calls["flip"] + calls["carry_flip"] <= report.classes
 
 
 @settings(max_examples=60, deadline=None)
