@@ -433,9 +433,9 @@ class PairComplex:
     partitioned by carry pattern, with the degree-one boundary data.
 
     The cell sizes are counted from path-count recurrences over the two
-    graphs; the cells themselves are enumerated only when read, and only
-    when the G-paths of length 7 (the words of E_0) number at most
-    word_cap."""
+    graphs; the vertex cells and the H 6-words are enumerated only when
+    read, and only when the G-paths of length 7 (the words of E_0) number
+    at most word_cap."""
 
     pair: EmbeddingPair
     vertex_counts: tuple[int, ...]  # |V_0| .. |V_6| over 6-words
@@ -456,11 +456,6 @@ class PairComplex:
         return _pair_cells(self.pair, 6)
 
     @cached_property
-    def edge_cells(self) -> tuple[frozenset[Pair], ...]:
-        self._check_cap()
-        return _pair_cells(self.pair, 7)
-
-    @cached_property
     def h6(self) -> tuple[tuple[str, ...], ...]:
         self._check_cap()
         return tuple(paths_of_length(self.pair.h, 6))
@@ -479,7 +474,7 @@ class PairComplex:
 
 
 def _pair_cells(p: EmbeddingPair, length: int) -> tuple[frozenset[Pair], ...]:
-    """Cells V_0..V_length over words of the given length (6 or 7).
+    """Cells V_0..V_length over words of the given length.
 
     Three pattern families: diagonal pairs, fully swapped doubled pairs,
     and equal-prefix-then-swapped-tail pairs.  This is the maximal reading

@@ -6,20 +6,18 @@ a point determined by the binary angle accumulated so far.  Circle centers
 and radii are kept symbolically (rational coefficients times roots of
 unity); floats appear only at render time, with certified error bounds.
 Every center, radius and angle is dyadic, so the circle enumeration walks
-on integers (digit-sum numerators and radius exponents).  Most circles
-are given by many paths, so the walk merges paths into states with a path
-count and builds each distinct circle, and each distinct exact value,
-once: one spec per circle, holding the number of paths that give it.
-Rendering formats each circle once and writes it once per path.  A walk
-that would count more than CIRCLE_BUDGET circles is refused before it
-starts.
+on integers, one level at a time, merging paths into states with a path
+count: one spec per distinct circle, each exact value built once.
+Rendering converts each value once and writes each circle once per path.
+A walk that would count more than CIRCLE_BUDGET circles is refused before
+it starts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -119,8 +117,7 @@ def circle_specs(
 
     Deterministic order: by stratum, then gap chain, then angle chain.
     """
-    specs, _ = circle_specs_report(p, max_k, max_depth, min_radius)
-    return specs
+    return circle_specs_report(p, max_k, max_depth, min_radius)[0]
 
 
 def _circle_steps(p: EmbeddingPair, max_k: int) -> tuple[list, set[int]]:
@@ -175,9 +172,9 @@ def _circle_steps(p: EmbeddingPair, max_k: int) -> tuple[list, set[int]]:
 CIRCLE_BUDGET = 250_000
 """Most circles, kept or pruned, that one circle enumeration may count,
 each as often as paths give it.  twovertex has 233,785 at max_k 3, depth
-8, from 2,048 distinct circles (`render` takes about 0.2 s and 73 MiB peak
-RSS in-process on a 2-vCPU VM, most of it the SVG text), and 945,977 at
-depth 9."""
+8, from 2,048 distinct circles (`render` takes about 0.06 s and 71 MiB
+peak RSS in-process on a 2-vCPU VM, most of it the SVG text), and 945,977
+at depth 9."""
 
 INJECTIVITY_CLASS_CAP = 200_000
 """Most identification classes that one embedding_injectivity_check may
@@ -222,6 +219,32 @@ def circle_count(
     return total
 
 
+def _level_rows(steps: list, starts: Iterable[int], limit: int) -> list[tuple[int, int, int, int, int]]:
+    """The levels (image edges, then a spare edge) from the vertex indices
+    `starts` that can give a circle within `limit` edges, under the budget
+    of one _circle_steps table, built edge by edge: one row (edges needed,
+    gap, digit-sum numerator, end vertex, path count) per (gap, numerator,
+    end vertex), sorted by edges needed."""
+    rows: dict[tuple[int, int, int, int], int] = {}
+    live = {(v, 0): 1 for v in starts}  # (vertex, digit bits) -> paths of image edges
+    n = 0
+    while live and n < limit:
+        n += 1
+        nxt: dict[tuple[int, int], int] = {}
+        for (u, num), c in live.items():
+            for w, eps, further in steps[u]:
+                if n + further > limit:
+                    continue
+                if eps is None:
+                    key = (n + further, n, num, w)
+                    rows[key] = rows.get(key, 0) + c
+                else:
+                    key = (w, 2 * num + eps)
+                    nxt[key] = nxt.get(key, 0) + c
+        live = nxt
+    return sorted((*key, c) for key, c in rows.items())
+
+
 def circle_specs_report(
     p: EmbeddingPair,
     max_k: int,
@@ -233,28 +256,20 @@ def circle_specs_report(
     Raises EmbeddingError, before walking, if the walk would count more
     than CIRCLE_BUDGET circles (circle_count, pruned circles included).
 
-    The walk goes length by length over states (vertex, gap, numerator,
-    chain id), each with the number of paths that reach it: the transfer
-    recurrence of circle_count, refined by the level chain.  The gap's
-    digit sum is a numerator N over 2^gap, and a radius is its exponent e
-    (radius 2^-e).  Each level chain is interned as an integer id keyed on
-    (parent id, gap, N), so a distinct circle is one id, built once with
-    the number of paths that give it.  Its angle, center coefficient and
-    radius come from tables keyed by (gap, N), (gap, e of the enclosing
-    level) and e, and only if circles of its size are kept; the chains of
-    pruned circles are keyed on (stratum, e) alone, and the pruned radius
-    is summed from the counts.  Circles with equal gap chains have equal
-    angle denominators, so (stratum, gap chain, numerator chain) sorts the
-    distinct circles exactly like their angle chains.  Edges after which
-    no circle can follow within the depth and the chain's remaining spare
-    edges are skipped (each chain holds the steps table of its budget, so
-    a state picks its table once), and the walk stops at the first length
-    with no live state.
-
-    render_svg walks again rather than take the specs its caller already
-    holds, so `render` makes two state walks: the benchmark's smoke test
-    pins two walks per render job, and one walk waits for a change to the
-    benchmark.
+    The walk takes one level per step, stratum by stratum, over states
+    (end vertex, chain id) with the number of paths into each.  A level's
+    digit sum is a numerator N over 2^(gap - 1) and a radius is its
+    exponent e (radius 2^-e), so a chain of k levels has used e - 3k
+    edges.  Each stratum builds one _level_rows table per vertex, as deep
+    as its deepest chain can go, and each chain reads it while rows fit.
+    A chain is an id interned on (parent id, gap, N): each distinct circle
+    is built once, from angles, coefficients and radii keyed by (gap, N),
+    (gap, parent e) and e, and only if kept; pruned chains are keyed on
+    (stratum, e).  Equal gap chains have equal angle denominators, so the
+    circles sort like their angle chains by two integers: the gaps packed
+    at max_depth.bit_length() + 1 bits each (every gap is at least 1, so
+    more levels sort later), then the numerators at their gaps' widths.
+    `render` walks twice: the benchmark's smoke test pins two walks.
     """
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
     if all(tail.xi_tail is None for tail in p.completion.values()):
@@ -267,83 +282,76 @@ def circle_specs_report(
         )
     # radius 2^-e is kept iff 2^-e >= min_r, i.e. iff e <= e_max
     e_max = math.inf if min_r <= 0 else (min_r.denominator // min_r.numerator).bit_length() - 1
-    pruned: dict[int, int] = {}  # exponent -> number of pruned circles
     angles: dict[tuple[int, int], Angle] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
-
     by_budget, tailed = _circle_steps(p, max_k)
     top = len(by_budget) - 1
-    # chains[id]: (stratum, e, levels, center terms, gap chain, numerator
-    # chain), levels and the rest None for the chain of a pruned circle;
-    # steps[id]: the steps table for chain id's remaining spare-edge budget
-    chains: list[tuple] = [(0, 0, (), (), (), ())]
-    steps = [by_budget[top]]
+    width = max_depth.bit_length() + 1
+    # chains[id]: (e, levels, center terms, packed gaps, packed numerators),
+    # all but e None for the chain of a pruned circle
+    chains: list[tuple] = [(0, (), (), 0, 0)]
     chain_ids: dict[tuple[int, int, int], int] = {}
-    # live and nxt map a state to the number of paths into it; found maps
-    # the chain id of each kept circle to the number of paths that give it
-    found: dict[int, int] = {}
-    if e_max >= 0:
-        found[0] = 1  # stratum zero: the unit circle itself
-    else:
-        pruned[0] = 1
-    live = {(v, 0, 0, 0): 1 for v in range(len(p.g.vertices))} if max_k > 0 else {}
-    for length in range(max_depth):
-        if not live:
-            break
-        room = max_depth - length
-        nxt: dict[tuple, int] = {}
-        for (v, gap, num, chain), c in live.items():
-            for w, eps, further in steps[chain][v]:
-                if further >= room:
-                    continue
-                if eps is not None:
-                    key = (w, gap + 1, 2 * num + eps, chain)
-                else:
-                    k, e0, levels, terms, gaps, nums = chains[chain]
-                    n = gap + 1
-                    e = e0 + 3 + n
-                    kept = e <= e_max
-                    chain_key = (chain, n, num) if kept else (-1, k + 1, e)
-                    new = chain_ids.get(chain_key)
-                    if new is None:
-                        new = chain_ids[chain_key] = len(chains)
-                        if kept:
-                            # N / 2^gap in lowest terms, so that equal angles are one object
-                            shift = (num & -num).bit_length() - 1 if num else gap
-                            akey = (gap - shift, num >> shift)
-                            angle = angles.get(akey)
-                            if angle is None:
-                                angle = angles[akey] = Angle(Fraction(akey[1], 1 << akey[0]))
-                            if n > 1:
-                                coeff = coeffs.get((gap, e0))
-                                if coeff is None:
-                                    coeff = coeffs[gap, e0] = Fraction((1 << gap) - 1, 1 << (gap + e0))
-                                terms += ((coeff, angle),)
-                            chains.append((k + 1, e, levels + ((n, angle),), terms, gaps + (n,), nums + (num,)))
-                        else:
-                            chains.append((k + 1, e, None, None, None, None))
-                        rest = max_k - k - 1
-                        steps.append(by_budget[rest if rest < top else top])
-                    if w in tailed:
-                        if kept:
-                            found[new] = found.get(new, 0) + c
-                        else:
-                            pruned[e] = pruned.get(e, 0) + c
-                    if k + 1 == max_k:
-                        continue
-                    key = (w, 0, 0, new)
-                nxt[key] = nxt.get(key, 0) + c
+    # found: chain id of each kept circle -> paths that give it; pruned:
+    # exponent -> pruned circles; stratum zero is the unit circle itself
+    found = {0: 1} if e_max >= 0 else {}
+    pruned = {} if e_max >= 0 else {0: 1}
+    # live and nxt map a state to the number of paths into it; the unit
+    # circle's chain starts at every vertex, as one state at vertex None
+    everywhere = range(len(p.g.vertices))
+    live = {(None, 0): 1} if max_k > 0 else {}
+    k = 0  # the stratum of every live chain
+    while live:
+        steps = by_budget[min(max_k - k, top)]
+        rooms: dict[int | None, int] = {}  # vertex -> deepest room there
+        for v, chain in live:
+            rooms[v] = max(rooms.get(v, 0), max_depth - chains[chain][0] + 3 * k)
+        tables = {v: _level_rows(steps, everywhere if v is None else (v,), room) for v, room in rooms.items()}
+        nxt: dict[tuple[int, int], int] = {}
+        for (v, chain), c in live.items():
+            e0, levels, terms, gaps, nums = chains[chain]
+            room = max_depth - e0 + 3 * k
+            for need, n, num, w, paths in tables[v]:
+                if need > room:
+                    break
+                e = e0 + 3 + n
+                kept = e <= e_max
+                chain_key = (chain, n, num) if kept else (-1, k + 1, e)
+                new = chain_ids.get(chain_key)
+                if new is None:
+                    new = chain_ids[chain_key] = len(chains)
+                    if kept:
+                        # N / 2^gap in lowest terms, so that equal angles are one object
+                        gap = n - 1
+                        shift = (num & -num).bit_length() - 1 if num else gap
+                        akey = (gap - shift, num >> shift)
+                        angle = angles.get(akey)
+                        if angle is None:
+                            angle = angles[akey] = Angle(Fraction(akey[1], 1 << akey[0]))
+                        grown = terms
+                        if n > 1:
+                            coeff = coeffs.get((gap, e0))
+                            if coeff is None:
+                                coeff = coeffs[gap, e0] = Fraction((1 << gap) - 1, 1 << (gap + e0))
+                            grown = terms + ((coeff, angle),)
+                        chains.append((e, levels + ((n, angle),), grown, gaps << width | n, nums << n | num))
+                    else:
+                        chains.append((e, None, None, None, None))
+                c_new = c * paths
+                if w in tailed:
+                    if kept:
+                        found[new] = found.get(new, 0) + c_new
+                    else:
+                        pruned[e] = pruned.get(e, 0) + c_new
+                if k + 1 < max_k:
+                    nxt[w, new] = nxt.get((w, new), 0) + c_new
         live = nxt
+        k += 1
 
-    order = sorted(found, key=lambda i: (chains[i][0], chains[i][4], chains[i][5]))
-    radii: dict[int, Fraction] = {}
+    radii = {e: Fraction(1, 1 << e) for e in {chains[i][0] for i in found}}
     specs = []
-    for i in order:
-        _, e, levels, terms, _, _ = chains[i]
-        radius = radii.get(e)
-        if radius is None:
-            radius = radii[e] = Fraction(1, 1 << e)
-        specs.append(CircleSpec(levels, terms, radius, found[i]))
+    for i in sorted(found, key=lambda i: chains[i][3:]):
+        e, levels, terms, _, _ = chains[i]
+        specs.append(CircleSpec(levels, terms, radii[e], found[i]))
     total = sum((Fraction(c, 1 << e) for e, c in pruned.items()), Fraction(0))
     return specs, total
 
@@ -414,42 +422,41 @@ def render_svg(
 ) -> str:
     """Deterministic SVG of the circle specifications (byte-reproducible).
 
-    Each spec's circle is formatted once and its line written spec.paths
-    times, in circle_specs order; each distinct coefficient and angle
-    becomes a float once.  The center sums its terms as
-    CircleSpec.center_value does, so the bytes match it.
+    Each spec's line is formatted once and written spec.paths times, in
+    circle_specs order.  Specs share the walk's values, so each distinct
+    coefficient, angle and radius becomes a float once, each term its
+    product once, and each center term tuple its center once: the sum of
+    its products from 0j in term order, as in CircleSpec.center_value.
     """
     specs = circle_specs(p, max_k, max_depth, min_radius)
-    margin = 1.1
-    size = 2 * margin * scale
-
-    def fmt(v: float) -> str:
-        return f"{v:.9f}"
-
+    origin = 1.1 * scale
+    size = f"{2 * origin:.9f}"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(size)}" height="{fmt(size)}" '
-        f'viewBox="0 0 {fmt(size)} {fmt(size)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
     ]
-    # keyed by id: the walk builds each distinct value once, and specs
-    # holds every key alive until the loop ends
-    floats: dict[int, float] = {}
-    units: dict[int, complex] = {}
+    # keyed by id: specs holds every key alive until the loop ends
+    values: dict[int, complex] = {}  # coefficient -> float, angle -> unit point
+    products: dict[int, complex] = {}  # term -> coefficient times unit
+    centers: dict[int, str] = {}  # center term tuple -> cx and cy attributes
+    radii: dict[int, str] = {}  # radius -> r attribute
     for _, terms, radius, paths in specs:
-        for coeff, a in terms:
-            if id(coeff) not in floats:
-                floats[id(coeff)] = float(coeff)
-            if id(a) not in units:
-                units[id(a)] = _angle_complex(a)
-        c = sum((floats[id(coeff)] * units[id(a)] for coeff, a in terms), 0j)
-        cx = margin * scale + scale * c.real
-        cy = margin * scale - scale * c.imag
-        r = scale * float(radius)
-        line = (
-            f'  <circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
-            'fill="none" stroke="black" stroke-width="0.5"/>'
-        )
-        lines += [line] * paths
+        center = centers.get(id(terms))
+        if center is None:
+            for term in terms:
+                if id(term) not in products:
+                    coeff, a = term
+                    if id(coeff) not in values:
+                        values[id(coeff)] = float(coeff)
+                    if id(a) not in values:
+                        values[id(a)] = _angle_complex(a)
+                    products[id(term)] = values[id(coeff)] * values[id(a)]
+            c = sum((products[id(term)] for term in terms), 0j)
+            center = centers[id(terms)] = f'cx="{origin + scale * c.real:.9f}" cy="{origin - scale * c.imag:.9f}"'
+        r = radii.get(id(radius))
+        if r is None:
+            r = radii[id(radius)] = f"{scale * float(radius):.9f}"
+        lines += [f'  <circle {center} r="{r}" fill="none" stroke="black" stroke-width="0.5"/>'] * paths
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -575,27 +582,20 @@ def embedding_injectivity_check(
     of the same length at the same vertex.  So the classes and their
     first-met order are those of the walk over every spelling.
 
-    Each stack entry carries, with its prefix, the prefix's quotient
-    image, its completed levels as (gap, digit-sum numerator) pairs, and
-    its open level's gap and digit bits, each grown by one edge from the
-    entry it extends.  So a new class costs O(len(cycle)) beyond its flip:
-    the tail is the open level's digits followed by the cycle's repeating
-    lap (its digits as an integer), reduced mod 1 to a coprime pair; the
-    image is the normal form of the prefix image and the cycle image (once
-    per distinct prefix image and cycle: prefixes that differ by partner
-    edges share an image); and the streak of the cycle's superscript ending the open level gives
-    the flip through one rays.carry_flip call.  The rep is the member with
-    the smaller edge index where the two first differ, as canonical
-    chooses, and the flip's spelling is skipped by a set lookup when the
-    walk meets it.
+    Each stack entry carries its prefix's quotient image, completed levels
+    and open level (gap and digit bits), each grown by one edge, so a new
+    class costs O(len(cycle)) beyond one rays.carry_flip call, started
+    from the streak of the cycle's superscript that ends the open level:
+    the tail is the open digits, then the cycle's repeating lap, reduced
+    mod 1 to a coprime pair, and the image is one normal form per distinct
+    prefix image and cycle.  The rep is the member with the smaller edge
+    index where the two first differ, as canonical chooses; the flip's
+    spelling is skipped by a set lookup when the walk meets it.
 
-    The invariant is read off the first-met spelling, which may be the
-    rep's flip, and it equals the rep's because it is a class invariant:
-    a flip changes only edges after the last spare edge, so the completed
-    levels and the quotient image agree, and the two tails are the two
-    binary expansions of one number mod 1 (the walk's invariant is checked
-    against its definition on both members of each class in
-    test_walk_invariant_splits_lassos_as_the_reference).  More than
+    The invariant, read off the first-met spelling (maybe the rep's flip),
+    is the rep's: a flip changes only edges after the last spare edge, so
+    the levels and the quotient image agree, and the two tails are the two
+    binary expansions of one number mod 1.  More than
     INJECTIVITY_CLASS_CAP classes raise RayError.
     """
     classes = 0

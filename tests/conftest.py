@@ -126,6 +126,17 @@ def tailless_pair():
     return EmbeddingPair(g, h, vm, {"la": "p0"}, vm, {"la": "p1"})
 
 
+def spare_chain_pair():
+    """Image edges y0, y1: s -> t, spare edges c: t -> u and d: u -> w, and
+    two image loops at w, the one vertex with an all-image tail: every
+    circle ends at d, and no spare edge is reachable from w."""
+    g = Graph(["s", "t", "u", "w"], [("y0", "s", "t"), ("y1", "s", "t"), ("c", "t", "u"),
+                                     ("d", "u", "w"), ("l0", "w", "w"), ("l1", "w", "w")])
+    h = Graph(["a", "b", "x"], [("y", "a", "b"), ("l", "x", "x")])
+    vm = {"a": "s", "b": "t", "x": "w"}
+    return EmbeddingPair(g, h, vm, {"y": "y0", "l": "l0"}, vm, {"y": "y1", "l": "l1"})
+
+
 # -- rays ----------------------------------------------------------------------------
 
 

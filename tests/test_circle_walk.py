@@ -23,7 +23,7 @@ from shiftquot.geometry import CIRCLE_BUDGET, CircleSpec, circle_count, circle_s
 from shiftquot.graphs import Graph
 from shiftquot.rays import Angle
 
-from conftest import bundle_path, seeds, tailless_pair
+from conftest import bundle_path, seeds, spare_chain_pair, tailless_pair
 from reference import ref_circle_paths, ref_fold_paths, ref_render_svg
 
 
@@ -178,7 +178,7 @@ def test_pruned_sum_is_exact_at_every_threshold(full3):
         assert circle_specs_report(full3, 2, 5, min_radius) == (ref_fold_paths(every), pruned)
 
 
-@pytest.mark.parametrize("name, max_k, depth", [("twovertex", 2, 6), ("full3", 3, 7)])
+@pytest.mark.parametrize("name, max_k, depth", [("twovertex", 2, 6), ("full3", 3, 7), ("full3", 3, 9)])
 def test_each_distinct_value_is_built_once(name, max_k, depth, request, monkeypatch):
     p = request.getfixturevalue(name)
     built = []
@@ -195,15 +195,66 @@ def test_each_distinct_value_is_built_once(name, max_k, depth, request, monkeypa
     assert len(built) <= len(keys) < len(specs)
     assert len(set(built)) == len(built)
 
-    units = []
+    # the walk shares its values between specs: each distinct coefficient,
+    # angle and radius object becomes a float once, and each distinct term
+    # object (a (coefficient, angle) pair) its complex product once
+    svg = render_svg(p, max_k, depth, 0, 400.0)
+    terms = {id(term): term for spec in specs for term in spec.center_terms}
+    coeffs = {id(c) for c, _ in terms.values()}
+    angles = {id(a) for _, a in terms.values()}
+    radii = {id(spec.radius) for spec in specs}
+    assert len(terms) < sum(len(spec.center_terms) for spec in specs)
+    assert len(radii) < len(specs)
+    conversions = []
+    to_float = Fraction.__float__
+
+    def counting_float(q):
+        conversions.append(q)
+        return to_float(q)
+
+    units, products = [], []
+    to_unit = geometry._angle_complex
+
+    class Unit(complex):
+        def __mul__(self, other):
+            products.append(other)
+            return complex(self) * other
+
+        __rmul__ = __mul__
 
     def counting_unit(a):
         units.append(a)
-        return complex(1, len(units))
+        return Unit(to_unit(a))
 
+    monkeypatch.setattr(Fraction, "__float__", counting_float)
     monkeypatch.setattr(geometry, "_angle_complex", counting_unit)
-    render_svg(p, max_k, depth, 0, 400.0)
+    assert render_svg(p, max_k, depth, 0, 400.0) == svg
+    monkeypatch.undo()
     assert len(units) <= len({a for spec in specs for _, a in spec.center_terms})
+    assert len(conversions) <= len(coeffs) + len(angles) + len(radii)
+    assert len({id(q) for q in conversions}) == len(conversions)
+    assert 0 < len(products) <= len(terms)
+
+
+def test_sort_key_does_not_grow_with_the_depth():
+    # every circle of spare_chain_pair ends at its spare edge d, so at max_k
+    # 2 the walk ends by itself at any depth; a sort key packed at the
+    # depth's width would shift an integer left by about 10**12 bits
+    specs, pruned = circle_specs_report(spare_chain_pair(), 2, 10)
+    assert len(specs) == 5 and pruned == 0
+    assert ((2, Angle(Fraction(1, 2))), (1, Angle(Fraction(0)))) in [spec.levels for spec in specs]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    tests = os.path.dirname(__file__)
+    code = (
+        "from conftest import spare_chain_pair\n"
+        "from shiftquot.geometry import circle_specs_report\n"
+        "for depth in (10**5, 10**12):\n"
+        "    print(repr(circle_specs_report(spare_chain_pair(), 2, depth)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == 2 * (repr((specs, pruned)) + "\n")
 
 
 def test_budget_admits_the_largest_render_below_it(twovertex):

@@ -1,10 +1,10 @@
 """The counted pair complex against its enumerated cells.
 
 `build_pair_complex` counts every cell by path-count recurrences and
-decides its verdicts from local facts of the seed.  Reading `vertex_cells`,
-`edge_cells` or `h6` enumerates the words, and that enumeration is the
-oracle here.  On a seed too large to enumerate, products of the adjacency
-matrices are.
+decides its verdicts from local facts of the seed.  Reading `vertex_cells`
+or `h6` enumerates the words, as `reference.ref_pair_cells` does for the
+edge cells, and that enumeration is the oracle here.  On a seed too large
+to enumerate, products of the adjacency matrices are.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import bundle_path
-from reference import ref_entry_sum
+from reference import ref_entry_sum, ref_pair_cells
 from shiftquot.algebra import AlgebraError, FgAbelianGroup, build_pair_complex, synthesize_seed
 from shiftquot.cli import load_bundle, main
 from shiftquot.embedding import EmbeddingPair
@@ -23,7 +23,7 @@ from shiftquot.graphs import Graph, IntMatrix, adjacency_matrix
 def scanned_verdicts(pc, p) -> tuple[bool, bool, bool]:
     """(containments, disjointness, terminal boundary) by explicit scans
     over the materialized cells and H 6-words."""
-    v, e = pc.vertex_cells, pc.edge_cells
+    v, e = pc.vertex_cells, ref_pair_cells(p, 7)
     contained = all(
         (x[0][:-1], x[1][:-1]) in v[max(j - 1, 0)] and (x[0][1:], x[1][1:]) in v[min(j, 6)]
         for j, cell in enumerate(e)
@@ -58,7 +58,7 @@ def matrix_counts(p: EmbeddingPair, length: int) -> tuple[int, ...]:
 def assert_counts_match_cells(p: EmbeddingPair) -> None:
     pc = build_pair_complex(p)
     assert pc.vertex_counts == tuple(map(len, pc.vertex_cells)) == matrix_counts(p, 6)
-    assert pc.edge_counts == tuple(map(len, pc.edge_cells)) == matrix_counts(p, 7)
+    assert pc.edge_counts == tuple(map(len, ref_pair_cells(p, 7))) == matrix_counts(p, 7)
     assert pc.h6_count == len(pc.h6) == pc.quotient_rank
     contained, disjoint, boundary = scanned_verdicts(pc, p)
     assert pc.containments_ok == (contained and disjoint)
@@ -120,7 +120,7 @@ def test_synthesized_seed_counts_by_matrix_powers():
     assert pc.containments_ok and pc.terminal_boundary_vanishes()
     # the default cap refuses only the enumeration
     with pytest.raises(AlgebraError, match=str(pc.edge_counts[0])):
-        pc.edge_cells
+        pc.vertex_cells
 
 
 def test_word_cap_bounds_the_true_7_word_count(tmp_path, capsys):
