@@ -28,7 +28,6 @@ from .rays import (
     Angle,
     LassoRay,
     RayError,
-    carry_flip,
     format_ray,
     kappa,
     normal_form,
@@ -487,6 +486,17 @@ def _classes(
     coprime (numerator, denominator) pair in [0, 1)): a complete invariant
     of the class for finite strata.  A level's digit sum has denominator
     2^(gap - 1), so levels of equal gap compare by numerator alone.
+
+    The walk meets each class first at its rep, so it yields a spelling
+    with a flip when it is the rep and skips it otherwise, without building
+    the flip.  Let x = (P, c) in normal form and its flip first differ at
+    position n: x carries e there and the flip partner(e), which has the
+    same source under H0.  If n <= len(P), P's last edge is swapped too,
+    so it cannot be absorbed into the swapped cycle; if n = len(P) + 1,
+    P's last edge is spare, or P is empty.  Either way the flip keeps x's
+    prefix length, so the two sit at prefixes, or at cycles of one prefix,
+    that the walk orders by the edge index at n: the comparison canonical
+    makes.  n comes from the superscript streak the walk carries.
     """
     g = p.g
     digit = p.superscript
@@ -514,7 +524,6 @@ def _classes(
     # the image's normal form by (prefix image, cycle): prefixes that differ
     # by partner edges share their image
     images: dict[tuple, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
     # (prefix, its quotient image, completed levels, open gap, open digits)
     stack: list[tuple] = [((), (), (), 0, 0)]
     while stack:
@@ -527,9 +536,8 @@ def _classes(
         else:
             last, here, onward = None, cycles, g.edges
         for cyc, lap, period, i in here:
-            if cyc[-1] == last or (prefix, cyc) in seen:
+            if cyc[-1] == last:
                 continue
-            x = rep = LassoRay(prefix, cyc)
             if i is not None:
                 # the streak of i ending the ray: the open level's trailing
                 # bits equal to i (the whole level when each bit is i)
@@ -537,12 +545,13 @@ def _classes(
                     streak = ((digits ^ (digits + 1)) >> 1).bit_length()
                 else:
                     streak = (digits & -digits).bit_length() - 1 if digits else gap
-                other, n = carry_flip(p, x, len(prefix) + 1 - streak)
-                seen.add((other.prefix, other.cycle))
-                # canonical's choice: the smaller edge index where they first differ
-                e = x.edge_at(n)
+                # where the flip first differs: the pivot for an image pivot
+                # (streak < gap), the edge after it for a spare pivot, 1 for
+                # the total swap (the streak is the whole prefix)
+                n = len(prefix) - streak + (streak == gap)
+                e = prefix[n - 1] if n <= len(prefix) else cyc[0]
                 if index[e] > index[p.partner(e)]:
-                    rep = other
+                    continue  # counted at the flip, the rep, met earlier
             den = period << gap
             num = (digits * period + lap) % den
             common = math.gcd(num, den)
@@ -550,7 +559,7 @@ def _classes(
             if img is None:
                 nf = normal_form(image, tuple(tau[e] for e in cyc))
                 img = images[image, cyc] = (nf.prefix, nf.cycle)
-            yield rep, (img, chain, (num // common, den // common))
+            yield LassoRay(prefix, cyc), (img, chain, (num // common, den // common))
         if len(prefix) < depth:
             for e in reversed(onward):
                 d = digit(e)
@@ -584,18 +593,14 @@ def embedding_injectivity_check(
 
     Each stack entry carries its prefix's quotient image, completed levels
     and open level (gap and digit bits), each grown by one edge, so a new
-    class costs O(len(cycle)) beyond one rays.carry_flip call, started
-    from the streak of the cycle's superscript that ends the open level:
-    the tail is the open digits, then the cycle's repeating lap, reduced
-    mod 1 to a coprime pair, and the image is one normal form per distinct
-    prefix image and cycle.  The rep is the member with the smaller edge
-    index where the two first differ, as canonical chooses; the flip's
-    spelling is skipped by a set lookup when the walk meets it.
-
-    The invariant, read off the first-met spelling (maybe the rep's flip),
-    is the rep's: a flip changes only edges after the last spare edge, so
-    the levels and the quotient image agree, and the two tails are the two
-    binary expansions of one number mod 1.  More than
+    class costs one partner lookup, at the position where the carry rule
+    pivots (read off the streak of the cycle's superscript that ends the
+    open level), and O(len(cycle)) integer work for its invariant: the
+    tail is the open digits, then the cycle's repeating lap, reduced mod 1
+    to a coprime pair, and the image is one normal form per distinct
+    prefix image and cycle.  The walk meets the rep before its flip (see
+    _classes), so the flip's spelling is skipped when the walk meets it,
+    by the same comparison, and no flip is built.  More than
     INJECTIVITY_CLASS_CAP classes raise RayError.
     """
     classes = 0

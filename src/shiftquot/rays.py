@@ -232,8 +232,14 @@ def flip(p: EmbeddingPair, x: LassoRay) -> LassoRay | None:
 
 
 def _flip_at(p: EmbeddingPair, x: LassoRay) -> tuple[LassoRay, int] | None:
-    """flip(x) and the first position where it differs from x (see
-    carry_flip), or None."""
+    """flip(x) and the first position where it differs from x, or None.
+
+    The carry rule: when x's cycle lies in one embedding, let m be the
+    first position of the maximal streak of that superscript ending the
+    ray.  The position is the pivot position m - 1 for an image pivot (its
+    digit carries), m for a spare pivot (the tail after it swaps), 1 for
+    the total swap (m = 1).  At that position flip(x) carries the partner
+    of x's edge."""
     if not p.xi_image.issuperset(x.cycle):
         return None
     digit = p.superscript
@@ -241,23 +247,10 @@ def _flip_at(p: EmbeddingPair, x: LassoRay) -> tuple[LassoRay, int] | None:
     if len(digits_cycle) != 1:
         return None
     i = digits_cycle.pop()
-    # m = first position of the maximal constant-superscript streak ending
-    # the ray (a spare edge's digit is None)
+    # a spare edge's digit is None
     m = len(x.prefix) + 1
     while m >= 2 and digit(x.prefix[m - 2]) == i:
         m -= 1
-    return carry_flip(p, x, m)
-
-
-def carry_flip(p: EmbeddingPair, x: LassoRay, m: int) -> tuple[LassoRay, int]:
-    """The carry rule: flip(x) and the first position where it differs
-    from x, for a ray x whose cycle lies in one embedding and whose
-    maximal streak of that superscript ending the ray begins at position
-    m.  The position is the pivot position m - 1 for an image pivot (its
-    digit carries), m for a spare pivot (the tail after it swaps), 1 for
-    the total swap (m = 1).  At that position flip(x) carries the partner
-    of x's edge.  _flip_at finds m by a scan of x; a walk that grows x one
-    edge at a time can carry it."""
     swap = p.partner
     if m == 1:
         return LassoRay(tuple(swap(e) for e in x.prefix), tuple(swap(e) for e in x.cycle)), 1

@@ -24,7 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bundle_path, seeds
-from reference import ref_discrete_invariant, ref_h2_witness, ref_injectivity, ref_spare_twin, ref_transversal
+from reference import (
+    ref_canonical,
+    ref_discrete_invariant,
+    ref_h2_witness,
+    ref_injectivity,
+    ref_spare_twin,
+    ref_transversal,
+)
 from shiftquot import geometry, rays
 from shiftquot.cli import parse_bundle
 from shiftquot.embedding import EmbeddingError, EmbeddingPair
@@ -113,6 +120,33 @@ def test_collisions_in_the_recursion_order_on_drawn_seeds(p, depth, tail_length)
     assert report == ref_injectivity(p, depth, tail_length, tau_ray)
 
 
+def reps_met_before_their_flips(p: EmbeddingPair, depth: int, tail_length: int) -> int:
+    """The order lemma the walk rests on: of a lasso and its flip, the
+    recursion builds the canonical rep first.  Returns how many lassos
+    have a flip."""
+    order = {x: n for n, x in enumerate(first_met_normal_forms(p, depth, tail_length))}
+    flips = 0
+    for x in order:
+        c = ref_canonical(p, x)
+        if c.partner is not None:
+            flips += 1
+            assert order[c.rep] < order[c.partner]
+    return flips
+
+
+@pytest.mark.parametrize(
+    "seed,depth,tail_length", WALKS + [("full2", 2, 3), ("full3", 2, 3), ("twovertex", 2, 3)]
+)
+def test_rep_is_met_before_its_flip(seed, depth, tail_length, request):
+    assert reps_met_before_their_flips(request.getfixturevalue(seed), depth, tail_length) > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds(), st.integers(0, 3), st.integers(1, 3))
+def test_rep_is_met_before_its_flip_on_drawn_seeds(p, depth, tail_length):
+    reps_met_before_their_flips(p, depth, tail_length)
+
+
 def assert_classes_cover_the_normal_forms(p: EmbeddingPair, depth: int, tail_length: int) -> None:
     """The members of the walk's classes (each rep and its flip) are what
     make builds, and they are the recursion's normal forms, each once."""
@@ -178,7 +212,7 @@ def test_injectivity_class_cap(full3, monkeypatch):
 
 
 def test_injectivity_ignores_hash_seed(twovertex, monkeypatch):
-    # the walk keeps its classes in a set, but reads it only by membership
+    # the walk's output must not depend on the hash seed
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     code = (
         "from shiftquot import geometry\nfrom shiftquot.cli import load_bundle\n"
@@ -214,11 +248,12 @@ def test_injectivity_surfaces_the_superscript_error_when_h1_fails():
 
 def test_injectivity_reads_no_level_walk_and_one_flip_per_class(twovertex, monkeypatch):
     """The levels, tail and image of each class come from the state carried
-    down the walk: no raw_levels call, and at most one canonical, flip or
-    carry_flip call per class."""
+    down the walk: no raw_levels call.  The walk meets each class first at
+    its rep, so it builds no flip: no canonical, flip, _flip_at or
+    carry_flip call."""
     calls = Counter()
     for module in (rays, geometry):
-        for name in ("raw_levels", "canonical", "flip", "carry_flip"):
+        for name in ("raw_levels", "canonical", "flip", "_flip_at", "carry_flip"):
             if hasattr(module, name):
                 def counted(*args, _name=name, _inner=getattr(module, name)):
                     calls[_name] += 1
@@ -228,7 +263,7 @@ def test_injectivity_reads_no_level_walk_and_one_flip_per_class(twovertex, monke
     report = embedding_injectivity_check(twovertex, 5)
     assert report == InjectivityReport(4152, ())
     assert calls["raw_levels"] == 0
-    assert 0 < calls["canonical"] + calls["flip"] + calls["carry_flip"] <= report.classes
+    assert calls["canonical"] + calls["flip"] + calls["_flip_at"] + calls["carry_flip"] == 0
 
 
 @settings(max_examples=60, deadline=None)
