@@ -11,11 +11,18 @@ count: one spec per distinct circle, each exact value built once.
 Rendering converts each value once and writes each circle once per path.
 A walk that would count more than CIRCLE_BUDGET circles is refused before
 it starts.
+
+The three bulk enumerators, circle_specs_report, render_svg and
+embedding_injectivity_check, run with the cyclic garbage collector
+paused: they allocate many long-lived acyclic objects, which the
+collector would scan again and again while freeing nothing.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import gc
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -34,6 +41,33 @@ from .rays import (
     raw_levels,
     stratum_approximant,
 )
+
+
+def _without_cyclic_gc(fn):
+    """Run fn with the cyclic garbage collector paused, if it is running.
+
+    Safe because the paused code, the seed tables it builds on first use
+    included, makes only acyclic objects (tuples, ints, Fractions, frozen
+    Angles, id-keyed dicts, strings), which reference counting frees as
+    soon as they are dropped; the collector would only rescan them.  The
+    switch is process-global: two threads that enumerate at once may lose
+    each other's pause, which costs speed, never correctness.  Objects
+    allocated during the pause are scanned once, at the next collection
+    after it ends.  A caller that has turned the collector off keeps it
+    off, and nested calls do not turn it back on early.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _angle_complex(a: Angle) -> complex:
@@ -172,8 +206,8 @@ CIRCLE_BUDGET = 250_000
 """Most circles, kept or pruned, that one circle enumeration may count,
 each as often as paths give it.  twovertex has 233,785 at max_k 3, depth
 8, from 2,048 distinct circles (`render` takes about 0.06 s and 71 MiB
-peak RSS in-process on a 2-vCPU VM, most of it the SVG text), and 945,977
-at depth 9."""
+peak RSS in-process on a 2-vCPU VM, most of it the SVG text, whose
+strings the cyclic collector does not track), and 945,977 at depth 9."""
 
 INJECTIVITY_CLASS_CAP = 200_000
 """Most identification classes that one embedding_injectivity_check may
@@ -244,6 +278,7 @@ def _level_rows(steps: list, starts: Iterable[int], limit: int) -> list[tuple[in
     return sorted((*key, c) for key, c in rows.items())
 
 
+@_without_cyclic_gc
 def circle_specs_report(
     p: EmbeddingPair,
     max_k: int,
@@ -269,6 +304,8 @@ def circle_specs_report(
     at max_depth.bit_length() + 1 bits each (every gap is at least 1, so
     more levels sort later), then the numerators at their gaps' widths.
     `render` walks twice: the benchmark's smoke test pins two walks.
+    Runs with the cyclic collector paused (_without_cyclic_gc): the chains,
+    value tables and specs it builds are long-lived and acyclic.
     """
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
     if all(tail.xi_tail is None for tail in p.completion.values()):
@@ -412,6 +449,7 @@ def fiber_classify(p: EmbeddingPair, base: LassoRay) -> FiberClass:
 # -- rendering --------------------------------------------------------------------
 
 
+@_without_cyclic_gc
 def render_svg(
     p: EmbeddingPair,
     max_k: int,
@@ -426,6 +464,8 @@ def render_svg(
     coefficient, angle and radius becomes a float once, each term its
     product once, and each center term tuple its center once: the sum of
     its products from 0j in term order, as in CircleSpec.center_value.
+    Runs with the cyclic collector paused (_without_cyclic_gc), the walk
+    inside it too: the specs, value tables and lines are acyclic.
     """
     specs = circle_specs(p, max_k, max_depth, min_radius)
     origin = 1.1 * scale
@@ -569,6 +609,7 @@ def _classes(
                     stack.append((prefix + (e,), image + (tau[e],), chain, gap + 1, digits << 1 | d))
 
 
+@_without_cyclic_gc
 def embedding_injectivity_check(
     p: EmbeddingPair,
     depth: int,
@@ -601,7 +642,9 @@ def embedding_injectivity_check(
     prefix image and cycle.  The walk meets the rep before its flip (see
     _classes), so the flip's spelling is skipped when the walk meets it,
     by the same comparison, and no flip is built.  More than
-    INJECTIVITY_CLASS_CAP classes raise RayError.
+    INJECTIVITY_CLASS_CAP classes raise RayError.  Runs with the cyclic
+    collector paused (_without_cyclic_gc): the stack entries, reps and
+    invariants it keeps are acyclic tuples, ints and strings.
     """
     classes = 0
     invariants: dict[object, LassoRay] = {}

@@ -5,8 +5,12 @@ spec per path and folds adjacent equal circles into one spec with their
 path count, and render_svg against a reference that formats every path's
 circle on its own.  The circle budget's pre-count is checked against the
 reference walk, and counting wrappers check that each distinct value is
-built once and that `render` builds one spec per distinct circle."""
+built once and that `render` builds one spec per distinct circle.  The
+walk and the SVG writer run with the cyclic collector paused: probes
+check that it is off inside them and on again after them, and a render
+with the collector off must leave no cycle for gc.collect() to free."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -308,3 +312,75 @@ def test_walk_drops_paths_that_can_give_no_circle():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "2 2 0\n"
+
+
+def test_the_walk_and_the_writer_run_with_the_collector_paused(twovertex, monkeypatch):
+    """gc is off inside circle_specs_report and render_svg, the writer's
+    own loop included after its nested walk has returned, and on again
+    after a return and after the budget refusal; a caller's own
+    gc.disable() stands."""
+    seen = []
+    for name in ("circle_count", "_level_rows", "_angle_complex"):
+        def probed(*args, _inner=getattr(geometry, name), _name=name, **kwargs):
+            seen.append((_name, gc.isenabled()))
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, probed)
+    assert gc.isenabled()
+    circle_specs_report(twovertex, 2, 5)
+    assert {name for name, _ in seen} == {"circle_count", "_level_rows"}
+    assert not any(on for _, on in seen) and gc.isenabled()
+    seen.clear()
+    render_svg(twovertex, 2, 5, 0, 400.0)
+    assert {name for name, _ in seen} == {"circle_count", "_level_rows", "_angle_complex"}
+    assert not any(on for _, on in seen) and gc.isenabled()
+    seen.clear()
+    with pytest.raises(EmbeddingError, match="945,977 circles"):
+        render_svg(twovertex, 3, 9, 0, 400.0)
+    assert seen == [("circle_count", False)] and gc.isenabled()
+    gc.disable()
+    try:
+        render_svg(twovertex, 2, 4, 0, 400.0)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_the_paused_render_makes_no_reference_cycle(tmp_path):
+    """Reference counting alone frees everything a render builds, so
+    pausing the collector frees the same memory at the same time.  With
+    the collector off after a warm-up, no CLI render, the budget refusal
+    included, leaves anything for gc.collect() to free."""
+    def render(name, max_k, depth, *extra):
+        out = str(tmp_path / "c.svg")
+        return main(["render", bundle_path(f"{name}.bundle"), "--max-k", str(max_k), "--depth", str(depth),
+                     "-o", out, *extra])
+
+    assert render("full3", 2, 3) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("full3", "full2", "twovertex"):
+            for max_k, depth in ((1, 4), (2, 6), (3, 7)):
+                for extra in ((), ("--min-radius", "1/300")):
+                    assert render(name, max_k, depth, *extra) == 0
+                    assert gc.collect() == 0, (name, max_k, depth, extra)
+        assert render("twovertex", 3, 9) == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerate_timings_script_prints_one_row_per_job():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "enumerate_timings.py")
+    proc = subprocess.run([sys.executable, script, "--repeat", "1", "--max-depth", "5"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["job", "best", "ms", "median", "ms", "gen0", "gen1", "gen2", "gc", "ms"]
+    assert [" ".join(row[:3]) for row in rows] == [
+        "render twovertex 2/4", "render twovertex 2/5", "injectivity full3 4", "injectivity full3 5",
+        "injectivity twovertex 4", "injectivity twovertex 5"]
+    for row in rows:
+        best, median, *collector = map(float, row[3:])
+        assert 0 < best <= median and all(value >= 0 for value in collector)

@@ -10,9 +10,13 @@ invariant once per class, from state carried down the walk, so it is also
 compared class by class (the reps in the order both walks first meet
 them, each with the reference's invariant).  The bundles give no
 collisions, so the collision order is checked under a coarse invariant,
-the quotient image alone, put into both walks.
+the quotient image alone, put into both walks.  The injectivity check
+runs with the cyclic collector paused: a probe checks that it is off
+inside the walk and on again after it, and a check with the collector
+off must leave no cycle for gc.collect() to free.
 """
 
+import gc
 import math
 import os
 import subprocess
@@ -23,7 +27,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundle_path, seeds
+from conftest import bundle_path, h0_failing_pair, h1_failing_pair, seeds
 from reference import (
     ref_canonical,
     ref_discrete_invariant,
@@ -33,7 +37,7 @@ from reference import (
     ref_transversal,
 )
 from shiftquot import geometry, rays
-from shiftquot.cli import parse_bundle
+from shiftquot.cli import load_bundle, parse_bundle
 from shiftquot.embedding import EmbeddingError, EmbeddingPair
 from shiftquot.geometry import InjectivityReport, embedding_injectivity_check
 from shiftquot.metrics import tau_ray
@@ -209,6 +213,76 @@ def test_injectivity_class_cap(full3, monkeypatch):
     monkeypatch.setattr(geometry, "INJECTIVITY_CLASS_CAP", 242)
     with pytest.raises(RayError, match=r"more than 242 .* at depth 4$"):
         embedding_injectivity_check(full3, 4, 2)
+
+
+def test_the_injectivity_walk_runs_with_the_collector_paused(full3, monkeypatch):
+    """gc is off at every class the walk yields, and on again after a
+    return and after the class-cap refusal; a caller's own gc.disable()
+    stands."""
+    seen = []
+    inner = geometry._classes
+
+    def probed(*args):
+        for item in inner(*args):
+            seen.append(gc.isenabled())
+            yield item
+
+    monkeypatch.setattr(geometry, "_classes", probed)
+    assert gc.isenabled()
+    assert embedding_injectivity_check(full3, 4, 2).classes == 243
+    assert len(seen) == 243 and not any(seen) and gc.isenabled()
+    seen.clear()
+    monkeypatch.setattr(geometry, "INJECTIVITY_CLASS_CAP", 10)
+    with pytest.raises(RayError, match="more than 10 "):
+        embedding_injectivity_check(full3, 4, 2)
+    assert len(seen) == 11 and not any(seen) and gc.isenabled()
+    gc.disable()
+    try:
+        embedding_injectivity_check(full3, 2)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def assert_paused_check_makes_no_cycle(p: EmbeddingPair, depth: int, tail_length: int) -> None:
+    """With the collector off, the check (its first use of p's tables
+    included), or its refusal, leaves nothing for gc.collect() to free."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            embedding_injectivity_check(p, depth, tail_length)
+        except (EmbeddingError, RayError):
+            pass
+        assert gc.collect() == 0, (depth, tail_length)
+    finally:
+        gc.enable()
+
+
+def test_the_paused_injectivity_walk_makes_no_reference_cycle(monkeypatch):
+    def fresh(name):
+        return load_bundle(bundle_path(f"{name}.bundle")).pair()
+
+    embedding_injectivity_check(fresh("full3"), 2)  # warm-up
+    for name, depth, tail_length in (("full3", 4, 2), ("full2", 5, 1), ("twovertex", 4, 1)):
+        assert_paused_check_makes_no_cycle(fresh(name), depth, tail_length)
+    assert_paused_check_makes_no_cycle(h0_failing_pair(), 3, 2)
+    assert_paused_check_makes_no_cycle(h1_failing_pair(), 3, 2)
+    monkeypatch.setattr(geometry, "INJECTIVITY_CLASS_CAP", 10)
+    assert_paused_check_makes_no_cycle(fresh("full3"), 4, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds(), st.booleans(), st.integers(1, 3), st.integers(1, 2))
+def test_the_paused_injectivity_walk_makes_no_reference_cycle_on_drawn_seeds(p, h1_fails, depth, tail_length):
+    """A seed drawn with h1_fails is broken to fail H1: the first H-edge's
+    two images are made one edge."""
+    if h1_fails:
+        y = p.h.edges[0]
+        p = EmbeddingPair(p.g, p.h, p.xi0_vertices, p.xi0_edges, p.xi1_vertices,
+                          {**p.xi1_edges, y: p.xi0_edges[y]})
+        assert not p.hypotheses.h1.passed
+    assert_paused_check_makes_no_cycle(p, depth, tail_length)
 
 
 def test_injectivity_ignores_hash_seed(twovertex, monkeypatch):
