@@ -293,16 +293,15 @@ def cokernel(a: IntMatrix) -> FgAbelianGroup:
 
 @dataclass(frozen=True)
 class MarkedGroupPresentation:
-    """Stationary inductive limit lim(Z^size --matrix--> Z^size ...) together
-    with the label of its canonical automorphism.  Two presentations are
-    compared as presented only; no isomorphism testing."""
+    """Stationary inductive limit lim(Z^n --matrix--> Z^n ...) of an n x n
+    matrix, together with the label of its canonical automorphism.  Two
+    presentations are compared as presented only; no isomorphism testing."""
 
-    size: int
     matrix: IntMatrix
     automorphism: str
 
     def render(self) -> str:
-        return f"lim(Z^{self.size}, {self.automorphism})"
+        return f"lim(Z^{self.matrix.rows}, {self.automorphism})"
 
 
 def bowen_franks(g: Graph) -> FgAbelianGroup:
@@ -346,8 +345,6 @@ def ruelle_k_theory(p: EmbeddingPair) -> RuelleKTheory:
                 warnings.append(f"{name} fails" + (f" ({res.witness})" if res.witness else ""))
     ag = adjacency_matrix(p.g)
     ah = adjacency_matrix(p.h)
-    dg = len(p.g.vertices)
-    dh = len(p.h.vertices)
     # I - A is square, so its kernel rank is its cokernel rank, and I - A^T
     # has the same Smith diagonal: one cokernel per graph gives all four groups
     bg, bh = bowen_franks(p.g), bowen_franks(p.h)
@@ -355,10 +352,10 @@ def ruelle_k_theory(p: EmbeddingPair) -> RuelleKTheory:
     k1 = bh.direct_sum(FgAbelianGroup(bg.rank))
 
     return RuelleKTheory(
-        k0_stable=MarkedGroupPresentation(dg, ag.transpose(), "A_G^T"),
-        k1_stable=MarkedGroupPresentation(dh, ah.transpose(), "A_H^T"),
-        k0_unstable=MarkedGroupPresentation(dg, ag, "A_G^-1"),
-        k1_unstable=MarkedGroupPresentation(dh, ah, "A_H^-1"),
+        k0_stable=MarkedGroupPresentation(ag.transpose(), "A_G^T"),
+        k1_stable=MarkedGroupPresentation(ah.transpose(), "A_H^T"),
+        k0_unstable=MarkedGroupPresentation(ag, "A_G^-1"),
+        k1_unstable=MarkedGroupPresentation(ah, "A_H^-1"),
         k0_ruelle_s=k0,
         k1_ruelle_s=k1,
         k0_ruelle_u=k0,
@@ -373,7 +370,10 @@ class HomologyRow:
     invariant: str  # "s" or "u"
     degree: int
     group: MarkedGroupPresentation | None  # None means the zero group
-    automorphism: str
+
+    @property
+    def automorphism(self) -> str:
+        return self.group.automorphism if self.group else "0"
 
 
 def homology_table(p: EmbeddingPair) -> tuple[HomologyRow, ...]:
@@ -384,14 +384,13 @@ def homology_table(p: EmbeddingPair) -> tuple[HomologyRow, ...]:
         raise AlgebraError("homology table requires the standing hypotheses")
     ag = adjacency_matrix(p.g)
     ah = adjacency_matrix(p.h)
-    dg, dh = len(p.g.vertices), len(p.h.vertices)
     return (
-        HomologyRow("s", 0, MarkedGroupPresentation(dg, ag, "A_G"), "A_G"),
-        HomologyRow("s", 1, MarkedGroupPresentation(dh, ah, "A_H"), "A_H"),
-        HomologyRow("u", 0, MarkedGroupPresentation(dg, ag.transpose(), "A_G^T"), "A_G^T"),
-        HomologyRow("u", 1, MarkedGroupPresentation(dh, ah.transpose(), "A_H^T"), "A_H^T"),
-        HomologyRow("s", 2, None, "0"),
-        HomologyRow("u", 2, None, "0"),
+        HomologyRow("s", 0, MarkedGroupPresentation(ag, "A_G")),
+        HomologyRow("s", 1, MarkedGroupPresentation(ah, "A_H")),
+        HomologyRow("u", 0, MarkedGroupPresentation(ag.transpose(), "A_G^T")),
+        HomologyRow("u", 1, MarkedGroupPresentation(ah.transpose(), "A_H^T")),
+        HomologyRow("s", 2, None),
+        HomologyRow("u", 2, None),
     )
 
 

@@ -278,10 +278,12 @@ def cmd_render(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
     specs, pruned = geometry.circle_specs_report(p, args.max_k, args.depth, args.min_radius)
+    circles = sum(s.paths for s in specs)
+    del specs  # render_svg walks the circles again; the collector need not scan these meanwhile
     svg = geometry.render_svg(p, args.max_k, args.depth, args.min_radius, args.scale)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    print(f"circles = {sum(s.paths for s in specs)}")
+    print(f"circles = {circles}")
     print(f"pruned_radius_sum = {pruned}")
     print(f"wrote = {args.output}")
     return 0

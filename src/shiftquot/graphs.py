@@ -42,10 +42,6 @@ class IntMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
@@ -79,20 +75,6 @@ class IntMatrix:
                 for row in self.entries
             ),
         )
-
-    def power(self, k: int) -> "IntMatrix":
-        if self.rows != self.cols:
-            raise GraphError("power of a non-square matrix")
-        if k < 0:
-            raise GraphError("negative matrix power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
 
     def bareiss(self) -> tuple[int, int, int]:
         """Rank r, a nonzero r x r minor (1 when r = 0) and a gcd of

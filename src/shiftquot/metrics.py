@@ -45,9 +45,6 @@ class MetricInterval:
     def exact(self) -> bool:
         return self.lo == self.hi
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     @staticmethod
     def point(v: Fraction) -> "MetricInterval":
         return MetricInterval(v, v)

@@ -1,5 +1,5 @@
 """The invertible system: bi-infinite lassos, truncated inverse-limit towers,
-the bracket map, the two-sided pair relation, and transversal sets.
+the bracket map and the two-sided pair relation.
 
 A point of the invertible quotient is an inverse-limit sequence of
 quotient-space points; computationally we truncate at an explicit depth M
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .embedding import EmbeddingPair, epsilon
-from .graphs import Graph, paths_of_length
+from .graphs import Graph
 from .metrics import MetricInterval, d_class, d_quotient_graph, lambda_hat, lambda_tail
 from .rays import (
     ClassPoint,
@@ -452,48 +452,3 @@ def apply_witness(p: EmbeddingPair, w: PairWitness, x: BiLasso) -> BiLasso:
         if n >= w.m and p.in_image(e):
             core[idx] = p.partner(e)
     return BiLasso(x.past, tuple(core), swap_seq(x.future), lo)
-
-
-# -- transversals ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransversalSpec:
-    """A minimal-length cycle avoiding the embedded image, and the periodic
-    points repeating it."""
-
-    cycle: tuple[str, ...]
-    points: tuple[BiLasso, ...]
-
-
-def transversal_spec(p: EmbeddingPair) -> TransversalSpec:
-    g = p.g
-    spare = Graph(g.vertices, [(e, g.source(e), g.target(e)) for e in g.edges if not p.in_image(e)])
-    best: tuple[str, ...] | None = None
-    for L in range(1, len(g.vertices) + 1):
-        candidates = [w for v in g.vertices for w in paths_of_length(spare, L, src=v, dst=v)]
-        if candidates:
-            best = min(candidates)
-            break
-    if best is None:
-        raise SmaleError("no cycle avoids the embedded image")
-    pts = tuple(
-        BiLasso(best[k:] + best[:k], (), best[k:] + best[:k], 1)
-        for k in range(len(best))
-    )
-    return TransversalSpec(best, pts)
-
-
-def membership_yu(spec: TransversalSpec, x: BiLasso) -> bool:
-    """Whether the whole past of x (positions <= 0) repeats the transversal
-    cycle."""
-    span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
-    seen = x.window(-span, 0)
-    return any(q.window(-span, 0) == seen for q in spec.points)
-
-
-def membership_ys(spec: TransversalSpec, x: BiLasso) -> bool:
-    """Whether x agrees with a transversal point on all positions >= -1."""
-    span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
-    seen = x.window(-1, span)
-    return any(q.window(-1, span) == seen for q in spec.points)

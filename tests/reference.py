@@ -42,6 +42,19 @@ def ref_entry_sum(m):
     return sum(sum(row) for row in m.entries)
 
 
+def ref_power(a, k):
+    """A^k as k products from the identity."""
+    out = IntMatrix.identity(a.rows)
+    for _ in range(k):
+        out = out @ a
+    return out
+
+
+def ref_zero(rows, cols):
+    """The rows x cols matrix of zeros."""
+    return IntMatrix(rows, cols, ((0,) * cols,) * rows)
+
+
 def ref_transpose(m):
     """The transpose one entry at a time."""
     entries = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
@@ -647,48 +660,6 @@ def ref_pair_related(p, x, y):
         if ref_edge_at(x, n) != ref_edge_at(y, n):
             return None
     return PairWitness("c", i=tail_i, m=m)
-
-
-def ref_membership_yu(spec, x):
-    for q in spec.points:
-        span = math.lcm(len(x.past), len(spec.cycle)) + len(x.core) + len(x.future) + abs(x.origin) + 2
-        if all(ref_edge_at(x, n) == ref_edge_at(q, n) for n in range(-span, 1)):
-            return True
-    return False
-
-
-def ref_membership_ys(spec, x):
-    for q in spec.points:
-        span = math.lcm(len(x.future), len(spec.cycle)) + len(x.core) + len(x.past) + abs(x.core_end()) + 2
-        if all(ref_edge_at(x, n) == ref_edge_at(q, n) for n in range(-1, span + 1)):
-            return True
-    return False
-
-
-def ref_transversal(p):
-    """The least cycle of spare edges of the shortest length, by a
-    recursive walk over spare edges from each vertex."""
-    g = p.g
-    for L in range(1, len(g.vertices) + 1):
-        candidates = []
-        for v in g.vertices:
-
-            def walk(at, path):
-                if len(path) == L:
-                    if at == v:
-                        candidates.append(tuple(path))
-                    return
-                for e in g.out_edges(at):
-                    if p.in_image(e):
-                        continue
-                    path.append(e)
-                    walk(g.target(e), path)
-                    path.pop()
-
-            walk(v, [])
-        if candidates:
-            return min(candidates)
-    return None
 
 
 def ref_pi_xi_tower(p, x, depth):

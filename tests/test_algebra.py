@@ -24,7 +24,7 @@ from shiftquot.algebra import (
 from shiftquot.embedding import check_standing_hypotheses
 from shiftquot.graphs import Graph, IntMatrix
 
-from reference import ref_pair_cells
+from reference import ref_pair_cells, ref_zero
 
 
 def loops(n):
@@ -58,7 +58,7 @@ def verify_snf(a: IntMatrix):
 def test_snf_examples():
     snf = verify_snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert snf.diagonal() == (1, 6)
-    snf = verify_snf(IntMatrix.zero(2, 3))
+    snf = verify_snf(ref_zero(2, 3))
     assert snf.diagonal() == (0, 0)
     snf = verify_snf(IntMatrix.from_rows([[-2]]))
     assert snf.diagonal() == (2,)
@@ -84,7 +84,7 @@ def test_snf_low_rank_products(rows, cols, inner, data):
     def draw(r, c):
         return IntMatrix.from_rows([[data.draw(st.integers(-6, 6)) for _ in range(c)] for _ in range(r)])
 
-    a = draw(rows, inner) @ draw(inner, cols) if inner else IntMatrix.zero(rows, cols)
+    a = draw(rows, inner) @ draw(inner, cols) if inner else ref_zero(rows, cols)
     rank, _, _ = a.bareiss()
     assert rank <= min(rows, cols, inner)
     snf = verify_snf(a)

@@ -1,11 +1,10 @@
 """The two-sided layer against its definitions.
 
-The definitions of `bilasso_equal`, `pair_related`, `membership_yu` and
-`membership_ys` (in `reference`) read one edge per position.  The package
-reads each bi-lasso once as a window; it must give the same witnesses and
-booleans, and raise the same error type where the definition raises (a
-seed whose images overlap has no partner map, so reading a swap there
-fails).
+The definitions of `bilasso_equal` and `pair_related` (in `reference`)
+read one edge per position.  The package reads each bi-lasso once as a
+window; it must give the same witnesses and booleans, and raise the same
+error type where the definition raises (a seed whose images overlap has
+no partner map, so reading a swap there fails).
 """
 
 import random
@@ -13,20 +12,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closed_walk, end_of, h_cycles, outcome, seeds, tower_pairs, walk
-from reference import ref_bilasso_equal, ref_membership_ys, ref_membership_yu, ref_pair_related
+from conftest import h_cycles, outcome, seeds, tower_pairs
+from reference import ref_bilasso_equal, ref_pair_related
 from shiftquot.embedding import EmbeddingPair
 from shiftquot.graphs import Graph
-from shiftquot.smale import (
-    BiLasso,
-    SmaleError,
-    apply_witness,
-    bilasso_equal,
-    membership_ys,
-    membership_yu,
-    pair_related,
-    transversal_spec,
-)
+from shiftquot.smale import BiLasso, apply_witness, bilasso_equal, pair_related
 
 
 def kind(result):
@@ -72,24 +62,6 @@ def all_pairs(p, rng, count):
     return pairs + image_pairs(p, rng, count) + self_pairs(pairs)
 
 
-def transversal_bilassos(p, spec, rng, count):
-    """Bi-lassos whose past or whose future repeats the transversal cycle,
-    at several origins, next to other closed walks and cores."""
-    g, cyc, out = p.g, spec.cycle, []
-    for _ in range(count):
-        k = rng.randrange(len(cyc))
-        rot = cyc[k:] + cyc[:k]
-        v = g.source(rot[0])
-        origin = rng.randint(-4, 3)
-        other = closed_walk(g, rng, v) or list(rot)
-        core = walk(g, rng, v, rng.randint(0, 4))
-        future = closed_walk(g, rng, end_of(g, v, core))
-        if future is not None:
-            out.append(BiLasso.make(g, rot, core, future, origin))
-        out.append(BiLasso.make(g, other, rot * rng.randint(0, 2), rot, origin))
-    return out
-
-
 def check_pairs(p, pairs):
     """pair_related and bilasso_equal against the references; returns the
     witness cases and error types seen."""
@@ -104,16 +76,6 @@ def check_pairs(p, pairs):
             seen.add(new[1].case)
             if new[1].case != "a":
                 assert bilasso_equal(apply_witness(p, new[1], x), y)
-    return seen
-
-
-def check_membership(p, xs):
-    spec = transversal_spec(p)
-    seen = set()
-    for x in xs:
-        yu, ys = membership_yu(spec, x), membership_ys(spec, x)
-        assert (yu, ys) == (ref_membership_yu(spec, x), ref_membership_ys(spec, x))
-        seen |= {("yu", yu), ("ys", ys)}
     return seen
 
 
@@ -155,28 +117,3 @@ def test_pair_relation_raises_where_the_reference_raises():
 @given(seeds(), st.integers(0, 2**32))
 def test_pair_relation_matches_the_reference_on_drawn_seeds(p, rng_seed):
     check_pairs(p, all_pairs(p, random.Random(rng_seed), 4))
-
-
-# -- transversal membership -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["full3", "twovertex"])
-def test_membership_matches_the_reference(name, request):
-    p = request.getfixturevalue(name)
-    rng = random.Random(name)
-    xs = [x for pair in tower_pairs(p, rng, 10) for x in pair]
-    xs += transversal_bilassos(p, transversal_spec(p), rng, 30)
-    assert check_membership(p, xs) == {("yu", True), ("yu", False), ("ys", True), ("ys", False)}
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds(), st.integers(0, 2**32))
-def test_membership_matches_the_reference_on_drawn_seeds(p, rng_seed):
-    try:
-        spec = transversal_spec(p)
-    except SmaleError:
-        return
-    rng = random.Random(rng_seed)
-    xs = [x for pair in tower_pairs(p, rng, 2) for x in pair]
-    check_membership(p, xs + transversal_bilassos(p, spec, rng, 6))
-

@@ -87,7 +87,7 @@ def test_d_extended_examples(full3):
         Fraction(1, 16)
     )
     iv = d_extended(p, ray(p, ";c"), ray(p, "a;c"), depth=10)
-    assert iv.width() <= Fraction(6, 2**10)  # the stated width contract
+    assert iv.hi - iv.lo <= Fraction(6, 2**10)  # the stated width contract
 
 
 def test_d_extended_mixed_strata_matches_limit(full3):

@@ -17,14 +17,22 @@ the two through helpers neither owns: shared inputs belong in
 `conftest.py`.  A `ref_` function is the plain definition a faster
 implementation is compared against, and there is one per quantity, in
 `reference.py`, not a copy in each test module that needs it.
+
+Every def, class and method of the package is reached from the command
+line, the acceptance tests, the benchmark or a script.  A name that only
+the other tests reach is surface nobody runs: the quantity it computes
+belongs in `reference.py`, or it leaves with its tests.
 """
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "shiftquot"
 TESTS = ROOT / "tests"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def private_imports(path):
@@ -104,6 +112,67 @@ def reference_defs(path):
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("ref_")
     ]
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def mentions(nodes):
+    """Every name the nodes use: names, attribute names, imported names,
+    and each part of a string that is a dotted name (the tracer's
+    "cli.SeedBundle.pair", a `getattr` field)."""
+    out = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def package_defs(paths):
+    """(qualified name, name, the names its body uses) for each top-level
+    def and class and each method, and the names the modules' other
+    top-level statements use (they run on import).  A class's own uses are
+    its bases, decorators and the statements of its body that are not
+    defs; an import uses nothing until its name is."""
+    defs, top = [], set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                body = [s for s in node.body if not isinstance(s, DEFS)]
+                uses = mentions(node.bases + node.keywords + node.decorator_list + body)
+                defs.append((f"{path.stem}.{node.name}", node.name, uses))
+                defs += [(f"{path.stem}.{node.name}.{s.name}", s.name, mentions([s]))
+                         for s in node.body if isinstance(s, DEFS)]
+            elif isinstance(node, DEFS):
+                defs.append((f"{path.stem}.{node.name}", node.name, mentions([node])))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                top |= mentions([node])
+    return defs, top
+
+
+def unreached(src_paths, root_paths):
+    """The qualified names of the package's defs that no root reaches.
+
+    The roots are `main`, the `cmd_*` commands, the dunders (Python calls
+    them), the modules' top-level statements and every name the root files
+    use.  A reached name reaches every def of that name, methods included,
+    so the scan errs toward calling a def reached."""
+    defs, seen = package_defs(src_paths)
+    seen |= {"main"} | {name for _, name, _ in defs if name.startswith("cmd_") or _is_dunder(name)}
+    seen |= mentions([ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in root_paths])
+    frontier = seen
+    while frontier:
+        frontier = set().union(*(uses for _, name, uses in defs if name in frontier)) - seen
+        seen |= frontier
+    return [qual for qual, name, _ in defs if name not in seen and not _is_dunder(name)]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -222,3 +291,65 @@ def test_the_scan_finds_a_test_module_import_and_a_stray_reference(tmp_path):
         "test_bad.py:7: import test_deep",
     ]
     assert reference_defs(bad) == ["test_bad.py:5: def ref_level", "test_bad.py:6: def ref_inner"]
+
+
+def test_every_package_def_is_reached_outside_the_tests():
+    """A def only the differential tests call moves into `reference.py`."""
+    roots = ([TESTS / "test_acceptance.py"] + sorted((ROOT / "bench").glob("*.py"))
+             + sorted((ROOT / "scripts").glob("*.py")))
+    assert len(roots) > 5
+    assert unreached(sorted(SRC.glob("*.py")), roots) == []
+
+
+def test_the_scan_finds_an_unreached_def(tmp_path):
+    pkg = tmp_path / "pkg.py"
+    pkg.write_text(
+        "from .other import imported_only\n"
+        "LIMIT = helper_at_import()\n"
+        "def helper_at_import():\n"
+        "    return 1\n"
+        "def main():\n"
+        "    return Table().lookup(1) + chained()\n"
+        "def chained():\n"
+        "    return getattr(Table, 'by_name')\n"
+        "def cmd_run(args):\n"
+        "    return 0\n"
+        "def imported_only():\n"
+        "    pass\n"
+        "def planted(x):\n"
+        "    return orphan_helper(x)\n"
+        "def orphan_helper(x):\n"
+        "    return x\n"
+        "class Table:\n"
+        "    size: int = 0\n"
+        "    def __init__(self):\n"
+        "        self._check()\n"
+        "    def _check(self):\n"
+        "        pass\n"
+        "    def lookup(self, key):\n"
+        "        return key\n"
+        "    def by_name(self):\n"
+        "        pass\n"
+        "    def unused_method(self):\n"
+        "        pass\n"
+        "class Unused:\n"
+        "    pass\n"
+    )
+    root = tmp_path / "bench.py"
+    root.write_text("ENTRY_POINTS = ('pkg.Traced.run',)\n")
+    traced = tmp_path / "traced.py"
+    traced.write_text("class Traced:\n    def run(self):\n        pass\n")
+    assert unreached([pkg, traced], [root]) == [
+        "pkg.imported_only",
+        "pkg.planted",
+        "pkg.orphan_helper",
+        "pkg.Table.unused_method",
+        "pkg.Unused",
+    ]
+    script = tmp_path / "script.py"
+    script.write_text("from pkg import planted\n")
+    assert unreached([pkg, traced], [root, script]) == [
+        "pkg.imported_only",
+        "pkg.Table.unused_method",
+        "pkg.Unused",
+    ]

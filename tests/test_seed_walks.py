@@ -3,8 +3,7 @@
 The definitions (in `reference`) find H2's witness and the spare twin by a
 scan over every G-edge, check injectivity by a recursive prefix walk over
 every (prefix, cycle) spelling with the class invariant read off the level
-chain, and find the transversal cycle by a recursive walk over spare
-edges.  The package must give the same verdicts, witnesses and reports.
+chain.  The package must give the same verdicts, witnesses and reports.
 The injectivity walk visits only spellings in normal form and computes its
 invariant once per class, from state carried down the walk, so it is also
 compared class by class (the reps in the order both walks first meet
@@ -34,7 +33,6 @@ from reference import (
     ref_h2_witness,
     ref_injectivity,
     ref_spare_twin,
-    ref_transversal,
 )
 from shiftquot import geometry, rays
 from shiftquot.cli import load_bundle, parse_bundle
@@ -42,7 +40,6 @@ from shiftquot.embedding import EmbeddingError, EmbeddingPair
 from shiftquot.geometry import InjectivityReport, embedding_injectivity_check
 from shiftquot.metrics import tau_ray
 from shiftquot.rays import LassoRay, RayError, flip, kappa
-from shiftquot.smale import SmaleError, transversal_spec
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,14 +335,3 @@ def test_injectivity_reads_no_level_walk_and_one_flip_per_class(twovertex, monke
     assert report == InjectivityReport(4152, ())
     assert calls["raw_levels"] == 0
     assert calls["canonical"] + calls["flip"] + calls["_flip_at"] + calls["carry_flip"] == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(seeds())
-def test_transversal_matches_the_recursive_walk(p):
-    best = ref_transversal(p)
-    if best is None:
-        with pytest.raises(SmaleError):
-            transversal_spec(p)
-    else:
-        assert transversal_spec(p).cycle == best

@@ -13,15 +13,12 @@ from shiftquot.smale import (
     bilasso_equal,
     bracket,
     inv_shift_tower,
-    membership_ys,
-    membership_yu,
     pair_related,
     parse_bilasso,
     pi_xi_tower,
     shift_bilasso,
     shift_tower,
     tower_distance,
-    transversal_spec,
 )
 
 
@@ -197,28 +194,6 @@ def test_s_injectivity_spot_check(full3):
         y = BiLasso.make(full3.g, ("b",), core, ("a",))  # same tail, new past
         assert not bilasso_equal(x, y)
         assert pair_related(full3, x, y) is None
-
-
-def test_transversal_full3(full3):
-    spec = transversal_spec(full3)
-    assert spec.cycle == ("c",)
-    assert len(spec.points) == 1
-    x = bl(full3, "c;;a")
-    assert membership_yu(spec, x)
-    assert not membership_ys(spec, x)
-    allc = bl(full3, "c;;c")
-    assert membership_ys(spec, allc)
-    assert membership_yu(spec, allc)
-    y = bl(full3, "a;;c")
-    assert not membership_yu(spec, y)
-    # future must match from position -1 on: past c then future c qualifies
-    z = BiLasso.make(full3.g, ("c",), ("c", "c"), ("c",), origin=-1)
-    assert membership_ys(spec, z)
-
-
-def test_transversal_requires_spare_cycle(full2):
-    with pytest.raises(SmaleError):
-        transversal_spec(full2)
 
 
 def test_inv_shift_tower(full3):

@@ -19,7 +19,7 @@ from shiftquot.algebra import FgAbelianGroup, _smith_diagonal, _unit_pivots, syn
 from shiftquot.graphs import Graph, IntMatrix, adjacency_matrix
 
 from conftest import matrices, seeds
-from reference import ref_smith_diagonal
+from reference import ref_smith_diagonal, ref_zero
 
 
 def matrix(rows, cols, entries=()):
@@ -85,7 +85,7 @@ def test_leftover_blocks_of_size_0_1_2(k, units, sign, data):
 
 
 def test_edge_shapes():
-    for a in (matrix(0, 0), matrix(0, 3), matrix(3, 0), IntMatrix.zero(3, 4), IntMatrix.zero(1, 1)):
+    for a in (matrix(0, 0), matrix(0, 3), matrix(3, 0), ref_zero(3, 4), ref_zero(1, 1)):
         assert _smith_diagonal(a) == ref_smith_diagonal(a) == (0,) * min(a.rows, a.cols)
     for rows in ([[-1]], [[7]], [[-7]], [[6, 4]], [[6], [4]], [[0, 0], [0, 5]], [[4, 6], [6, 4]]):
         a = IntMatrix.from_rows(rows)
