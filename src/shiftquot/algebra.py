@@ -217,11 +217,17 @@ class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D diagonal with a
     divisibility chain d1 | d2 | ...
 
-    D comes from the modular diagonal.  U and V are built on first read by
-    the transform-tracking elimination, which must reproduce D."""
+    D's diagonal comes from the modular computation; the dense D is built
+    from it on first read.  U and V are built on first read by the
+    transform-tracking elimination, which must reproduce D."""
 
     a: IntMatrix
-    d: IntMatrix
+    factors: tuple[int, ...]  # D's diagonal, min(rows, cols) entries
+
+    @cached_property
+    def d(self) -> IntMatrix:
+        rows, cols, f = self.a.rows, self.a.cols, self.factors
+        return IntMatrix(rows, cols, tuple(tuple(f[i] if i == j else 0 for j in range(cols)) for i in range(rows)))
 
     @cached_property
     def _certificate(self) -> tuple[IntMatrix, IntMatrix]:
@@ -234,13 +240,11 @@ class SmithDecomposition:
     v = property(lambda self: self._certificate[1])
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))
+        return self.factors
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    diag = _smith_diagonal(a)
-    d = [[diag[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)]
-    return SmithDecomposition(a, IntMatrix(a.rows, a.cols, tuple(map(tuple, d))))
+    return SmithDecomposition(a, _smith_diagonal(a))
 
 
 # -- finitely generated abelian groups -----------------------------------------
@@ -326,23 +330,12 @@ class RuelleKTheory:
     k1_ruelle_s: FgAbelianGroup
     k0_ruelle_u: FgAbelianGroup
     k1_ruelle_u: FgAbelianGroup
-    valid: bool
-    warnings: tuple[str, ...] = ()
 
 
 def ruelle_k_theory(p: EmbeddingPair) -> RuelleKTheory:
-    """Compute all eight K-groups by integer linear algebra.
-
-    If the standing hypotheses fail the groups are still computed from the
-    same formulas but flagged as not validated.
-    """
-    rep = p.hypotheses
-    warnings: list[str] = []
-    if not rep.standing():
-        for name in ("h0", "h1", "h2", "primitive"):
-            res = getattr(rep, name)
-            if not res.passed:
-                warnings.append(f"{name} fails" + (f" ({res.witness})" if res.witness else ""))
+    """Compute all eight K-groups by integer linear algebra on the two
+    graphs' adjacency matrices.  The formulas do not read the standing
+    hypotheses; a caller that needs them reads p.hypotheses."""
     ag = adjacency_matrix(p.g)
     ah = adjacency_matrix(p.h)
     # I - A is square, so its kernel rank is its cokernel rank, and I - A^T
@@ -360,8 +353,6 @@ def ruelle_k_theory(p: EmbeddingPair) -> RuelleKTheory:
         k1_ruelle_s=k1,
         k0_ruelle_u=k0,
         k1_ruelle_u=k1,
-        valid=rep.standing(),
-        warnings=tuple(warnings),
     )
 
 
@@ -439,10 +430,22 @@ class PairComplex:
     pair: EmbeddingPair
     vertex_counts: tuple[int, ...]  # |V_0| .. |V_6| over 6-words
     edge_counts: tuple[int, ...]  # |E_0| .. |E_7| over 7-words
-    h6_count: int
-    containments_ok: bool
-    quotient_rank: int
     word_cap: int
+
+    @property
+    def containments_ok(self) -> bool:
+        """The containments hold by construction (see build_pair_complex), disjointness by H1."""
+        return self.pair.hypotheses.h1.passed
+
+    @property
+    def h6_count(self) -> int:
+        """The H-paths of length 6: V_6 holds both images of each, kept apart by H1."""
+        return self.vertex_counts[6] // 2
+
+    @property
+    def quotient_rank(self) -> int:
+        """V_6 modulo the swap action, which pairs the two images of each H 6-path."""
+        return self.h6_count
 
     def _check_cap(self) -> None:
         words = self.edge_counts[0]
@@ -505,15 +508,11 @@ def build_pair_complex(p: EmbeddingPair, word_cap: int = 10**7) -> PairComplex:
     pair in V_k first differ at position 6 - k, which H1 guarantees.
     word_cap bounds the number of G-paths of length 7 when the cells are
     read; the counts are never refused."""
-    rep = p.hypotheses
-    if not rep.standing():
+    if not p.hypotheses.standing():
         raise AlgebraError("pair complex requires the standing hypotheses")
     gin = _walk_counts(p.g, 7)
     hout = _walk_counts(p.h, 7, backward=True)
-    h6 = sum(hout[6].values())
-    v_counts = _cell_counts(p, gin, hout, 6)
-    # the swap action pairs the two orientations of each doubled word
-    return PairComplex(p, v_counts, _cell_counts(p, gin, hout, 7), h6, rep.h1.passed, v_counts[6] // 2, word_cap)
+    return PairComplex(p, _cell_counts(p, gin, hout, 6), _cell_counts(p, gin, hout, 7), word_cap)
 
 
 # -- realization of prescribed groups -------------------------------------------

@@ -30,9 +30,8 @@ from .embedding import EmbeddingPair
 from .graphs import Graph
 
 
-# `distance` and `zeta` print exact bounds with 2^-depth terms; far past this
-# depth the digits outgrow Python's limit on integer-to-text conversion
-# (15,000 fails), and a depth of 10^6 runs for minutes
+# `distance` and `zeta` print exact bounds with 2^-depth terms, at any size
+# (rays.format_exact); the cap bounds run time: a depth of 10^6 runs for minutes
 QUERY_DEPTH_MAX = 4096
 
 
@@ -49,10 +48,8 @@ class SeedBundle:
     xi1: dict[str, str]
 
     def pair(self) -> EmbeddingPair:
-        return EmbeddingPair(
-            self.g, self.h, dict(self.vertex_map), dict(self.xi0),
-            dict(self.vertex_map), dict(self.xi1),
-        )
+        # the pair reads its maps and never writes them, so they are shared
+        return EmbeddingPair(self.g, self.h, self.vertex_map, self.xi0, self.vertex_map, self.xi1)
 
 
 def parse_bundle(text: str, name: str = "<bundle>") -> SeedBundle:
@@ -186,9 +183,10 @@ def parse_group(text: str) -> algebra.FgAbelianGroup:
 
 
 def _fmt_interval(iv: metrics.MetricInterval) -> str:
+    lo = rays.format_exact(iv.lo)
     if iv.exact:
-        return str(iv.lo)
-    return f"[{iv.lo}, {iv.hi}] ~= [{float(iv.lo):.6f}, {float(iv.hi):.6f}]"
+        return lo
+    return f"[{lo}, {rays.format_exact(iv.hi)}] ~= [{float(iv.lo):.6f}, {float(iv.hi):.6f}]"
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -211,10 +209,13 @@ def cmd_check(args) -> int:
 def cmd_invariants(args) -> int:
     bundle = load_bundle(args.bundle)
     p = bundle.pair()
-    kt = algebra.ruelle_k_theory(p)
-    for warning in kt.warnings:
-        print(f"warning = {warning}")
+    rep = p.hypotheses
+    for label in ("h0", "h1", "h2", "primitive"):
+        res = getattr(rep, label)
+        if not res.passed:
+            print(f"warning = {label} fails" + (f" ({res.witness})" if res.witness else ""))
     table = algebra.homology_table(p)  # raises before any header without the standing hypotheses
+    kt = algebra.ruelle_k_theory(p)
     print("homology:")
     for row in table:
         grp = row.group.render() if row.group else "0"
@@ -261,7 +262,7 @@ def cmd_zeta(args) -> int:
     value, bound = geometry.zeta_approx(p, x, args.depth)
     # both lines are formatted before either is printed, so a failure
     # leaves no partial answer
-    text = f"zeta = {value.real:.12f} + {value.imag:.12f}i\nerror <= {bound} ~= {float(bound):.3e}"
+    text = f"zeta = {value.real:.12f} + {value.imag:.12f}i\nerror <= {rays.format_exact(bound)} ~= {float(bound):.3e}"
     print(text)
     return 0
 
@@ -284,7 +285,7 @@ def cmd_render(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"circles = {circles}")
-    print(f"pruned_radius_sum = {pruned}")
+    print(f"pruned_radius_sum = {rays.format_exact(pruned)}")
     print(f"wrote = {args.output}")
     return 0
 

@@ -35,6 +35,7 @@ from .rays import (
     Angle,
     LassoRay,
     RayError,
+    format_exact,
     format_ray,
     kappa,
     normal_form,
@@ -225,10 +226,14 @@ def circle_count(
     within max_depth and max_k (as the walk does) and returns early, with a
     partial count, at the first length where the count exceeds `stop`.
     """
-    by_budget, tailed = _circle_steps(p, max_k)
+    return _walk_count(*_circle_steps(p, max_k), max_k, max_depth, stop)
+
+
+def _walk_count(by_budget: list, tailed: set[int], max_k: int, max_depth: int, stop: int | float) -> int:
+    """circle_count on the tables _circle_steps(p, max_k) returns."""
     top = len(by_budget) - 1
     # live[(v, j)]: paths ending at vertex index v with j < max_k spare edges
-    live = {(v, 0): 1 for v in range(len(p.g.vertices))} if max_k > 0 else {}
+    live = {(v, 0): 1 for v in range(len(by_budget[top]))} if max_k > 0 else {}
     total = 1
     for length in range(1, max_depth + 1):
         if not live or total > stop:
@@ -288,7 +293,8 @@ def circle_specs_report(
     """circle_specs plus the total radius of pruned circles.
 
     Raises EmbeddingError, before walking, if the walk would count more
-    than CIRCLE_BUDGET circles (circle_count, pruned circles included).
+    than CIRCLE_BUDGET circles (circle_count, pruned circles included, on
+    the steps table the walk then reads).
 
     The walk takes one level per step, stratum by stratum, over states
     (end vertex, chain id) with the number of paths into each.  A level's
@@ -310,7 +316,8 @@ def circle_specs_report(
     min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
     if all(tail.xi_tail is None for tail in p.completion.values()):
         raise EmbeddingError("no all-image tails exist (the small graph has no cycle)")
-    count = circle_count(p, max_k, max_depth, stop=CIRCLE_BUDGET)
+    by_budget, tailed = _circle_steps(p, max_k)
+    count = _walk_count(by_budget, tailed, max_k, max_depth, CIRCLE_BUDGET)
     if count > CIRCLE_BUDGET:
         raise EmbeddingError(
             f"the circle walk would visit at least {count:,} circles, more than "
@@ -320,7 +327,6 @@ def circle_specs_report(
     e_max = math.inf if min_r <= 0 else (min_r.denominator // min_r.numerator).bit_length() - 1
     angles: dict[tuple[int, int], Angle] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
-    by_budget, tailed = _circle_steps(p, max_k)
     top = len(by_budget) - 1
     width = max_depth.bit_length() + 1
     # chains[id]: (e, levels, center terms, packed gaps, packed numerators),
@@ -402,9 +408,9 @@ class FiberClass:
 
     def render(self) -> str:
         if self.kind == "circles":
-            return f"Circles({self.count})"
+            return f"Circles({format_exact(self.count)})"
         if self.kind == "points":
-            return f"Points({self.count})"
+            return f"Points({format_exact(self.count)})"
         return "TotallyDisconnected"
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -112,6 +113,13 @@ def parse_ray(g: Graph, text: str) -> LassoRay:
 
 def format_ray(x: LassoRay) -> str:
     return ",".join(x.prefix) + ";" + ",".join(x.cycle)
+
+
+def format_exact(x: Fraction | int) -> str:
+    """str(x) at any size: Decimal's text of an integer is not held to
+    Python's limit on integer-to-text digits (sys.set_int_max_str_digits)."""
+    num, den = x.as_integer_ratio()
+    return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -7,10 +8,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftquot import algebra, embedding
 from shiftquot.algebra import (
     SYNTH_EDGE_BUDGET,
     AlgebraError,
     FgAbelianGroup,
+    RuelleKTheory,
     SmithDecomposition,
     bowen_franks,
     build_pair_complex,
@@ -21,7 +24,7 @@ from shiftquot.algebra import (
     smith_normal_form,
     synthesize_seed,
 )
-from shiftquot.embedding import check_standing_hypotheses
+from shiftquot.embedding import EmbeddingPair, check_standing_hypotheses
 from shiftquot.graphs import Graph, IntMatrix
 
 from reference import ref_pair_cells, ref_zero
@@ -195,14 +198,40 @@ def test_fg_group_of_matches_certified_snf(rank, factors):
 
 def test_certificate_must_reproduce_the_diagonal():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    wrong = SmithDecomposition(a, IntMatrix.from_rows([[2, 0], [0, 3]]))
+    wrong = SmithDecomposition(a, (2, 3))
     with pytest.raises(AlgebraError):
         wrong.u
 
 
+def test_cokernel_leaves_the_dense_d_unbuilt(monkeypatch):
+    made = []
+    real = algebra.smith_normal_form
+    monkeypatch.setattr(algebra, "smith_normal_form", lambda a: made.append(real(a)) or made[-1])
+    a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    assert cokernel(a) == FgAbelianGroup(0, (2, 6, 12))
+    (snf,) = made
+    assert snf.diagonal() == (2, 6, 12) and "d" not in vars(snf)
+    assert (snf.u @ a @ snf.v).entries == snf.d.entries and "d" in vars(snf)
+
+
+def test_k_theory_holds_the_eight_groups_and_reads_no_report(full3, monkeypatch):
+    assert [f.name for f in dataclasses.fields(RuelleKTheory)] == [
+        "k0_stable", "k1_stable", "k0_unstable", "k1_unstable",
+        "k0_ruelle_s", "k1_ruelle_s", "k0_ruelle_u", "k1_ruelle_u",
+    ]
+    calls = []
+    real = embedding.check_standing_hypotheses
+    monkeypatch.setattr(embedding, "check_standing_hypotheses", lambda p: calls.append(p) or real(p))
+    fresh = EmbeddingPair(full3.g, full3.h, full3.xi0_vertices, full3.xi0_edges,
+                          full3.xi1_vertices, full3.xi1_edges)
+    assert ruelle_k_theory(fresh) == ruelle_k_theory(full3)
+    assert calls == []
+    assert fresh.hypotheses.standing() and calls == [fresh]  # the counter sees a read
+
+
 def test_ruelle_k_theory_full3(full3):
+    assert full3.hypotheses.standing()
     kt = ruelle_k_theory(full3)
-    assert kt.valid
     assert kt.k0_ruelle_s == FgAbelianGroup(1, (2,))
     assert kt.k1_ruelle_s == FgAbelianGroup(1)
     assert kt.k0_ruelle_u == FgAbelianGroup(1, (2,))
@@ -215,8 +244,8 @@ def test_ruelle_k_theory_full3(full3):
 
 def test_ruelle_k_theory_full2_matrices(full2):
     # A_G = [2], A_H = [1]: K0(Rs) = Z? no: coker(1-2)=0 plus ker(1-1)=Z -> Z
+    assert not full2.hypotheses.standing()  # H2 fails; formulas still computed
     kt = ruelle_k_theory(full2)
-    assert not kt.valid  # H2 fails; formulas still computed
     assert kt.k0_ruelle_s == FgAbelianGroup(1)
     assert kt.k1_ruelle_s == FgAbelianGroup(1)
 

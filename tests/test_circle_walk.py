@@ -314,13 +314,23 @@ def test_walk_drops_paths_that_can_give_no_circle():
     assert proc.stdout == "2 2 0\n"
 
 
+def test_a_walk_builds_one_steps_table(twovertex, monkeypatch):
+    """The budget count reads the tables the walk then walks on."""
+    built = []
+    inner = geometry._circle_steps
+    monkeypatch.setattr(geometry, "_circle_steps", lambda p, max_k: built.append(max_k) or inner(p, max_k))
+    specs, _ = circle_specs_report(twovertex, 2, 5)
+    assert built == [2] and sum(s.paths for s in specs) == circle_count(twovertex, 2, 5)
+    assert built == [2, 2]
+
+
 def test_the_walk_and_the_writer_run_with_the_collector_paused(twovertex, monkeypatch):
     """gc is off inside circle_specs_report and render_svg, the writer's
     own loop included after its nested walk has returned, and on again
     after a return and after the budget refusal; a caller's own
     gc.disable() stands."""
     seen = []
-    for name in ("circle_count", "_level_rows", "_angle_complex"):
+    for name in ("_walk_count", "_level_rows", "_angle_complex"):
         def probed(*args, _inner=getattr(geometry, name), _name=name, **kwargs):
             seen.append((_name, gc.isenabled()))
             return _inner(*args, **kwargs)
@@ -328,16 +338,16 @@ def test_the_walk_and_the_writer_run_with_the_collector_paused(twovertex, monkey
         monkeypatch.setattr(geometry, name, probed)
     assert gc.isenabled()
     circle_specs_report(twovertex, 2, 5)
-    assert {name for name, _ in seen} == {"circle_count", "_level_rows"}
+    assert {name for name, _ in seen} == {"_walk_count", "_level_rows"}
     assert not any(on for _, on in seen) and gc.isenabled()
     seen.clear()
     render_svg(twovertex, 2, 5, 0, 400.0)
-    assert {name for name, _ in seen} == {"circle_count", "_level_rows", "_angle_complex"}
+    assert {name for name, _ in seen} == {"_walk_count", "_level_rows", "_angle_complex"}
     assert not any(on for _, on in seen) and gc.isenabled()
     seen.clear()
     with pytest.raises(EmbeddingError, match="945,977 circles"):
         render_svg(twovertex, 3, 9, 0, 400.0)
-    assert seen == [("circle_count", False)] and gc.isenabled()
+    assert seen == [("_walk_count", False)] and gc.isenabled()
     gc.disable()
     try:
         render_svg(twovertex, 2, 4, 0, 400.0)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from shiftquot.cli import (
     parse_group,
 )
 from shiftquot.algebra import FgAbelianGroup
+from shiftquot.metrics import d_extended
+from shiftquot.rays import parse_ray
 
 
 def run(capsys, *argv):
@@ -122,6 +125,78 @@ def test_distance_through_many_common_levels(capsys):
     code, out, _ = run(capsys, "distance", bundle_path("full3.bundle"), lead + ",a;a", lead + ",b;a")
     assert code == 0
     assert out == f"{Fraction(1, 2 ** (3 * n + 1))}\n"
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+MIXED = ",".join("abc"[i % 3] for i in range(8571))  # the shortest whose denominator passes 4,300 digits
+PAST_THE_LIMIT = {
+    "common-levels": ["distance", "c," * 1200 + "a;a", "c," * 1200 + "b;a"],
+    "mixed-8571": ["distance", MIXED + ";a", MIXED + ",b;a"],
+    "points-15000": ["fibers", ",".join(["h'"] * 15000) + ";c'"],
+}
+
+
+def exact_ratio(line):
+    """(numerator, denominator) of a printed rational or Points(n), read
+    through Decimal, which Python's limit on integer-to-text digits does
+    not govern."""
+    num, _, den = line.strip().removeprefix("Points(").removesuffix(")").partition("/")
+    return int(Decimal(num)), int(Decimal(den or "1"))
+
+
+def expected_ratio(p, case):
+    if case == "common-levels":
+        return 1, 2**3601
+    if case == "points-15000":
+        return 2**15000, 1
+    x, y = parse_ray(p.g, MIXED + ";a"), parse_ray(p.g, MIXED + ",b;a")
+    return d_extended(p, x, y, 12).lo.as_integer_ratio()
+
+
+@pytest.mark.parametrize("case", PAST_THE_LIMIT)
+def test_exact_answers_past_the_digit_limit(capsys, full3, case):
+    """Exact answers of any length, in-process at the default limit and in
+    a child with the limit lowered to its floor."""
+    argv = PAST_THE_LIMIT[case]
+    code, out, err = run(capsys, argv[0], bundle_path("full3.bundle"), *argv[1:])
+    assert (code, err) == (0, "")
+    assert exact_ratio(out) == expected_ratio(full3, case)
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "shiftquot.cli",
+         argv[0], bundle_path("full3.bundle"), *argv[1:]],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
+
+
+SHARED_B = (  # xi0(z) and xi1(y) are both b, so H1 fails; H0 holds
+    "graph G\nvertex v\nedge a v v\nedge b v v\nedge c v v\n"
+    "graph H\nvertex w\nedge y w w\nedge z w w\n"
+    "map vertex w v\nmap xi0 y a\nmap xi0 z b\nmap xi1 y b\nmap xi1 z c\n"
+)
+
+
+@pytest.mark.parametrize("argv, out, message", [
+    (["check"], "h0 = pass\nh1 = fail  # witness: shared image edge b\nh2 = fail  # witness: edge y\n"
+     "primitive = pass\nh_cycle = yes\nstanding = False\n", None),
+    (["invariants"], "warning = h1 fails (shared image edge b)\nwarning = h2 fails (edge y)\n",
+     "homology table requires the standing hypotheses"),
+    (["distance", ";a", ";b"], "", "quotient graph needs H0 and H1"),
+    (["fibers", ";y'"], "", "quotient graph needs H0 and H1"),
+    (["zeta", ";a"], "", "superscript map undefined: H1 fails"),
+    (["render", "-o"], "", "superscript map undefined: H1 fails"),
+    (["complex"], "", "pair complex requires the standing hypotheses"),
+], ids=["check", "invariants", "distance", "fibers", "zeta", "render", "complex"])
+def test_a_seed_failing_h1_gets_each_subcommands_message(capsys, tmp_path, argv, out, message):
+    """Exit 1 with the message and no traceback, no partial answer and no
+    output file: the superscript map and the partners are undefined."""
+    path, svg = tmp_path / "shared.bundle", tmp_path / "out.svg"
+    path.write_text(SHARED_B)
+    tail = [str(svg)] if argv[-1] == "-o" else []
+    code, printed, err = run(capsys, argv[0], str(path), *argv[1:], *tail)
+    assert (code, printed) == (1, out)
+    assert err == ("" if message is None else f"error: {message}\n")
+    assert not svg.exists()
 
 
 def test_missing_bundle_is_usage_error(capsys):

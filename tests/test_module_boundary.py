@@ -10,7 +10,9 @@ through code that neither documents, and the benchmark tracer, which wraps
 the public entry points by name, does not see the work done through it.
 A read of `obj._field` from outside the module that defines the field ties
 the reader to a table layout the owner is free to change: each table has
-one reader, its owner, and the others go through its public methods.
+one reader, its owner, and the others go through its public methods.  A
+test module uses only the private names in TEST_PRIVATE_USES, each listed
+with the step it pins.
 
 A test that imports another test module runs that module's code and ties
 the two through helpers neither owns: shared inputs belong in
@@ -19,7 +21,8 @@ implementation is compared against, and there is one per quantity, in
 `reference.py`, not a copy in each test module that needs it.
 
 Every def, class and method of the package is reached from the command
-line, the acceptance tests, the benchmark or a script.  A name that only
+line, the acceptance tests, the benchmark or a script; a method only
+through an attribute, a `getattr` string or a dotted string.  A name that only
 the other tests reach is surface nobody runs: the quantity it computes
 belongs in `reference.py`, or it leaves with its tests.
 """
@@ -121,7 +124,11 @@ def _is_dunder(name):
 def mentions(nodes):
     """Every name the nodes use: names, attribute names, imported names,
     and each part of a string that is a dotted name (the tracer's
-    "cli.SeedBundle.pair", a `getattr` field)."""
+    "cli.SeedBundle.pair", a `getattr` field).  A use that can reach a
+    method is also recorded with a leading dot: an attribute load, a string
+    passed to `getattr`, or a part of a string with a dot in it.  A local
+    variable, a keyword or a dict key that shares a method's name does not
+    reach the method."""
     out = set()
     for root in nodes:
         for node in ast.walk(root):
@@ -129,19 +136,30 @@ def mentions(nodes):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    out.add("." + node.attr)
             elif isinstance(node, ast.alias):
                 out.add(node.name.split(".")[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
-                out.update(node.value.split("."))
+                parts = node.value.split(".")
+                out.update(parts)
+                if len(parts) > 1:
+                    out.update("." + part for part in parts)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                out.add("." + node.args[1].value)
     return out
 
 
 def package_defs(paths):
-    """(qualified name, name, the names its body uses) for each top-level
+    """(qualified name, key, the names its body uses) for each top-level
     def and class and each method, and the names the modules' other
-    top-level statements use (they run on import).  A class's own uses are
-    its bases, decorators and the statements of its body that are not
-    defs; an import uses nothing until its name is."""
+    top-level statements use (they run on import).  The key is the name a
+    use must carry to reach the def: its own name, with a leading dot for
+    a method.  A class's own uses are its bases, decorators and the
+    statements of its body that are not defs; an import uses nothing until
+    its name is."""
     defs, top = [], set()
     for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
@@ -149,7 +167,7 @@ def package_defs(paths):
                 body = [s for s in node.body if not isinstance(s, DEFS)]
                 uses = mentions(node.bases + node.keywords + node.decorator_list + body)
                 defs.append((f"{path.stem}.{node.name}", node.name, uses))
-                defs += [(f"{path.stem}.{node.name}.{s.name}", s.name, mentions([s]))
+                defs += [(f"{path.stem}.{node.name}.{s.name}", "." + s.name, mentions([s]))
                          for s in node.body if isinstance(s, DEFS)]
             elif isinstance(node, DEFS):
                 defs.append((f"{path.stem}.{node.name}", node.name, mentions([node])))
@@ -163,16 +181,17 @@ def unreached(src_paths, root_paths):
 
     The roots are `main`, the `cmd_*` commands, the dunders (Python calls
     them), the modules' top-level statements and every name the root files
-    use.  A reached name reaches every def of that name, methods included,
-    so the scan errs toward calling a def reached."""
+    use.  A reached name reaches every def of that name, and a reached
+    method name every method of that name, so the scan errs toward calling
+    a def reached."""
     defs, seen = package_defs(src_paths)
-    seen |= {"main"} | {name for _, name, _ in defs if name.startswith("cmd_") or _is_dunder(name)}
+    seen |= {"main"} | {key for _, key, _ in defs if key.startswith("cmd_") or _is_dunder(key.lstrip("."))}
     seen |= mentions([ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in root_paths])
     frontier = seen
     while frontier:
-        frontier = set().union(*(uses for _, name, uses in defs if name in frontier)) - seen
+        frontier = set().union(*(uses for _, key, uses in defs if key in frontier)) - seen
         seen |= frontier
-    return [qual for qual, name, _ in defs if name not in seen and not _is_dunder(name)]
+    return [qual for qual, key, _ in defs if key not in seen and not _is_dunder(key.lstrip("."))]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -257,6 +276,38 @@ def test_the_scan_finds_a_read_of_another_modules_private_attribute(tmp_path):
     ]
 
 
+# The private names a test module may use, each with the reason it is used:
+# the test pins one step that no public entry point exposes on its own.  A
+# new private use needs its own entry here, and an entry no test uses goes.
+TEST_PRIVATE_USES = {
+    "algebra._modular_chain": "wrapped to record the modulus each leftover block is reduced by",
+    "algebra._smith_diagonal": "the diagonal alone, against the reference, without U and V",
+    "algebra._tracked_elimination": "the bordered elimination, against the reference's",
+    "algebra._unit_pivots": "the first stage's pivot count and leftover block",
+    "embedding._h_tail_witness": "the tail table, against the reference's scan",
+    "geometry._angle_complex": "wrapped to count the SVG writer's angle conversions",
+    "geometry._circle_steps": "wrapped to count the steps tables one circle walk builds",
+    "geometry._classes": "wrapped to read the reps the injectivity walk yields, in order",
+    "metrics._d_finite": "the finite-stratum distance on a ray and its unrolled spelling",
+    "rays._prepend_class": "one step of the grown class, against canonical",
+    "rays._total_swap": "the total-swap flag a grown class carries",
+    "smale._level_distances": "the tower reader's level stream, against d_class per level",
+}
+
+
+def test_private_uses_in_test_modules_are_the_allowed_ones():
+    """Imports of the package's private names, and reads of private
+    attributes that the package or another test module defines."""
+    tests = sorted(TESTS.glob("test_*.py"))
+    names = {path.name for path in tests}
+    used = {line.split(": ", 1)[1] for line in foreign_private_reads(sorted(SRC.glob("*.py")) + tests)
+            if line.split(":")[0] in names}
+    for line in (line for path in tests for line in private_imports(path)):
+        module, name = line.split(": from ")[1].split(" import ")
+        used.add(f"{module.rsplit('.', 1)[-1]}.{name}")
+    assert sorted(used) == sorted(TEST_PRIVATE_USES)
+
+
 def test_no_test_module_imports_another():
     paths = sorted(TESTS.glob("*.py"))
     assert len(paths) > 20
@@ -309,7 +360,8 @@ def test_the_scan_finds_an_unreached_def(tmp_path):
         "def helper_at_import():\n"
         "    return 1\n"
         "def main():\n"
-        "    return Table().lookup(1) + chained()\n"
+        "    hidden = {'hidden': 1, **dict(hidden=2)}\n"
+        "    return Table().lookup(1) + chained() + hidden['hidden']\n"
         "def chained():\n"
         "    return getattr(Table, 'by_name')\n"
         "def cmd_run(args):\n"
@@ -332,6 +384,8 @@ def test_the_scan_finds_an_unreached_def(tmp_path):
         "        pass\n"
         "    def unused_method(self):\n"
         "        pass\n"
+        "    def hidden(self):\n"
+        "        pass\n"
         "class Unused:\n"
         "    pass\n"
     )
@@ -344,6 +398,7 @@ def test_the_scan_finds_an_unreached_def(tmp_path):
         "pkg.planted",
         "pkg.orphan_helper",
         "pkg.Table.unused_method",
+        "pkg.Table.hidden",
         "pkg.Unused",
     ]
     script = tmp_path / "script.py"
@@ -351,5 +406,6 @@ def test_the_scan_finds_an_unreached_def(tmp_path):
     assert unreached([pkg, traced], [root, script]) == [
         "pkg.imported_only",
         "pkg.Table.unused_method",
+        "pkg.Table.hidden",
         "pkg.Unused",
     ]

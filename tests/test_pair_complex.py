@@ -65,6 +65,13 @@ def assert_counts_match_cells(p: EmbeddingPair) -> None:
     assert pc.terminal_boundary_vanishes() == boundary
 
 
+def test_the_complex_stores_only_its_counts(full3):
+    """The verdict, |H6| and the rank are read off the report and |V6|."""
+    assert [f.name for f in dataclasses.fields(build_pair_complex(full3))] == [
+        "pair", "vertex_counts", "edge_counts", "word_cap",
+    ]
+
+
 def test_full3_counts_match_cells(full3):
     assert_counts_match_cells(full3)
 
