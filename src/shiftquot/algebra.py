@@ -555,8 +555,8 @@ def realize_group_matrix(target: FgAbelianGroup, d0: int, m0: int) -> IntMatrix:
 SYNTH_EDGE_BUDGET = 250_000
 """Most G-edges a synthesized seed may have.  The entries of A and B grow
 with the torsion orders: K1 = Z/10000 (K0 torsion Z/4) gives 80,032
-G-edges, 100,040 edges with H's (about 0.7 s on a 2-vCPU VM); Z/100000
-gives 800,032 and 1,000,040 (about 11 s)."""
+G-edges, 100,040 edges with H's (about 0.4 s in-process on a 2-vCPU
+VM); Z/100000 gives 800,032 and 1,000,040 (about 11 s)."""
 
 
 def _check_edge_budget(edges: int, at_least: str = "") -> None:

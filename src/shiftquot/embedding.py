@@ -90,13 +90,15 @@ class EmbeddingPair:
     def superscript(self) -> Callable[[str], int | None]:
         """edge -> its superscript (0 or 1), or None for a spare edge.
         Without a superscript map (H1 fails) an image edge raises
-        epsilon's error."""
+        EmbeddingError."""
         sup = self._superscript
         if sup is not None:
             return sup.get
 
         def digit(edge: str) -> int | None:
-            return epsilon(self, edge) if self.in_image(edge) else None
+            if self.in_image(edge):
+                raise EmbeddingError("superscript map undefined: H1 fails")
+            return None
 
         return digit
 
@@ -161,16 +163,6 @@ class EmbeddingPair:
             return self._partner[edge]
         except KeyError:
             raise EmbeddingError(f"edge {edge!r} is not in the embedded image") from None
-
-
-def epsilon(p: EmbeddingPair, edge: str) -> int:
-    """Superscript (0 or 1) of the embedding containing the given G-edge."""
-    if p._superscript is None:
-        raise EmbeddingError("superscript map undefined: H1 fails")
-    try:
-        return p._superscript[edge]
-    except KeyError:
-        raise EmbeddingError(f"edge {edge!r} is not in the embedded image") from None
 
 
 @dataclass(frozen=True)
@@ -269,13 +261,12 @@ class VertexCompletion:
     xi_tail: an infinite forward path inside the embedded image, as a
         (lead-in, cycle) pair of G-edges, or None when no such tail exists.
     min_forced_path: a path to a xi-tail vertex minimizing the number of
-        spare edges used (ties go to the first such vertex in G's order);
-        min_forced is that count.
+        spare edges used (ties go to the first such vertex in G's order),
+        or None when no xi-tail vertex is reachable.
     """
 
     xi_tail: tuple[tuple[str, ...], tuple[str, ...]] | None
     min_forced_path: tuple[str, ...] | None
-    min_forced: int | None
 
 
 def _h_tail_witness(h: Graph) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -348,10 +339,6 @@ def completion_tables(p: EmbeddingPair) -> dict[str, VertexCompletion]:
                         dq.appendleft(w)
                     else:
                         dq.append(w)
-        mf_path = None
-        mf = None
-        for u in tail_vertices:
-            if u in forced and (mf is None or forced[u][0] < mf):
-                mf, mf_path = forced[u]
-        per[v] = VertexCompletion(xi_tail[v], mf_path, mf)
+        best = min((forced[u] for u in tail_vertices if u in forced), key=lambda cp: cp[0], default=None)
+        per[v] = VertexCompletion(xi_tail[v], None if best is None else best[1])
     return per

@@ -143,7 +143,7 @@ def circle_specs(
     p: EmbeddingPair,
     max_k: int,
     max_depth: int,
-    min_radius: Fraction | float = 0,
+    min_radius: Fraction = 0,
 ) -> list[CircleSpec]:
     """All circles arising from prefixes with at most max_k spare edges,
     the last one no deeper than max_depth, larger than min_radius: one
@@ -215,22 +215,16 @@ INJECTIVITY_CLASS_CAP = 200_000
 count before it is refused."""
 
 
-def circle_count(
-    p: EmbeddingPair, max_k: int, max_depth: int, stop: int | float = math.inf
-) -> int:
+def _walk_count(by_budget: list, tailed: set[int], max_k: int, max_depth: int, stop: int | float) -> int:
     """Circles that circle_specs_report counts, pruned ones included, each
-    as often as paths give it: the unit circle plus one per path of length
-    <= max_depth that ends in its j-th spare edge (1 <= j <= max_k) at a
-    vertex with an all-image tail.  A transfer recurrence over (vertex,
-    spare edges so far), which drops paths that can give no further circle
-    within max_depth and max_k (as the walk does) and returns early, with a
+    as often as paths give it, on the tables _circle_steps(p, max_k)
+    returns: the unit circle plus one per path of length <= max_depth that
+    ends in its j-th spare edge (1 <= j <= max_k) at a vertex with an
+    all-image tail.  A transfer recurrence over (vertex, spare edges so
+    far), which drops paths that can give no further circle within
+    max_depth and max_k (as the walk does) and returns early, with a
     partial count, at the first length where the count exceeds `stop`.
     """
-    return _walk_count(*_circle_steps(p, max_k), max_k, max_depth, stop)
-
-
-def _walk_count(by_budget: list, tailed: set[int], max_k: int, max_depth: int, stop: int | float) -> int:
-    """circle_count on the tables _circle_steps(p, max_k) returns."""
     top = len(by_budget) - 1
     # live[(v, j)]: paths ending at vertex index v with j < max_k spare edges
     live = {(v, 0): 1 for v in range(len(by_budget[top]))} if max_k > 0 else {}
@@ -288,12 +282,12 @@ def circle_specs_report(
     p: EmbeddingPair,
     max_k: int,
     max_depth: int,
-    min_radius: Fraction | float = 0,
+    min_radius: Fraction = 0,
 ) -> tuple[list[CircleSpec], Fraction]:
     """circle_specs plus the total radius of pruned circles.
 
     Raises EmbeddingError, before walking, if the walk would count more
-    than CIRCLE_BUDGET circles (circle_count, pruned circles included, on
+    than CIRCLE_BUDGET circles (_walk_count, pruned circles included, on
     the steps table the walk then reads).
 
     The walk takes one level per step, stratum by stratum, over states
@@ -313,7 +307,7 @@ def circle_specs_report(
     Runs with the cyclic collector paused (_without_cyclic_gc): the chains,
     value tables and specs it builds are long-lived and acyclic.
     """
-    min_r = Fraction(min_radius).limit_denominator(10**12) if isinstance(min_radius, float) else Fraction(min_radius)
+    min_r = Fraction(min_radius)
     if all(tail.xi_tail is None for tail in p.completion.values()):
         raise EmbeddingError("no all-image tails exist (the small graph has no cycle)")
     by_budget, tailed = _circle_steps(p, max_k)
@@ -460,7 +454,7 @@ def render_svg(
     p: EmbeddingPair,
     max_k: int,
     max_depth: int,
-    min_radius: Fraction | float,
+    min_radius: Fraction,
     scale: float,
 ) -> str:
     """Deterministic SVG of the circle specifications (byte-reproducible).
@@ -547,9 +541,9 @@ def _classes(
     g = p.g
     digit = p.superscript
     # a cycle carrying a spare edge gives kappa = infinity whatever the
-    # prefix; each kept cycle with its lap (its digits as an integer:
-    # epsilon's error when H1 fails), 2^len - 1 (its tail's period) and
-    # its one superscript (None when it has both: then there is no flip)
+    # prefix; each kept cycle with its lap (its digits as an integer: the
+    # superscript map's error when H1 fails), 2^len - 1 (its tail's period)
+    # and its one superscript (None when it has both: then there is no flip)
     cycles = []
     for L in range(1, tail_length + 1):
         period = (1 << L) - 1

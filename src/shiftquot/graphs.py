@@ -246,31 +246,22 @@ def paths_of_length(
     src: str | None = None,
     dst: str | None = None,
 ) -> list[tuple[str, ...]]:
-    """All paths of length n as edge tuples, in lexicographic order by edge
-    index.
+    """All paths of length n as edge tuples, built one length at a time:
+    ordered by start vertex in G's vertex order, then by each edge's place
+    among its source's out-edges, first edge first.
 
-    Optional endpoint filters restrict the initial and terminal vertex.
+    src restricts the start vertex.  dst keeps the paths that end there,
+    once every path of length n from the starts is built; the package
+    asks for n <= 7.
     """
     if n < 1:
         raise GraphError("path length must be >= 1")
-    starts = [src] if src is not None else list(g.vertices)
-    out: list[tuple[str, ...]] = []
-    for v in starts:
-        if v not in g.vertex_index:
-            raise GraphError(f"unknown vertex {v!r}")
-        # depth-first with an explicit stack: one out-edge iterator per
-        # prefix edge, so the depth does not meet the recursion limit
-        prefix: list[str] = []
-        stack = [iter(g.out_edges(v))]
-        while stack:
-            e = next(stack[-1], None)
-            if e is None:
-                stack.pop()
-                if prefix:
-                    prefix.pop()
-            elif len(prefix) + 1 < n:
-                prefix.append(e)
-                stack.append(iter(g.out_edges(g.target(e))))
-            elif dst is None or g.target(e) == dst:
-                out.append((*prefix, e))
-    return out
+    if src is not None and src not in g.vertex_index:
+        raise GraphError(f"unknown vertex {src!r}")
+    out, target = g._out, g.target
+    paths = [(e,) for v in (g.vertices if src is None else (src,)) for e in out[v]]
+    for _ in range(n - 1):
+        paths = [w + (e,) for w in paths for e in out[target(w[-1])]]
+    if dst is not None:
+        paths = [w for w in paths if target(w[-1]) == dst]
+    return paths

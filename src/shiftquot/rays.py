@@ -181,8 +181,8 @@ def raw_levels(p: EmbeddingPair, x: LassoRay) -> Iterator[tuple[int | float, int
     all-ones tail sums to exactly 1.  Otherwise it never ends.
 
     One superscript lookup per edge, None meaning a spare edge.  When H1
-    fails the levels before the first image edge come out, then epsilon's
-    error."""
+    fails the levels before the first image edge come out, then the
+    superscript map's EmbeddingError."""
     digit = p.superscript
     edges: Iterable[str] = x.prefix
     if not p.xi_image.issuperset(x.cycle):
@@ -336,15 +336,16 @@ def stratum_approximant(p: EmbeddingPair, x: LassoRay, depth: int, k: int) -> La
     needed = k - j
     tables = p.completion
     v = p.g.target(head[-1])
-    comp = tables[v]
-    if comp.min_forced is None:
+    path = tables[v].min_forced_path
+    if path is None:
         raise RayError(f"no image tail reachable from vertex {v!r}")
-    if needed < comp.min_forced:
+    forced = p.spare_count(path)
+    if needed < forced:
         raise RayError(
-            f"stratum {k} unreachable: at least {comp.min_forced} spare edges "
+            f"stratum {k} unreachable: at least {forced} spare edges "
             f"needed after depth {depth}"
         )
-    route = list(comp.min_forced_path or ())
+    route = list(path)
     u = v
     for e in route:
         u = p.g.target(e)
@@ -353,7 +354,7 @@ def stratum_approximant(p: EmbeddingPair, x: LassoRay, depth: int, k: int) -> La
         raise RayError(f"no image tail at vertex {u!r}")
     lead, cyc = tail
     route.extend(lead)
-    budget = needed - comp.min_forced
+    budget = needed - forced
     # extra spare edges come from swapping image edges on the route to their
     # parallel spare twins (H2); extend with cycle laps until enough slots
     slots = [idx for idx, e in enumerate(route) if p.in_image(e)]

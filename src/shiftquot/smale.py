@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
 
-from .embedding import EmbeddingPair, epsilon
+from .embedding import EmbeddingPair
 from .graphs import Graph
 from .metrics import MetricInterval, d_class, d_quotient_graph, lambda_hat, lambda_tail
 from .rays import (
@@ -385,7 +385,7 @@ def _swapped(p: EmbeddingPair, a: str, b: str) -> int | None:
     """Superscript i when (a, b) = (xi^i(z), xi^{1-i}(z)); None otherwise."""
     if a == b or not p.in_image(a) or not p.in_image(b) or p.partner(a) != b:
         return None
-    return epsilon(p, a)
+    return p.superscript(a)
 
 
 def pair_related(p: EmbeddingPair, x: BiLasso, y: BiLasso) -> PairWitness | None:

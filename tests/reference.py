@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import chain, cycle
 from math import gcd
 
-from shiftquot.embedding import epsilon
+from shiftquot.embedding import EmbeddingError
 from shiftquot.geometry import CircleSpec
-from shiftquot.graphs import GraphError, IntMatrix, adjacency_matrix, paths_of_length
+from shiftquot.graphs import GraphError, IntMatrix, adjacency_matrix
 from shiftquot.metrics import MetricInterval, tau_ray
 from shiftquot.rays import (
     Angle,
@@ -243,6 +243,20 @@ def ref_smith_diagonal(a):
     return tuple(_chain(orders)[:rank]) + (0,) * (n - rank)
 
 
+def ref_paths(g, n, src=None, dst=None):
+    """Every path of length n from src (from every vertex when src is
+    None) that ends at dst (anywhere when dst is None), by recursion on the
+    first edge: start vertices in G's vertex order, then each vertex's
+    out-edges in order."""
+
+    def paths_from(v, k):
+        if k == 0:
+            return [()] if dst is None or v == dst else []
+        return [(e, *rest) for e in g.out_edges(v) for rest in paths_from(g.target(e), k - 1)]
+
+    return [w for v in (g.vertices if src is None else [src]) for w in paths_from(v, n)]
+
+
 def ref_pair_cells(p, length):
     """The cells C_0 .. C_length of the pair complex over words of the
     given length: C_0 holds each G-word paired with itself, and C_k (k >= 1)
@@ -250,14 +264,14 @@ def ref_pair_cells(p, length):
     of length k, in both orders (x empty when k = length, else ending where
     the images start)."""
     g, h = p.g, p.h
-    cells = [frozenset((w, w) for w in paths_of_length(g, length))]
+    cells = [frozenset((w, w) for w in ref_paths(g, length))]
     for k in range(1, length + 1):
         cell = set()
-        for y in paths_of_length(h, k):
+        for y in ref_paths(h, k):
             y0 = tuple(p.xi0_edges[e] for e in y)
             y1 = tuple(p.xi1_edges[e] for e in y)
             start = p.xi0_vertices[h.source(y[0])]
-            for x in paths_of_length(g, length - k, dst=start) if k < length else [()]:
+            for x in ref_paths(g, length - k, dst=start) if k < length else [()]:
                 cell |= {(x + y0, x + y1), (x + y1, x + y0)}
         cells.append(frozenset(cell))
     return tuple(cells)
@@ -316,6 +330,20 @@ def ref_h_tail_witness(h):
                 result[u] = ((e,) + lead, cyc)
                 frontier.append(u)
     return result
+
+
+def ref_epsilon(p, edge):
+    """The superscript i of the embedding xi^i whose edge map hits the
+    given G-edge, read off the two edge maps.  No superscript map exists
+    when the maps share an edge (H1 fails), and none is defined off the
+    image."""
+    images = (set(p.xi0_edges.values()), set(p.xi1_edges.values()))
+    if images[0] & images[1]:
+        raise EmbeddingError("superscript map undefined: H1 fails")
+    for i, image in enumerate(images):
+        if edge in image:
+            return i
+    raise EmbeddingError(f"edge {edge!r} is not in the embedded image")
 
 
 def ref_spare_twin(p, e):
@@ -381,12 +409,12 @@ def ref_digit_series(p, x):
         raise RayError("digit series needs kappa = 0")
     total = Fraction(0)
     for i, e in enumerate(x.prefix, start=1):
-        total += Fraction(epsilon(p, e), 2**i)
+        total += Fraction(ref_epsilon(p, e), 2**i)
     m = len(x.prefix)
     L = len(x.cycle)
     cyc_int = 0
     for e in x.cycle:
-        cyc_int = (cyc_int << 1) | epsilon(p, e)
+        cyc_int = (cyc_int << 1) | ref_epsilon(p, e)
     total += Fraction(cyc_int, 2**m * (2**L - 1))
     return total
 
@@ -398,7 +426,7 @@ def ref_level(p, x):
     for n, e in enumerate(chain(x.prefix, x.cycle), start=1):
         if not p.in_image(e):
             return n, Fraction(digits, 2 ** (n - 1))
-        digits = digits << 1 | epsilon(p, e)
+        digits = digits << 1 | ref_epsilon(p, e)
     return math.inf, ref_digit_series(p, x)
 
 
@@ -427,10 +455,10 @@ def ref_raw_levels(p, x):
             yield gap, digits, 1 << (gap - 1)
             gap = digits = 0
         else:
-            digits = digits << 1 | epsilon(p, e)
+            digits = digits << 1 | ref_epsilon(p, e)
     lap = 0
     for e in x.cycle:
-        lap = lap << 1 | epsilon(p, e)
+        lap = lap << 1 | ref_epsilon(p, e)
     period = 2 ** len(x.cycle) - 1
     yield math.inf, digits * period + lap, period << gap
 
@@ -440,14 +468,14 @@ def ref_flip(p, x):
     before the cycle, the pivot before it, every edge from there swapped."""
     if any(not p.in_image(e) for e in x.cycle):
         return None
-    digits_cycle = {epsilon(p, e) for e in x.cycle}
+    digits_cycle = {ref_epsilon(p, e) for e in x.cycle}
     if len(digits_cycle) != 1:
         return None
     i = digits_cycle.pop()
     m = len(x.prefix) + 1
     while m >= 2:
         e = x.prefix[m - 2]
-        if p.in_image(e) and epsilon(p, e) == i:
+        if p.in_image(e) and ref_epsilon(p, e) == i:
             m -= 1
         else:
             break
@@ -480,7 +508,7 @@ def prepended(lead, x):
 
 def ref_total_swap(p, x):
     """Whether x has a flip and every edge of x has one superscript."""
-    kinds = {epsilon(p, e) if p.in_image(e) else None for e in x.prefix + x.cycle}
+    kinds = {ref_epsilon(p, e) if p.in_image(e) else None for e in x.prefix + x.cycle}
     return ref_flip(p, x) is not None and len(kinds) == 1
 
 
@@ -621,7 +649,7 @@ def _swapped_at(p, x, y, n):
         return None
     if p.partner(a) != b:
         return None
-    return epsilon(p, a)
+    return ref_epsilon(p, a)
 
 
 def ref_pair_related(p, x, y):
@@ -652,7 +680,7 @@ def ref_pair_related(p, x, y):
         and p.in_image(ym)
         and xm != ym
         and p.partner(xm) == ym
-        and epsilon(p, xm) == 1 - tail_i
+        and ref_epsilon(p, xm) == 1 - tail_i
     )
     if not pivot_ok:
         return None
@@ -740,7 +768,7 @@ def ref_injectivity(p, depth, tail_length=1, invariant=ref_discrete_invariant, v
     cycles = []
     for L in range(1, tail_length + 1):
         for v in g.vertices:
-            cycles.extend(paths_of_length(g, L, src=v, dst=v))
+            cycles.extend(ref_paths(g, L, src=v, dst=v))
     reps, invariants, collisions = {}, {}, []
 
     def consider(x):
@@ -798,10 +826,7 @@ def ref_circle_paths(p, max_k, max_depth, min_radius=0):
     over paths that carries every digit sum, angle and radius as an exact
     Fraction."""
     tables = p.completion
-    if isinstance(min_radius, float):
-        min_r = Fraction(min_radius).limit_denominator(10**12)
-    else:
-        min_r = Fraction(min_radius)
+    min_r = Fraction(min_radius)
     has_tail = {v for v in p.g.vertices if tables[v].xi_tail is not None}
     out = []
     pruned = Fraction(0)
@@ -817,7 +842,7 @@ def ref_circle_paths(p, max_k, max_depth, min_radius=0):
             return
         for e in p.g.out_edges(at):
             if p.in_image(e):
-                new_digits = digits + Fraction(epsilon(p, e), 2 ** (gap + 1))
+                new_digits = digits + Fraction(ref_epsilon(p, e), 2 ** (gap + 1))
                 walk(p.g.target(e), levels, gap + 1, new_digits, depth + 1)
             else:
                 levels.append((gap + 1, Angle.of(digits)))

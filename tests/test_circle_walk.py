@@ -11,6 +11,7 @@ check that it is off inside them and on again after them, and a render
 with the collector off must leave no cycle for gc.collect() to free."""
 
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -23,12 +24,18 @@ from shiftquot import geometry
 from shiftquot.algebra import FgAbelianGroup, synthesize_seed
 from shiftquot.cli import main
 from shiftquot.embedding import EmbeddingError, EmbeddingPair
-from shiftquot.geometry import CIRCLE_BUDGET, CircleSpec, circle_count, circle_specs_report, render_svg
+from shiftquot.geometry import CIRCLE_BUDGET, CircleSpec, circle_specs_report, render_svg
 from shiftquot.graphs import Graph
 from shiftquot.rays import Angle
 
 from conftest import bundle_path, seeds, spare_chain_pair, tailless_pair
 from reference import ref_circle_paths, ref_fold_paths, ref_render_svg
+
+
+def circle_count(p, max_k, max_depth):
+    """The budget count of circle_specs_report: every circle, pruned ones
+    included, each as often as paths give it."""
+    return geometry._walk_count(*geometry._circle_steps(p, max_k), max_k, max_depth, math.inf)
 
 
 def split_pair():
@@ -42,21 +49,20 @@ def split_pair():
 
 
 def assert_same(p, max_k, depth, svg=False):
-    """The walk equals the folded reference at min radius 0, and at a
-    Fraction and a float threshold equals the folded reference list split
-    at that radius.  The pre-count equals the reference's circles, kept
-    plus pruned, and the walk's path counts; with svg=True, render_svg's
-    bytes equal the reference's at every threshold and at two scales."""
+    """The walk equals the folded reference at min radius 0, and at two
+    Fraction thresholds equals the folded reference list split at that
+    radius.  The pre-count equals the reference's circles, kept plus
+    pruned, and the walk's path counts; with svg=True, render_svg's bytes
+    equal the reference's at every threshold and at two scales."""
     every, none_pruned = ref_circle_paths(p, max_k, depth)
     assert none_pruned == 0
     assert circle_count(p, max_k, depth) == len(every), (max_k, depth)
     specs, pruned = circle_specs_report(p, max_k, depth)
     assert (specs, pruned) == (ref_fold_paths(every), 0), (max_k, depth)
     assert sum(s.paths for s in specs) == circle_count(p, max_k, depth), (max_k, depth)
-    for min_radius in (0, Fraction(1, 300), 0.001):
-        min_r = Fraction(min_radius).limit_denominator(10**12)
-        kept = [spec for spec in every if spec.radius >= min_r]
-        pruned = sum((spec.radius for spec in every if spec.radius < min_r), Fraction(0))
+    for min_radius in (0, Fraction(1, 300), Fraction(1, 1000)):
+        kept = [spec for spec in every if spec.radius >= min_radius]
+        pruned = sum((spec.radius for spec in every if spec.radius < min_radius), Fraction(0))
         got = circle_specs_report(p, max_k, depth, min_radius)
         assert got == (ref_fold_paths(kept), pruned), (max_k, depth, min_radius)
         for scale in (400.0, 37.5) if svg else ():
@@ -177,7 +183,7 @@ def test_render_ignores_hash_seed(twovertex, tmp_path):
 
 def test_pruned_sum_is_exact_at_every_threshold(full3):
     # thresholds on, just above and just below the dyadic radii
-    for min_radius in (Fraction(1, 16), Fraction(1, 17), Fraction(1, 15), 2, Fraction(-1), 1 / 64):
+    for min_radius in (Fraction(1, 16), Fraction(1, 17), Fraction(1, 15), 2, Fraction(-1), Fraction(1, 64)):
         every, pruned = ref_circle_paths(full3, 2, 5, min_radius)
         assert circle_specs_report(full3, 2, 5, min_radius) == (ref_fold_paths(every), pruned)
 
@@ -302,11 +308,12 @@ def test_walk_drops_paths_that_can_give_no_circle():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     tests = os.path.dirname(__file__)
     code = (
-        "from conftest import tailless_pair\n"
-        "from shiftquot.geometry import circle_count, circle_specs_report\n"
+        "import math\nfrom conftest import tailless_pair\n"
+        "from shiftquot import geometry\n"
         "p = tailless_pair()\n"
-        "specs, pruned = circle_specs_report(p, 1, 200)\n"
-        "print(sum(s.paths for s in specs), circle_count(p, 1, 200), pruned)\n"
+        "specs, pruned = geometry.circle_specs_report(p, 1, 200)\n"
+        "count = geometry._walk_count(*geometry._circle_steps(p, 1), 1, 200, math.inf)\n"
+        "print(sum(s.paths for s in specs), count, pruned)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import BUNDLE_NAMES, bundle_path, h1_failing_pair, seeds
+from reference import ref_epsilon
 from shiftquot.embedding import (
     EmbeddingError,
     EmbeddingPair,
     check_standing_hypotheses,
     completion_tables,
-    epsilon,
     quotient_graph,
 )
 from shiftquot.graphs import Graph, is_primitive
@@ -132,15 +132,15 @@ def test_quotient_is_primitive_when_standing(full3, twovertex):
 
 
 def test_epsilon(full3):
-    assert epsilon(full3, "a") == 0
-    assert epsilon(full3, "b") == 1
-    with pytest.raises(EmbeddingError):
-        epsilon(full3, "c")
+    assert (full3.superscript("a"), full3.superscript("b"), full3.superscript("c")) == (0, 1, None)
+    assert (ref_epsilon(full3, "a"), ref_epsilon(full3, "b")) == (0, 1)
+    with pytest.raises(EmbeddingError, match="^edge 'c' is not in the embedded image$"):
+        ref_epsilon(full3, "c")
 
 
 def superscript_agrees_with_epsilon(p):
     for e in p.g.edges:
-        assert p.superscript(e) == (epsilon(p, e) if p.in_image(e) else None)
+        assert p.superscript(e) == (ref_epsilon(p, e) if p.in_image(e) else None)
 
 
 @pytest.mark.parametrize("name", BUNDLE_NAMES)
@@ -161,13 +161,15 @@ def test_superscript_without_h1_raises_on_image_edges_only():
     for e in ("a", "b"):
         with pytest.raises(EmbeddingError, match="^superscript map undefined: H1 fails$"):
             p.superscript(e)
+        with pytest.raises(EmbeddingError, match="^superscript map undefined: H1 fails$"):
+            ref_epsilon(p, e)
 
 
 def test_completion_tables_full3(full3):
     tables = completion_tables(full3)
     comp = tables["v"]
     assert comp.xi_tail == ((), ("a",))
-    assert comp.min_forced == 0
+    assert full3.spare_count(comp.min_forced_path) == 0
 
 
 def test_completion_flags_missing_tail():
@@ -202,7 +204,7 @@ def test_twovertex_completion(twovertex):
     for v in twovertex.g.vertices:
         comp = tables[v]
         assert comp.xi_tail is not None
-        assert comp.min_forced == 0
+        assert twovertex.spare_count(comp.min_forced_path) == 0
 
 
 PROBE = """

@@ -13,7 +13,7 @@ from shiftquot.graphs import (
 )
 
 from conftest import graphs
-from reference import ref_entry_sum, ref_is_primitive, ref_power, ref_transpose, ref_zero
+from reference import ref_entry_sum, ref_is_primitive, ref_paths, ref_power, ref_transpose, ref_zero
 
 
 def full(n_loops: int) -> Graph:
@@ -130,6 +130,21 @@ def test_paths_with_endpoints():
     g = two_cycle()
     assert len(paths_of_length(g, 2, src="u", dst="u")) == 1
     assert paths_of_length(g, 2, src="u", dst="u") == [("f", "g")]
+
+
+def test_paths_come_by_start_vertex_then_out_edge_order():
+    # the out-edges of u are b, c: not the edge order a, b, c
+    g = Graph(["u", "v"], [("a", "v", "u"), ("b", "u", "v"), ("c", "u", "u")])
+    expected = [("b", "a"), ("c", "b"), ("c", "c"), ("a", "b"), ("a", "c")]
+    assert paths_of_length(g, 2) == ref_paths(g, 2) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(4, 7), st.integers(1, 4), st.data())
+def test_paths_match_the_recursive_reference(g, n, data):
+    ends = st.none() | st.sampled_from(g.vertices)
+    src, dst = data.draw(ends), data.draw(ends)
+    assert paths_of_length(g, n, src=src, dst=dst) == ref_paths(g, n, src=src, dst=dst)
 
 
 @settings(max_examples=60, deadline=None)

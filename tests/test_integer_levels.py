@@ -2,12 +2,13 @@
 
 `d_quotient_graph`, `lambda_hat` and `_d_finite` are compared with the
 quotient rays read position by position and the layer comparison walked
-by shifting; `raw_levels` with a walk that asks `in_image` and `epsilon`
-about every edge; `flip` and `canonical` with a flip that asks them again
-on its way to the pivot and a first-difference scan between x and its
-flip (all in `reference`).  The package must give the same values,
-representatives, partners and error messages, on the bundles, on drawn
-seeds, on nine flips with a known pivot and on a pair where H1 fails.
+by shifting; `raw_levels` with a walk that asks `in_image` and
+`ref_epsilon` about every edge; `flip` and `canonical` with a flip that
+asks them again on its way to the pivot and a first-difference scan
+between x and its flip (all in `reference`).  The package must give the
+same values, representatives, partners and error messages, on the
+bundles, on drawn seeds, on nine flips with a known pivot and on a pair
+where H1 fails.
 """
 
 import math

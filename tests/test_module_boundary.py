@@ -21,10 +21,14 @@ implementation is compared against, and there is one per quantity, in
 `reference.py`, not a copy in each test module that needs it.
 
 Every def, class and method of the package is reached from the command
-line, the acceptance tests, the benchmark or a script; a method only
-through an attribute, a `getattr` string or a dotted string.  A name that only
-the other tests reach is surface nobody runs: the quantity it computes
-belongs in `reference.py`, or it leaves with its tests.
+line, the acceptance tests, the benchmark or a script.  A root reaches a
+top-level def only through the def's own module: an import from it, an
+attribute of a name bound to it, or a dotted string that starts with it;
+a def of the same name in the root or in another module reaches nothing.
+A method is reached only through an attribute, a `getattr` string or a
+dotted string.  A name that only the other tests reach is surface nobody
+runs: the quantity it computes belongs in `reference.py`, or it leaves
+with its tests.
 """
 
 import ast
@@ -32,7 +36,8 @@ import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "shiftquot"
+PACKAGE = "shiftquot"
+SRC = ROOT / "src" / PACKAGE
 TESTS = ROOT / "tests"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -122,13 +127,12 @@ def _is_dunder(name):
 
 
 def mentions(nodes):
-    """Every name the nodes use: names, attribute names, imported names,
-    and each part of a string that is a dotted name (the tracer's
-    "cli.SeedBundle.pair", a `getattr` field).  A use that can reach a
-    method is also recorded with a leading dot: an attribute load, a string
-    passed to `getattr`, or a part of a string with a dot in it.  A local
-    variable, a keyword or a dict key that shares a method's name does not
-    reach the method."""
+    """Every name the package's nodes use: names, attribute names,
+    imported names, and each part of a string that is a dotted name (a
+    `getattr` field).  A use that can reach a method is also recorded with
+    a leading dot: an attribute load, a string passed to `getattr`, or a
+    part of a string with a dot in it.  A local variable, a keyword or a
+    dict key that shares a method's name does not reach the method."""
     out = set()
     for root in nodes:
         for node in ast.walk(root):
@@ -176,22 +180,89 @@ def package_defs(paths):
     return defs, top
 
 
+def _package_module(dotted, modules):
+    """The package module a dotted import path names (`shiftquot.cli` names
+    `cli`), or None."""
+    head, _, stem = dotted.partition(".")
+    return stem if head == PACKAGE and stem in modules else None
+
+
+def root_uses(tree, modules):
+    """(the package's top-level defs one root file reaches, as `mod.name`;
+    the method keys it reaches).  A top-level def is reached by `from
+    shiftquot.mod import name`, by `m.name` where `m` is bound to the
+    package module `mod`, or by a dotted string "mod.name..." (the tracer's
+    "graphs.paths_of_length").  A method key, `.name`, comes from an
+    attribute load, a `getattr` string or a part of a dotted string."""
+    bound, quals, keys = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is None and alias.name.split(".")[0] == PACKAGE:
+                    bound[PACKAGE] = PACKAGE
+                elif alias.asname is not None and (stem := _package_module(alias.name, modules)):
+                    bound[alias.asname] = stem
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            stem = _package_module(node.module, modules)
+            for alias in node.names:
+                if stem is not None:
+                    quals.add(f"{stem}.{alias.name}")
+                elif node.module == PACKAGE and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+
+    def module_of(expr):
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id)
+        if isinstance(expr, ast.Attribute) and module_of(expr.value) == PACKAGE and expr.attr in modules:
+            return expr.attr
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            keys.add("." + node.attr)
+            if (stem := module_of(node.value)) in modules:
+                quals.add(f"{stem}.{node.attr}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
+            parts = node.value.split(".")
+            if len(parts) > 1:
+                keys.update("." + part for part in parts)
+                if parts[0] in modules:
+                    quals.add(f"{parts[0]}.{parts[1]}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            keys.add("." + node.args[1].value)
+            if (stem := module_of(node.args[0])) in modules:
+                quals.add(f"{stem}.{node.args[1].value}")
+    return quals, keys
+
+
 def unreached(src_paths, root_paths):
     """The qualified names of the package's defs that no root reaches.
 
     The roots are `main`, the `cmd_*` commands, the dunders (Python calls
-    them), the modules' top-level statements and every name the root files
-    use.  A reached name reaches every def of that name, and a reached
-    method name every method of that name, so the scan errs toward calling
-    a def reached."""
+    them), the modules' top-level statements and what the root files
+    reach (root_uses).  Inside the package a used name reaches every def
+    of that name, and a reached method name every method of that name, so
+    the scan errs toward calling a def reached there."""
     defs, seen = package_defs(src_paths)
+    modules = {path.stem for path in src_paths}
     seen |= {"main"} | {key for _, key, _ in defs if key.startswith("cmd_") or _is_dunder(key.lstrip("."))}
-    seen |= mentions([ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in root_paths])
-    frontier = seen
-    while frontier:
-        frontier = set().union(*(uses for _, key, uses in defs if key in frontier)) - seen
-        seen |= frontier
-    return [qual for qual, key, _ in defs if key not in seen and not _is_dunder(key.lstrip("."))]
+    exact = set()
+    for path in root_paths:
+        quals, keys = root_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), modules)
+        exact |= quals
+        seen |= keys
+    reached = set()
+    while True:
+        new = [(qual, uses) for qual, key, uses in defs
+               if qual not in reached and (key in seen or qual in exact)]
+        if not new:
+            break
+        for qual, uses in new:
+            reached.add(qual)
+            seen |= uses
+    return [qual for qual, key, _ in defs if qual not in reached and not _is_dunder(key.lstrip("."))]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -288,6 +359,7 @@ TEST_PRIVATE_USES = {
     "geometry._angle_complex": "wrapped to count the SVG writer's angle conversions",
     "geometry._circle_steps": "wrapped to count the steps tables one circle walk builds",
     "geometry._classes": "wrapped to read the reps the injectivity walk yields, in order",
+    "geometry._walk_count": "the circle walk's budget count on its steps table, against the reference's circles",
     "metrics._d_finite": "the finite-stratum distance on a ray and its unrolled spelling",
     "rays._prepend_class": "one step of the grown class, against canonical",
     "rays._total_swap": "the total-swap flag a grown class carries",
@@ -390,7 +462,7 @@ def test_the_scan_finds_an_unreached_def(tmp_path):
         "    pass\n"
     )
     root = tmp_path / "bench.py"
-    root.write_text("ENTRY_POINTS = ('pkg.Traced.run',)\n")
+    root.write_text("ENTRY_POINTS = ('traced.Traced.run',)\n")
     traced = tmp_path / "traced.py"
     traced.write_text("class Traced:\n    def run(self):\n        pass\n")
     assert unreached([pkg, traced], [root]) == [
@@ -402,10 +474,39 @@ def test_the_scan_finds_an_unreached_def(tmp_path):
         "pkg.Unused",
     ]
     script = tmp_path / "script.py"
-    script.write_text("from pkg import planted\n")
+    script.write_text("from shiftquot.pkg import planted\n")
     assert unreached([pkg, traced], [root, script]) == [
         "pkg.imported_only",
         "pkg.Table.unused_method",
         "pkg.Table.hidden",
         "pkg.Unused",
     ]
+
+
+def test_the_scan_resolves_a_roots_names_by_module(tmp_path):
+    """A root's own `helper` and `other.helper()` on a module outside the
+    package do not reach the package's `helper`."""
+    pkg = tmp_path / "pkg.py"
+    pkg.write_text(
+        "def main():\n"
+        "    return 0\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def exported():\n"
+        "    return 2\n"
+        "def by_string():\n"
+        "    return 3\n"
+    )
+    root = tmp_path / "root.py"
+    root.write_text(
+        "import other\n"
+        "from shiftquot import pkg as p\n"
+        "def helper():\n"
+        "    return 0\n"
+        "helper() + other.helper() + other.exported() + p.exported()\n"
+        "NAMES = ('other.helper', 'pkg.by_string')\n"
+    )
+    assert unreached([pkg], [root]) == ["pkg.helper"]
+    script = tmp_path / "script.py"
+    script.write_text("import shiftquot.pkg\nshiftquot.pkg.helper()\n")
+    assert unreached([pkg], [root, script]) == []
